@@ -11,12 +11,12 @@ __version__ = "0.1.0"
 
 from .anomaly import (AnomalyGrid, BernoulliTable, GridField, PropagatorSpec,
                       ResidualReport, bernoulli, constant_map_contribution,
-                      covariant_derivative, dbar, ehae_residual,
-                      genus2_integrate, hae_residual, holomorphic_limit)
+                      covariant_derivative, ehae_residual, genus2_integrate,
+                      hae_residual, holomorphic_limit)
 from .errors import WorkbenchError
 from .families import constant_coupling_family, family_from_json, \
     family_to_json, quintic, sextic
-from .frames import SymplecticFrame, pairing, solve_symplectic_frame
+from .frames import SymplecticFrame, solve_symplectic_frame
 from .genus0 import (CYFamilyConfig, GWPotential, InstantonResult, MirrorMap,
                      YukawaCoupling, YukawaData, assemble_genus0,
                      build_mirror_map, check_special_geometry_identity,
@@ -24,10 +24,8 @@ from .genus0 import (CYFamilyConfig, GWPotential, InstantonResult, MirrorMap,
                      extract_instantons, flat_yukawa, genus0_export,
                      yukawa_theta)
 from .hodge import (HodgeEvaluator, HodgePointReport, fd_curvature_check,
-                    griffiths_residuals, hodge_point, hodge_report_json,
-                    sample_points)
-from .picard_fuchs import (PeriodBasis, PFOperator, apply_operator, check_mum,
-                           frobenius_solve)
+                    griffiths_residuals, hodge_report_json, sample_points)
+from .picard_fuchs import PeriodBasis, PFOperator, frobenius_solve
 from .pipeline import (WorkbenchConfig, config_hash, load_manifest, report,
                        run_pipeline)
 from .series import EvalResult, LogSeries, Rational, format_rational, \
@@ -39,16 +37,15 @@ __all__ = [
     "InstantonResult", "LogSeries", "MirrorMap", "PFOperator", "PeriodBasis",
     "PropagatorSpec", "Rational", "ResidualReport", "SymplecticFrame",
     "WorkbenchConfig", "WorkbenchError", "YukawaCoupling", "YukawaData",
-    "apply_operator", "assemble_genus0", "bernoulli", "build_mirror_map",
-    "check_mum", "check_special_geometry_identity", "compute_yukawa",
-    "config_hash",
+    "assemble_genus0", "bernoulli", "build_mirror_map",
+    "check_special_geometry_identity", "compute_yukawa", "config_hash",
     "constant_coupling_family", "constant_map_contribution",
-    "coupling_from_potential", "covariant_derivative", "dbar",
-    "ehae_residual", "extract_instantons", "family_from_json",
-    "family_to_json", "fd_curvature_check", "flat_yukawa", "frobenius_solve",
+    "coupling_from_potential", "covariant_derivative", "ehae_residual",
+    "extract_instantons", "family_from_json", "family_to_json",
+    "fd_curvature_check", "flat_yukawa", "frobenius_solve",
     "genus0_export", "genus2_integrate", "griffiths_residuals",
-    "hae_residual", "hodge_point", "hodge_report_json", "holomorphic_limit",
-    "load_manifest", "pairing", "parse_rational", "format_rational",
+    "hae_residual", "hodge_report_json", "holomorphic_limit",
+    "load_manifest", "parse_rational", "format_rational",
     "quintic", "report", "run_pipeline", "sample_points", "sextic",
     "solve_symplectic_frame", "yukawa_theta",
 ]

@@ -313,11 +313,6 @@ def _ddzbar(grid: AnomalyGrid, f: GridField) -> GridField:
     return GridField(tuple(rows))
 
 
-def dbar(grid: AnomalyGrid, f: GridField) -> GridField:
-    """Plain antiholomorphic derivative (the (0,1) connection part)."""
-    return _ddzbar(grid, f)
-
-
 def covariant_derivative(grid: AnomalyGrid, f: GridField, weight: int,
                          tensor_degree: int = 0) -> GridField:
     """Holomorphic covariant derivative of a tensor-valued section.
@@ -466,8 +461,9 @@ class PropagatorSpec:
 
     @classmethod
     def from_json(cls, obj) -> "PropagatorSpec":
-        return cls(tuple(tuple(_parse_complex(v) for v in row)
-                         for row in obj["S"]))
+        with mp.workprec(int(obj.get("prec_bits", 256)) + _GUARD_BITS):
+            return cls(tuple(tuple(_parse_complex(v) for v in row)
+                             for row in obj["S"]))
 
 
 def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,

@@ -27,9 +27,8 @@ from .anomaly import (AnomalyGrid, PropagatorSpec, ehae_residual,
 from .errors import ConfigError, WorkbenchError
 from .frames import solve_symplectic_frame
 from .genus0 import yukawa_theta
-from .hodge import HodgeEvaluator, hodge_report_json, sample_points
 from .picard_fuchs import frobenius_solve
-from .pipeline import (WorkbenchConfig, config_hash, default_hodge_order,
+from .pipeline import (WorkbenchConfig, config_hash, hodge_stage,
                        load_manifest, report, run_pipeline)
 
 
@@ -119,23 +118,17 @@ def _cmd_genus2(args) -> int:
 
 def _cmd_hodge_report(args) -> int:
     cfg = _load_config(args)
-    order = cfg.hodge_order or default_hodge_order(cfg.radius_fraction)
-    basis = frobenius_solve(cfg.family.pf, max(order, cfg.truncation_order))
-    coupling = yukawa_theta(cfg.family)
-    frame = solve_symplectic_frame(basis, coupling.series(basis.order),
-                                   cfg.family.triple_intersection)
-    evaluator = HodgeEvaluator(basis, frame, prec_bits=cfg.precision_bits)
-    points = sample_points(cfg.family.pf.singular_radius,
-                           cfg.radius_fraction, cfg.sample_count)
-    reports = [evaluator.point(z0) for z0 in points]
-    doc = hodge_report_json(reports, config_hash(cfg))
-    out = _resolve_out(args)
-    outdir = Path(out)
+    basis = frobenius_solve(cfg.family.pf, cfg.truncation_order)
+    frame = solve_symplectic_frame(
+        basis, yukawa_theta(cfg.family).series(basis.order),
+        cfg.family.triple_intersection)
+    doc = hodge_stage(cfg, basis, frame, config_hash(cfg))
+    outdir = Path(_resolve_out(args))
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "hodge.json").write_text(
         json.dumps(doc, indent=1, sort_keys=True) + "\n")
     ok = all(p["chern_form_positive"] for p in doc["points"])
-    print(f"hodge report: {len(points)} points, signs_ok={ok} "
+    print(f"hodge report: {len(doc['points'])} points, signs_ok={ok} "
           f"-> {outdir / 'hodge.json'}")
     return 0
 

@@ -156,16 +156,6 @@ class SymplecticFrame:
                     total = total + q * u[i] * v[j]
         return total
 
-    def pairing_frobenius(self, u, v):
-        """Q(u, v) for coordinate vectors in the Frobenius basis."""
-        total = 0
-        for i in range(4):
-            for j in range(4):
-                s = self.gram_frobenius[i][j]
-                if s:
-                    total = total + s * u[i] * v[j]
-        return total
-
     def pairing_series(self, basis: PeriodBasis, derivative: int) -> LogSeries:
         """The exact series Q(Omega, theta^derivative Omega)."""
         wr = _wronskians(basis, derivative)
@@ -176,10 +166,6 @@ class SymplecticFrame:
                 _raw_axpy(total, s, d)
         total = {k: v for k, v in total.items() if v != 0}
         return _raw_to_series(total, basis.order)
-
-
-def pairing(u, v, frame: SymplecticFrame):
-    return frame.pairing(u, v)
 
 
 def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
@@ -203,16 +189,16 @@ def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
 
     w3 = _wronskians(basis, 3)
 
-    def w3_series(vec) -> RawTerms:
+    def combine(wr, vec) -> RawTerms:
         total: RawTerms = {}
         for coeff, p in zip(vec, _PAIRS):
             if coeff != 0:
-                _raw_axpy(total, coeff, w3[p])
+                _raw_axpy(total, coeff, wr[p])
         return {k: v for k, v in total.items() if v != 0}
 
     chosen = None
     for vec in null:
-        w0 = w3_series(vec).get((Fraction(0), 0), Fraction(0))
+        w0 = combine(w3, vec).get((Fraction(0), 0), Fraction(0))
         if w0 != 0:
             chosen = [x * (-kappa / w0) for x in vec]
             break
@@ -234,16 +220,15 @@ def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
             "pairing solution violates the weight-graded support pattern")
 
     # exact verification against the normalization constraints
-    frame = SymplecticFrame(gram_frobenius=gram_t,
-                            transition=_transition_from_gram(s[(0, 3)]))
-    res1 = frame.pairing_series(basis, 1)
-    if not res1.is_zero:
+    if combine(w1, chosen):
         raise NormalizationMissing("Q(Omega, theta Omega) residual is nonzero")
-    res3 = frame.pairing_series(basis, 3) + yukawa_series.truncate(basis.order)
-    if not res3.is_zero:
+    res3 = combine(w3, chosen)
+    _raw_axpy(res3, Fraction(1), _raw(yukawa_series.truncate(basis.order)))
+    if any(res3.values()):
         raise NormalizationMissing(
             "Q(Omega, theta^3 Omega) does not reproduce the triple coupling")
-    return frame
+    return SymplecticFrame(gram_frobenius=gram_t,
+                           transition=_transition_from_gram(s[(0, 3)]))
 
 
 def _transition_from_gram(s03: Fraction) -> tuple:

@@ -10,8 +10,9 @@ Pipeline, all in exact rational arithmetic:
 The coupling Y solves the first-order equation
 theta log Y = -a_3 / (2 a_4) implied by the order-4 operator together
 with flatness of the intersection form; with polynomial a_k the
-solution is sought as a product of integer powers of the irreducible
-factors of the leading coefficient, which keeps everything exact.
+solution is sought as a product of integer powers of factors of the
+leading coefficient, one factor per exponent (the roots of a_4 grouped
+by residue), found by exact polynomial arithmetic over Q.
 
 The overall scale of the fundamental period against the canonical
 section is conventional; every quantity computed here is invariant
@@ -23,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy
 
 from .errors import (DomainError, IntegralityViolation, NonMeromorphic,
                      NormalizationMissing)
@@ -143,6 +142,71 @@ def _poly_mul(a, b):
     return out
 
 
+def _poly_sub(a, b):
+    out = [Fraction(x) for x in a] + [Fraction(0)] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_deriv(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by a nonzero b (both trimmed)."""
+    rem = list(a)
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k, c = len(rem) - len(b), rem[-1] / b[-1]
+        quot[k] = c
+        rem = _poly_sub(rem, [Fraction(0)] * k + [c * y for y in b])
+    return quot, rem
+
+
+def _poly_gcd(a, b):
+    """Monic greatest common divisor of trimmed a and b, not both zero."""
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _poly_inv_mod(a, m):
+    """b with a b = 1 mod m, for a coprime to m (extended Euclid)."""
+    r0, r1 = m, _poly_divmod(a, m)[1]
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1, s0, s1 = r1, r, s1, _poly_sub(s0, _poly_mul(q, s1))
+    return [c / r1[0] for c in _poly_divmod(s1, m)[1]]
+
+
+def _integer_eigenvalues(h, d):
+    """Distinct integer eigenvalues of multiplication by h on Q[z]/(d).
+
+    The traces p_k = tr(h^k) give the characteristic polynomial
+    x^n + c_1 x^(n-1) + ... + c_n through Newton's identities.  When all
+    eigenvalues r_i are integers so is every c_k, each r_i divides c_n,
+    and r_i^2 <= sum r^2 = c_1^2 - 2 c_2, which bounds the search.
+    """
+    n = len(d) - 1
+    power, traces = [Fraction(1)], []
+    for _ in range(n):
+        power = _poly_divmod(_poly_mul(power, h), d)[1]
+        traces.append(sum((_poly_divmod([0] * j + power, d)[1] + [0] * n)[j]
+                          for j in range(n)))
+    c = [Fraction(1)]
+    for k in range(1, n + 1):
+        c.append(-sum(c[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
+    if any(x.denominator != 1 for x in c):
+        return []
+    bound = math.isqrt(max(int(c[1] ** 2 - 2 * (c[2] if n > 1 else 0)), 0))
+    return [m for m in range(-bound, bound + 1) if m and c[n] % m == 0
+            and sum(x * m ** (n - k) for k, x in enumerate(c)) == 0]
+
+
 def _poly_str(coeffs) -> str:
     parts = []
     for i, c in enumerate(coeffs):
@@ -173,83 +237,50 @@ def build_mirror_map(basis: PeriodBasis) -> MirrorMap:
 def yukawa_theta(config: CYFamilyConfig) -> YukawaCoupling:
     """Closed-form rational triple coupling in the theta coordinate.
 
-    Integrates theta log Y = -a_3/(2 a_4) with Y(0) equal to the triple
-    intersection number.  Raises NonMeromorphic when the solution is
-    not a rational function (non-integer exponents, irregular poles, or
-    a pole at the origin).
+    Integrates d/dz log Y = -a_3/(2 z a_4) = N/D with Y(0) equal to the
+    triple intersection number.  With D squarefree and deg N < deg D,
+    the residue at a root r of D is h(r), h = N/D' mod D; the residues
+    are the roots of the characteristic polynomial of multiplication by
+    h on Q[z]/(D) (Rothstein-Trager), and each integer residue m gives
+    the factor gcd(D, h - m) to the power m.  Raises NonMeromorphic when
+    the solution is not a rational function (non-integer exponents,
+    irregular poles, a polynomial part, or a pole at the origin).
     """
     op = config.pf
     kappa = Fraction(config.triple_intersection)
     a3, a4 = op.coefficients[3], op.coefficients[4]
     if not a3:
         return YukawaCoupling(scale=kappa)
-
-    z = sympy.Symbol("z")
-
-    def poly_expr(p):
-        return sum(sympy.Rational(c.numerator, c.denominator) * z ** i
-                   for i, c in enumerate(p))
-
-    logderiv = sympy.cancel(-poly_expr(a3) / (2 * z * poly_expr(a4)))
-    numer, denom = sympy.fraction(sympy.together(logderiv))
-    numer = sympy.Poly(numer, z)
-    denom = sympy.Poly(denom, z)
-    if numer.is_zero:
-        return YukawaCoupling(scale=kappa)
-
-    content, factor_list = sympy.Poly(denom, z).factor_list()
-    if any(mult > 1 for _, mult in factor_list):
+    if a3[0] != 0:
+        raise NonMeromorphic("coupling has a zero or pole at the origin")
+    common = _poly_gcd(a3[1:], a4)
+    numer, denom = (_poly_divmod(p, common)[0] for p in (a3[1:], a4))
+    numer = [-c / (2 * denom[-1]) for c in numer]
+    denom = [c / denom[-1] for c in denom]
+    if len(numer) >= len(denom):
+        raise NonMeromorphic("log-derivative has a polynomial part")
+    d_denom = _poly_deriv(denom)
+    if len(_poly_gcd(denom, d_denom)) > 1:
         raise NonMeromorphic("log-derivative has a higher-order pole")
-    factors = [f for f, _ in factor_list]
-    if not factors:
-        raise NonMeromorphic("log-derivative has a polynomial part")
-    if numer.degree() >= sum(f.degree() for f in factors):
-        raise NonMeromorphic("log-derivative has a polynomial part")
+    h = _poly_divmod(_poly_mul(numer, _poly_inv_mod(d_denom, denom)),
+                     denom)[1]
+    factors = []
+    for m in _integer_eigenvalues(h, denom):
+        f = _poly_gcd(denom, _poly_sub(h, [m]))
+        factors.append((tuple(c / f[0] for c in f), m))
+    if sum(len(f) - 1 for f, _ in factors) != len(denom) - 1:
+        raise NonMeromorphic(
+            "coupling requires a non-integer power; not meromorphic")
+    y = YukawaCoupling(scale=kappa, factors=tuple(factors))
 
-    # numer/content = sum_i m_i f_i' prod_{j != i} f_j  (linear in m_i)
-    unknowns = sympy.symbols(f"m0:{len(factors)}")
-    combo = sympy.Integer(0)
-    for i, f in enumerate(factors):
-        other = sympy.Integer(1)
-        for j, g in enumerate(factors):
-            if j != i:
-                other *= g.as_expr()
-        combo += unknowns[i] * f.diff(z).as_expr() * other
-    target = sympy.expand(numer.as_expr() / content)
-    eqs = sympy.Poly(sympy.expand(combo) - target, z).all_coeffs()
-    solset = sympy.linsolve(eqs, list(unknowns))
-    if not solset:
-        raise NonMeromorphic("no rational-function solution exists")
-    solution = next(iter(solset))
-    exponents = []
-    for m in solution:
-        if not getattr(m, "is_Rational", False):
-            raise NonMeromorphic("underdetermined or irrational exponent")
-        mq = Fraction(int(m.p), int(m.q))
-        if mq.denominator != 1:
-            raise NonMeromorphic(
-                f"coupling requires fractional power {mq}; not meromorphic")
-        exponents.append(int(mq))
-
-    out: list[tuple[Poly, int]] = []
-    for f, m in zip(factors, exponents):
-        if m == 0:
-            continue
-        coeffs = [Fraction(int(c.p), int(c.q))
-                  for c in reversed(f.all_coeffs())]
-        if coeffs[0] == 0:
-            raise NonMeromorphic("coupling has a zero or pole at the origin")
-        c0 = coeffs[0]
-        out.append((tuple(c / c0 for c in coeffs), m))
-
-    # defensive exact check of the first-order equation
-    check = sympy.Integer(0)
-    for (coeffs, m) in out:
-        f = poly_expr(coeffs)
-        check += m * z * f.diff(z) / f
-    if sympy.cancel(sympy.together(check - z * logderiv)) != 0:
+    # exact check of 2 a_4 theta Y + a_3 Y = 0 for Y = P/Q
+    p, q = y.numerator_denominator()
+    wronskian = _poly_sub(_poly_mul(_poly_deriv(p), q),
+                          _poly_mul(p, _poly_deriv(q)))
+    if _poly_sub(_poly_mul(_poly_mul((0, 2), a4), wronskian),
+                 _poly_mul(_poly_mul([-c for c in a3], p), q)):
         raise NonMeromorphic("reconstructed coupling fails its defining ODE")
-    return YukawaCoupling(scale=kappa, factors=tuple(out))
+    return y
 
 
 def flat_yukawa(y: YukawaCoupling, basis: PeriodBasis,

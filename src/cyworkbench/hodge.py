@@ -89,8 +89,8 @@ class HodgeEvaluator:
             self._radius_f = mp.mpf(self.radius.numerator) / self.radius.denominator
             # empirical orientation at a small real reference point
             zref = self._radius_f * mp.mpf("0.001")
-            raw = self._pair_conj(self._twisted(self._towers(zref, 0)[0]),
-                                  self._twisted(self._towers(zref, 0)[0]))
+            u0 = self._twisted(self._towers(zref, 0)[0])
+            raw = self._pair_conj(u0, u0)
             self.sign_adjust = 1 if raw.real > 0 else -1
 
     def _compile(self, series: LogSeries):
@@ -224,12 +224,6 @@ class HodgeEvaluator:
                 sign_adjust=adj,
             )
         return report
-
-
-def hodge_point(basis: PeriodBasis, frame: SymplecticFrame, z0,
-                prec_bits: int = 256) -> HodgePointReport:
-    """One-shot point report; build a HodgeEvaluator for many points."""
-    return HodgeEvaluator(basis, frame, prec_bits).point(z0)
 
 
 def fd_curvature_check(evaluator, z0, h, tolerance: float | None = 1e-6,

@@ -144,16 +144,6 @@ class PFOperator:
         return cls(coeffs, parse_rational(obj["singular_radius"]))
 
 
-def apply_operator(op: PFOperator, s: LogSeries) -> LogSeries:
-    return op.apply(s)
-
-
-def check_mum(op: PFOperator) -> tuple[bool, Poly]:
-    """Whether the indicial polynomial at 0 is lam^4, and the polynomial."""
-    ind = op.indicial_polynomial()
-    return ind == (Fraction(0),) * 4 + (Fraction(1),), ind
-
-
 @dataclass(frozen=True)
 class PeriodBasis:
     """Normalized Frobenius basis omega_0..omega_3 at the MUM point."""
@@ -182,8 +172,8 @@ class PeriodBasis:
 
 def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:
     """Solve for the unique normalized period basis modulo z^order."""
-    ok, ind = check_mum(op)
-    if not ok:
+    if not op.is_mum():
+        ind = op.indicial_polynomial()
         pretty = " + ".join(f"{format_rational(c)}*lam^{k}"
                             for k, c in enumerate(ind) if c != 0) or "0"
         raise NotMUM(f"indicial polynomial is {pretty}, not lam^4")

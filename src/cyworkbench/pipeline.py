@@ -114,6 +114,22 @@ def default_hodge_order(radius_fraction: float) -> int:
     return max(48, base + 16)
 
 
+def hodge_stage(config: WorkbenchConfig, basis, frame, chash: str) -> dict:
+    """The hodge.json document: point reports on the sample disk.
+
+    ``basis`` and ``frame`` are solved at the truncation order; the
+    basis is solved again at the Hodge order when that is higher.
+    """
+    order = config.hodge_order or default_hodge_order(config.radius_fraction)
+    hodge_basis = (basis if order <= config.truncation_order
+                   else frobenius_solve(config.family.pf, order))
+    evaluator = HodgeEvaluator(hodge_basis, frame,
+                               prec_bits=config.precision_bits)
+    points = sample_points(config.family.pf.singular_radius,
+                           config.radius_fraction, config.sample_count)
+    return hodge_report_json([evaluator.point(z0) for z0 in points], chash)
+
+
 def run_pipeline(config: WorkbenchConfig, out_dir) -> dict:
     """Execute all stages, write artifacts, append a manifest line."""
     out = Path(out_dir)
@@ -173,16 +189,8 @@ def run_pipeline(config: WorkbenchConfig, out_dir) -> dict:
         finish_stage()
 
         stage("hodge_report")
-        order = config.hodge_order or default_hodge_order(config.radius_fraction)
-        hodge_basis = (basis if order <= config.truncation_order
-                       else frobenius_solve(config.family.pf, order))
-        evaluator = HodgeEvaluator(hodge_basis, frame,
-                                   prec_bits=config.precision_bits)
-        points = sample_points(config.family.pf.singular_radius,
-                               config.radius_fraction, config.sample_count)
-        reports = [evaluator.point(z0) for z0 in points]
         digest = _write_json(out / "hodge.json",
-                             hodge_report_json(reports, chash))
+                             hodge_stage(config, basis, frame, chash))
         artifacts.append({"path": "hodge.json", "sha256": digest})
         finish_stage()
     except WorkbenchError as exc:

@@ -449,6 +449,12 @@ class TestGenus2Integration:
                                       ambiguity=lambda zz: 5 - zz ** 3)
         assert abs(rep0.max_abs - rep1.max_abs) < mp.mpf("1e-12")
 
+    def test_propagator_json_keeps_40_digits(self):
+        digits = "1.141473812272449530734981562205487233815"
+        prop = PropagatorSpec.from_json({"S": [[[digits, "0"]]],
+                                         "prec_bits": 256})
+        assert mp.nstr(prop.values[0][0].real, 40) == digits
+
     def test_propagator_mismatch(self):
         z, w, exprs, _ = genus2_exprs()
         del exprs["F2"]

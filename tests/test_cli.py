@@ -283,3 +283,11 @@ class TestHodgeReportCommand:
         doc = json.loads((out / "hodge.json").read_text())
         assert len(doc["points"]) == 4
         assert all(p["chern_form_positive"] for p in doc["points"])
+
+    def test_matches_run_byte_for_byte(self, tmp_path):
+        cfg = fast_quintic_config(tmp_path)
+        run_out, hr_out = tmp_path / "run", tmp_path / "hr"
+        assert main(["run", str(cfg), "--out", str(run_out)]) == 0
+        assert main(["hodge-report", str(cfg), "--out", str(hr_out)]) == 0
+        assert (hr_out / "hodge.json").read_bytes() == \
+            (run_out / "hodge.json").read_bytes()

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 import cyworkbench as cw
 from cyworkbench.errors import (DomainError, IntegralityViolation,
@@ -10,6 +11,29 @@ from cyworkbench.errors import (DomainError, IntegralityViolation,
 from cyworkbench.frames import STANDARD_J, SymplecticFrame
 from cyworkbench.picard_fuchs import PFOperator
 from cyworkbench.series import LogSeries
+
+
+Z = sympy.Symbol("z")
+
+
+def sympy_coeffs(expr):
+    poly = sympy.Poly(sympy.expand(expr), Z)
+    return tuple(F(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+
+def coupling_family(a3, a4, kappa=5):
+    op = PFOperator(coefficients=((), (), (), a3, a4),
+                    singular_radius=F(1, 100))
+    return cw.CYFamilyConfig(name="test", pf=op, triple_intersection=kappa,
+                             c2_H=0, euler=0)
+
+
+def factored_family(factors, kappa=5):
+    """a_4 = prod f and a_3 = -2 a_4 theta log prod f^m, so Y ~ prod f^m."""
+    a4 = sympy.Mul(*(f for f, _ in factors))
+    a3 = sympy.cancel(-2 * Z * a4 * sum(m * sympy.diff(f, Z) / f
+                                        for f, m in factors))
+    return coupling_family(sympy_coeffs(a3), sympy_coeffs(a4), kappa)
 
 
 def trivial_basis(order=8, kappa=1):
@@ -100,6 +124,46 @@ class TestYukawaTheta:
         fam = cw.CYFamilyConfig(name="halfpow", pf=op, triple_intersection=1,
                                 c2_H=0, euler=0)
         with pytest.raises(NonMeromorphic):
+            cw.yukawa_theta(fam)
+
+    @pytest.mark.parametrize("factors", [
+        [(1 - 2 * Z, -1), (1 + 3 * Z, 2)],
+        [(1 - Z, -1), (1 + 2 * Z, -1)],
+        [(1 + Z + Z ** 2, -1)],
+        [(1 - Z, 2), (1 + Z, -3)],
+        [(1 - 3 * Z, -2), (1 + sympy.Rational(5, 2) * Z, 3)],
+        [(1 - Z, 1), (1 + Z ** 2, -1), (1 + 7 * Z, -2)],
+    ], ids=["distinct-exponents", "shared-exponent", "irreducible-quadratic",
+            "exponents-2-and-minus-3", "exponents-minus-2-and-3",
+            "three-factors"])
+    def test_factored_operator_matches_sympy(self, factors):
+        num, den = sympy.fraction(sympy.cancel(
+            5 * sympy.Mul(*(f ** m for f, m in factors))))
+        lead = sympy_coeffs(den)[0]
+        expected = (tuple(c / lead for c in sympy_coeffs(num)),
+                    tuple(c / lead for c in sympy_coeffs(den)))
+        y = cw.yukawa_theta(factored_family(factors))
+        assert y.numerator_denominator() == expected
+        assert [m for _, m in y.factors] == sorted({m for _, m in factors})
+
+    def test_shared_exponent_grouped(self):
+        y = cw.yukawa_theta(factored_family([(1 - Z, -1), (1 + 2 * Z, -1)]))
+        assert y.factors == (((F(1), F(1), F(-2)), -1),)
+
+    @pytest.mark.parametrize("fam, reason", [
+        (factored_family([(1 - Z, sympy.Rational(1, 2)), (1 + 2 * Z, -1)]),
+         "non-integer power"),
+        (coupling_family((F(0), F(1)), (F(1), F(-2), F(1))),
+         "higher-order pole"),
+        (coupling_family((F(0), F(0), F(1)), (F(1), F(-1))),
+         "polynomial part"),
+        (coupling_family((F(1),), (F(1), F(-1))), "at the origin"),
+        (coupling_family((F(0), F(4)), (F(1), F(0), F(1))),
+         "non-integer power"),
+    ], ids=["half-integer-exponent", "double-root", "polynomial-part",
+            "pole-at-origin", "complex-residues"])
+    def test_non_rational_rejected(self, fam, reason):
+        with pytest.raises(NonMeromorphic, match=reason):
             cw.yukawa_theta(fam)
 
 
@@ -216,14 +280,14 @@ class TestSymplecticFrame:
         beta = [(0, 0, 1, 0), (0, 0, 0, 1)]
         for i in range(2):
             for j in range(2):
-                assert cw.pairing(alpha[i], beta[j], quintic_frame) == \
+                assert quintic_frame.pairing(alpha[i], beta[j]) == \
                     (1 if i == j else 0)
-                assert cw.pairing(alpha[i], alpha[j], quintic_frame) == 0
-                assert cw.pairing(beta[i], beta[j], quintic_frame) == 0
+                assert quintic_frame.pairing(alpha[i], alpha[j]) == 0
+                assert quintic_frame.pairing(beta[i], beta[j]) == 0
 
     def test_pairing_antisymmetry(self, quintic_frame):
         v = (3, -2, 5, 7)
-        assert cw.pairing(v, v, quintic_frame) == 0
+        assert quintic_frame.pairing(v, v) == 0
 
     def test_transition_consistency(self, quintic_frame):
         """T^T J T reproduces the Frobenius Gram matrix."""

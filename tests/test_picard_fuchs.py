@@ -7,8 +7,7 @@ import pytest
 
 from cyworkbench.errors import NotMUM
 from cyworkbench.families import quintic
-from cyworkbench.picard_fuchs import (PFOperator, apply_operator, check_mum,
-                                      frobenius_solve)
+from cyworkbench.picard_fuchs import PFOperator, frobenius_solve
 from cyworkbench.series import LogSeries
 
 
@@ -35,27 +34,26 @@ class TestApplyOperator:
 
     def test_quintic_annihilates_factorial_sum(self):
         op = quintic().pf
-        assert apply_operator(op, factorial_period(15)).is_zero
+        assert op.apply(factorial_period(15)).is_zero
 
 
 class TestCheckMum:
     def test_quintic(self):
-        ok, ind = check_mum(quintic().pf)
-        assert ok
-        assert ind == (F(0), F(0), F(0), F(0), F(1))
+        op = quintic().pf
+        assert op.is_mum()
+        assert op.indicial_polynomial() == (F(0), F(0), F(0), F(0), F(1))
 
     def test_theta4_minus_z(self):
         op = PFOperator(coefficients=((F(0), F(-1)), (), (), (), (F(1),)),
                         singular_radius=F(1))
-        assert check_mum(op)[0]
+        assert op.is_mum()
 
     def test_distinct_roots(self):
         # theta^2 (theta - 1)^2 = theta^4 - 2 theta^3 + theta^2
         op = PFOperator(coefficients=((), (), (F(1),), (F(-2),), (F(1),)),
                         singular_radius=F(1))
-        ok, ind = check_mum(op)
-        assert not ok
-        assert ind == (F(0), F(0), F(1), F(-2), F(1))
+        assert not op.is_mum()
+        assert op.indicial_polynomial() == (F(0), F(0), F(1), F(-2), F(1))
 
 
 class TestFrobenius:
@@ -75,7 +73,7 @@ class TestFrobenius:
         fam = quintic()
         basis = frobenius_solve(fam.pf, 10)
         for w in basis.omegas:
-            assert apply_operator(fam.pf, w).is_zero
+            assert fam.pf.apply(w).is_zero
 
     def test_log_structure(self):
         basis = frobenius_solve(quintic().pf, 8)
@@ -112,7 +110,7 @@ class TestFrobenius:
         )
         basis = frobenius_solve(op, 10)
         for w in basis.omegas:
-            assert apply_operator(op, w).is_zero
+            assert op.apply(w).is_zero
         assert basis.omega0.constant_term == 1
         assert basis.omega0[1] == 1  # (0+1)^4 / 1^4
 

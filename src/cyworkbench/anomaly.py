@@ -35,7 +35,7 @@ from mpmath import mp
 
 from .errors import (BoundaryPoint, DomainError, MissingField, NoConvergence,
                      NonUniformGrid, PropagatorMismatch,
-                     ResidualToleranceError, UnstableRange)
+                     ResidualToleranceError, UnstableRange, malformed_input)
 
 _GUARD_BITS = 24
 
@@ -254,22 +254,23 @@ class AnomalyGrid:
 
     @classmethod
     def from_json(cls, obj) -> "AnomalyGrid":
-        prec = int(obj.get("prec_bits", 256))
-        with mp.workprec(prec + _GUARD_BITS):
-            grid = obj["grid"]
-            z_nodes = tuple(_parse_complex(p) for p in grid["z"])
-            zbar_nodes = tuple(_parse_complex(p) for p in grid["zbar"])
-            fields = {
-                name: tuple(tuple(_parse_complex(v) for v in row)
-                            for row in rows)
-                for name, rows in obj.get("fields", {}).items()
-            }
-        kwargs = {}
-        if "frame_weight" in obj:
-            kwargs["frame_weight"] = obj["frame_weight"]
-        if "limit_convention" in obj:
-            kwargs["limit_convention"] = obj["limit_convention"]
-        return cls(z_nodes, zbar_nodes, fields, prec_bits=prec, **kwargs)
+        with malformed_input("grid JSON"):
+            prec = int(obj.get("prec_bits", 256))
+            with mp.workprec(prec + _GUARD_BITS):
+                grid = obj["grid"]
+                z_nodes = tuple(_parse_complex(p) for p in grid["z"])
+                zbar_nodes = tuple(_parse_complex(p) for p in grid["zbar"])
+                fields = {
+                    name: tuple(tuple(_parse_complex(v) for v in row)
+                                for row in rows)
+                    for name, rows in obj.get("fields", {}).items()
+                }
+            kwargs = {}
+            if "frame_weight" in obj:
+                kwargs["frame_weight"] = obj["frame_weight"]
+            if "limit_convention" in obj:
+                kwargs["limit_convention"] = obj["limit_convention"]
+            return cls(z_nodes, zbar_nodes, fields, prec_bits=prec, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +462,8 @@ class PropagatorSpec:
 
     @classmethod
     def from_json(cls, obj) -> "PropagatorSpec":
-        with mp.workprec(int(obj.get("prec_bits", 256)) + _GUARD_BITS):
+        with malformed_input("propagator JSON"), \
+                mp.workprec(int(obj.get("prec_bits", 256)) + _GUARD_BITS):
             return cls(tuple(tuple(_parse_complex(v) for v in row)
                              for row in obj["S"]))
 

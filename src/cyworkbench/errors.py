@@ -5,6 +5,8 @@ configuration problems (exit 1), violated mathematical preconditions
 (exit 2), and numeric tolerance failures (exit 3).
 """
 
+from contextlib import contextmanager
+
 
 class WorkbenchError(Exception):
     """Base class for all workbench errors."""
@@ -16,6 +18,16 @@ class ConfigError(WorkbenchError):
     """Malformed configuration, input file, or CLI usage."""
 
     exit_code = 1
+
+
+@contextmanager
+def malformed_input(what: str):
+    """Re-raise a parse error in the block as a one-line ConfigError."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ConfigError(f"malformed {what}: {detail}") from exc
 
 
 class NonUniformGrid(ConfigError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConfigError
+from .errors import malformed_input
 from .genus0 import CYFamilyConfig
 from .picard_fuchs import PFOperator
 
@@ -77,7 +77,7 @@ def family_to_json(config: CYFamilyConfig) -> dict:
 
 
 def family_from_json(obj) -> CYFamilyConfig:
-    try:
+    with malformed_input("family config"):
         op = PFOperator.from_json(obj["operator"])
         return CYFamilyConfig(
             name=str(obj["name"]),
@@ -87,5 +87,3 @@ def family_from_json(obj) -> CYFamilyConfig:
             euler=int(obj["euler"]),
             kappa=int(obj.get("kappa", 1)),
         )
-    except KeyError as exc:
-        raise ConfigError(f"family config is missing key {exc}") from exc

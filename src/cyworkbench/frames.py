@@ -16,51 +16,28 @@ dimensional; the scale is fixed by Q(Omega, theta^3 Omega) = -Y where Y
 is the theta-coordinate triple coupling.  The residual freedom (which
 symplectic basis realizes S) does not affect any exported quantity.
 
-Pairing intermediates such as w_3 * theta w_3 exceed log degree 3, so
-this module accumulates raw (exponent, log-degree) -> coefficient maps
-internally and only converts final results (which must have log degree
-at most 3) back into LogSeries.
+Wronskians run on integers: w_i times the lcm D_i of its denominators
+gives dense int rows per log degree (theta keeps them integral), the
+products fill seven rows of log degree 0..6 (w_3 * theta w_3 exceeds
+3), and each coefficient is divided by D_i D_j once.  Results stay raw
+(exponent, log-degree) -> coefficient maps until they must fit a
+LogSeries again.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LogDegreeOverflow, NormalizationMissing
+from .errors import DomainError, LogDegreeOverflow, NormalizationMissing
 from .picard_fuchs import PeriodBasis
-from .series import LogSeries
+from .series import LogSeries, _mul_trunc
 
 RawTerms = dict[tuple[Fraction, int], Fraction]
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))
-
-
-def _raw(series: LogSeries) -> RawTerms:
-    return dict(series.items())
-
-
-def _raw_theta(d: RawTerms) -> RawTerms:
-    out: RawTerms = {}
-    for (e, k), c in d.items():
-        if e != 0:
-            out[(e, k)] = out.get((e, k), Fraction(0)) + e * c
-        if k > 0:
-            out[(e, k - 1)] = out.get((e, k - 1), Fraction(0)) + k * c
-    return {key: v for key, v in out.items() if v != 0}
-
-
-def _raw_mul(a: RawTerms, b: RawTerms, order: Fraction) -> RawTerms:
-    out: RawTerms = {}
-    for (e1, k1), c1 in a.items():
-        for (e2, k2), c2 in b.items():
-            e = e1 + e2
-            if e >= order:
-                continue
-            key = (e, k1 + k2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {key: v for key, v in out.items() if v != 0}
 
 
 def _raw_axpy(total: RawTerms, coeff: Fraction, d: RawTerms) -> None:
@@ -76,19 +53,44 @@ def _raw_to_series(d: RawTerms, order: Fraction) -> LogSeries:
     return LogSeries(d, order=order)
 
 
+def _integer_rows(series: LogSeries, n: int) -> tuple[int, list[list[int]]]:
+    """D = lcm of the denominators of ``series`` and its dense int rows,
+    rows[k][e] = D * (coefficient of z^e log^k z)."""
+    denom = math.lcm(*(c.denominator for _, c in series.items()))
+    rows = [[0] * n for _ in range(4)]
+    for (e, k), c in series.items():
+        if e.denominator != 1:
+            raise DomainError("period series must be unramified")
+        rows[k][int(e)] = c.numerator * (denom // c.denominator)
+    return denom, rows
+
+
 def _wronskians(basis: PeriodBasis, derivative: int) -> dict[tuple[int, int], RawTerms]:
     """w_i theta^der w_j - w_j theta^der w_i for all i < j, as raw maps."""
-    order = basis.order
-    raw = [_raw(w) for w in basis.omegas]
-    der = [dict(r) for r in raw]
-    for _ in range(derivative):
-        der = [_raw_theta(d) for d in der]
+    n = math.ceil(basis.order)
+    scaled = [_integer_rows(w, n) for w in basis.omegas]
+    ders = []
+    for _, rows in scaled:
+        for _ in range(derivative):
+            # theta(z^e log^k z) = e z^e log^k z + k z^e log^(k-1) z
+            rows = [[e * c + (k + 1) * u
+                     for e, (c, u) in enumerate(zip(rows[k], up))]
+                    for k, up in enumerate(rows[1:] + [[0] * n])]
+        ders.append(rows)
     out = {}
     for i, j in _PAIRS:
-        d = _raw_mul(raw[i], der[j], order)
-        neg = _raw_mul(raw[j], der[i], order)
-        _raw_axpy(d, Fraction(-1), neg)
-        out[(i, j)] = {k: v for k, v in d.items() if v != 0}
+        acc = [[0] * n for _ in range(7)]
+        for a, b, sign in ((scaled[i][1], ders[j], 1),
+                           (scaled[j][1], ders[i], -1)):
+            for (k1, r1), (k2, r2) in itertools.product(enumerate(a),
+                                                        enumerate(b)):
+                if any(r1) and any(r2):
+                    acc[k1 + k2] = [x + sign * y for x, y in
+                                    zip(acc[k1 + k2], _mul_trunc(r1, r2, n))]
+        d = scaled[i][0] * scaled[j][0]
+        out[(i, j)] = {(Fraction(e), k): Fraction(v, d)
+                       for k, row in enumerate(acc)
+                       for e, v in enumerate(row) if v}
     return out
 
 
@@ -223,7 +225,8 @@ def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
     if combine(w1, chosen):
         raise NormalizationMissing("Q(Omega, theta Omega) residual is nonzero")
     res3 = combine(w3, chosen)
-    _raw_axpy(res3, Fraction(1), _raw(yukawa_series.truncate(basis.order)))
+    _raw_axpy(res3, Fraction(1),
+              dict(yukawa_series.truncate(basis.order).items()))
     if any(res3.values()):
         raise NormalizationMissing(
             "Q(Omega, theta^3 Omega) does not reproduce the triple coupling")

@@ -29,7 +29,7 @@ from .errors import (DomainError, IntegralityViolation, NonMeromorphic,
                      NormalizationMissing)
 from .frames import SymplecticFrame
 from .picard_fuchs import PeriodBasis, PFOperator, Poly
-from .series import LogSeries, format_rational
+from .series import LogSeries, _mul_trunc, format_rational
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,7 @@ class GWPotential:
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+    return [Fraction(c) for c in _mul_trunc(a, b, len(a) + len(b) - 1)]
 
 
 def _poly_sub(a, b):

@@ -89,7 +89,7 @@ class HodgeEvaluator:
             self._radius_f = mp.mpf(self.radius.numerator) / self.radius.denominator
             # empirical orientation at a small real reference point
             zref = self._radius_f * mp.mpf("0.001")
-            u0 = self._twisted(self._towers(zref, 0)[0])
+            u0 = self._twisted(self._towers(zref, 0, 1)[0])
             raw = self._pair_conj(u0, u0)
             self.sign_adjust = 1 if raw.real > 0 else -1
 
@@ -101,14 +101,14 @@ class HodgeEvaluator:
             table[int(e)][k] = mp.mpf(c.numerator) / c.denominator
         return table
 
-    def _towers(self, z0, branch: int):
-        """Values of theta^der w_i for der, i in 0..3 at z0."""
+    def _towers(self, z0, branch: int, rows: int = 4):
+        """Values of theta^der w_i for der < rows and i in 0..3 at z0."""
         log_z = mp.log(z0) + 2 * mp.pi * mp.mpc(0, 1) * branch
         powers = [mp.mpc(1)]
         for _ in range(1, self._n_terms):
             powers.append(powers[-1] * z0)
         out = []
-        for der in range(4):
+        for der in range(rows):
             row = []
             for i in range(4):
                 table = self._tables[der][i]
@@ -164,7 +164,7 @@ class HodgeEvaluator:
         with mp.workprec(self.prec_bits + _GUARD_BITS):
             z0 = mp.mpc(z0)
             self._check_inside(z0)
-            u0 = self._twisted(self._towers(z0, branch)[0])
+            u0 = self._twisted(self._towers(z0, branch, 1)[0])
             g00 = self.sign_adjust * self._pair_conj(u0, u0)
             if g00.real <= 0:
                 raise SignViolation(

@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .anomaly import constant_map_contribution
-from .errors import ConfigError, MissingArtifact, WorkbenchError
+from .errors import (ConfigError, MissingArtifact, WorkbenchError,
+                     malformed_input)
 from .families import family_from_json, family_to_json
 from .frames import solve_symplectic_frame
 from .genus0 import (CYFamilyConfig, assemble_genus0, build_mirror_map,
@@ -65,20 +66,21 @@ class WorkbenchConfig:
     def from_json(cls, obj) -> "WorkbenchConfig":
         if not isinstance(obj, dict) or "family" not in obj:
             raise ConfigError("config must be a JSON object with a 'family'")
-        samples = obj.get("samples", {})
-        tolerances = dict(DEFAULT_TOLERANCES)
-        tolerances.update(obj.get("tolerances", {}))
-        return cls(
-            family=family_from_json(obj["family"]),
-            truncation_order=int(obj.get("truncation_order", 20)),
-            precision_bits=int(obj.get("precision_bits", 256)),
-            sample_count=int(samples.get("count", 24)),
-            radius_fraction=float(samples.get("radius_fraction", 0.5)),
-            hodge_order=(int(obj["hodge_order"])
-                         if "hodge_order" in obj else None),
-            tolerances=tolerances,
-            output_dir=obj.get("output_dir"),
-        )
+        with malformed_input("config"):
+            samples = obj.get("samples", {})
+            tolerances = dict(DEFAULT_TOLERANCES)
+            tolerances.update(obj.get("tolerances", {}))
+            return cls(
+                family=family_from_json(obj["family"]),
+                truncation_order=int(obj.get("truncation_order", 20)),
+                precision_bits=int(obj.get("precision_bits", 256)),
+                sample_count=int(samples.get("count", 24)),
+                radius_fraction=float(samples.get("radius_fraction", 0.5)),
+                hodge_order=(int(obj["hodge_order"])
+                             if "hodge_order" in obj else None),
+                tolerances=tolerances,
+                output_dir=obj.get("output_dir"),
+            )
 
     def to_json(self) -> dict:
         doc = {

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from mpmath import mp, mpf
@@ -55,6 +56,18 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _mul_trunc(a: list, b: list, n: int) -> list:
+    """First n coefficients of the product of dense Fraction/int lists."""
+    # products run on ints: each list is scaled by the lcm of its denominators
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    a = [c.numerator * (da // c.denominator) for c in a[:n]] + [0] * (n - len(a))
+    rb = [0] * (n - len(b)) + [c.numerator * (db // c.denominator)
+                               for c in reversed(b[:n])]
+    out = [sum(map(mul, a[:k + 1], rb[n - 1 - k:])) for k in range(n)]
+    return out if da * db == 1 else [Fraction(v, da * db) for v in out]
 
 
 def _min_order(a: Fraction | None, b: Fraction | None) -> Fraction | None:
@@ -419,7 +432,8 @@ class LogSeries:
 
         Both series must be unramified and log-free; the result is
         correct modulo z^min(orders) because the inner series has
-        valuation >= 1.
+        valuation >= 1.  Horner's rule on dense lists: R_e = a_e + inner *
+        R_(e+1) is needed only modulo z^(N-e), as inner^e has valuation >= e.
         """
         if self.ramification != 1 or inner.ramification != 1:
             raise DomainError("composition requires unramified series")
@@ -431,24 +445,20 @@ class LogSeries:
         a, n = self._dense()
         if order is None:
             order = Fraction(n)
-        inner = inner if inner.order == order else LogSeries(
-            inner._terms, order=order, ramification=1)
-        result = LogSeries.zero(order=order)
-        power = LogSeries.constant(1, order=order)
-        for e in range(min(n, math.ceil(order))):
-            if e > 0:
-                power = power * inner
-                if power.is_zero:
-                    break
-            if a[e] != 0:
-                result = result + a[e] * power
-        return result
+        nn = math.ceil(order)
+        b, _ = LogSeries(inner._terms, order=order)._dense()
+        acc = []
+        for e in reversed(range(min(n, nn))):
+            acc = _mul_trunc(b, acc, nn - e)
+            acc[0] += a[e]
+        return LogSeries.from_coefficients(acc, order=order)
 
     def revert(self) -> "LogSeries":
-        """Compositional inverse (Lagrange reversion).
+        """Compositional inverse by Lagrange reversion.
 
-        Requires an unramified, log-free series c1*z + O(z^2) with
-        c1 != 0; returns b with self(b(w)) = w + O(w^N).
+        Requires an unramified, log-free series f = c1*z + O(z^2) with
+        c1 != 0; returns b with f(b(w)) = w + O(w^N).  With f = z*g(z)
+        and h = 1/g, b_n = (1/n) [z^(n-1)] h^n, building h^n incrementally.
         """
         if self.ramification != 1 or not self.is_log_free:
             raise DomainError("reversion requires an unramified log-free series")
@@ -460,13 +470,12 @@ class LogSeries:
         a, n = self._dense()
         order = self.order if self.order is not None else Fraction(n)
         nn = math.ceil(order)
-        b = [Fraction(0)] * nn
-        if nn > 1:
-            b[1] = 1 / c1
-        for m in range(2, nn):
-            partial = LogSeries.from_coefficients(b[: m + 1], order=m + 1)
-            comp = self.truncate(m + 1).compose(partial)
-            b[m] = -comp.coefficient(m) / c1
+        g = LogSeries.from_coefficients(a[1:nn], order=nn - 1)
+        h, _ = g.invert()._dense()
+        b, power = [0], [1]
+        for m in range(1, nn):
+            power = _mul_trunc(power, h, nn - 1)
+            b.append(Fraction(power[m - 1], m))
         return LogSeries.from_coefficients(b, order=order)
 
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import pytest
 import sympy
 from mpmath import mp
 
@@ -163,6 +164,47 @@ class TestExitCodes:
         assert entry["status"] == "error"
         assert entry["failed_stage"] == "periods"
         assert "NotMUM" in entry["error"]
+
+
+class TestMalformedInput:
+    """Malformed values end in exit 1 with one stderr line, no traceback."""
+
+    @staticmethod
+    def assert_config_error(capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (ConfigError): malformed ")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["family"]["operator"]["coefficients"][0].insert(0, "a"),
+        lambda d: d.update(truncation_order="abc"),
+        lambda d: d["family"].update(triple_intersection="x"),
+        lambda d: d.update(samples=3),
+    ])
+    def test_config_values(self, tmp_path, capsys, edit):
+        doc = json.loads(fast_quintic_config(tmp_path).read_text())
+        edit(doc)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        self.assert_config_error(
+            capsys, ["run", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("doc", [{"prec_bits": 64, "fields": {}},
+                                     [1, 2]])
+    def test_grid_without_grid(self, tmp_path, capsys, doc):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        self.assert_config_error(capsys, ["hae-check", str(path)])
+
+    def test_propagator_without_s(self, tmp_path, capsys):
+        grid_doc, _ = synthetic_grid_doc()
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid_doc))
+        ppath = tmp_path / "prop.json"
+        ppath.write_text(json.dumps({"prec_bits": 256}))
+        self.assert_config_error(
+            capsys, ["genus2", str(gpath), "--propagator", str(ppath)])
 
 
 class TestGridCommands:

@@ -1,15 +1,17 @@
 """Mirror map, triple coupling, instanton extraction, frame pairing."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
 import cyworkbench as cw
+from cyworkbench import frames
 from cyworkbench.errors import (DomainError, IntegralityViolation,
                                 NonMeromorphic, NormalizationMissing)
 from cyworkbench.frames import STANDARD_J, SymplecticFrame
-from cyworkbench.picard_fuchs import PFOperator
+from cyworkbench.picard_fuchs import PFOperator, PeriodBasis
 from cyworkbench.series import LogSeries
 
 
@@ -39,6 +41,49 @@ def factored_family(factors, kappa=5):
 def trivial_basis(order=8, kappa=1):
     fam = cw.constant_coupling_family(kappa)
     return fam, cw.frobenius_solve(fam.pf, order)
+
+
+def random_mum_operator(seed):
+    """a_0..a_3 vanish at z = 0 and a_4(0) = 1, so theta^4 is the indicial part."""
+    rng = random.Random(seed)
+    coeffs = [(0,) + tuple(F(rng.randrange(-9, 10), rng.randrange(1, 4))
+                           for _ in range(2)) for _ in range(4)]
+    coeffs.append((1, F(rng.randrange(-9, 10), rng.randrange(1, 4))))
+    return PFOperator(tuple(coeffs), F(1, 100))
+
+
+def reference_wronskians(basis, derivative):
+    """w_i theta^der w_j - w_j theta^der w_i on (exponent, log) -> Fraction maps."""
+
+    def theta(d):
+        out = {}
+        for (e, k), c in d.items():
+            if e != 0:
+                out[(e, k)] = out.get((e, k), F(0)) + e * c
+            if k > 0:
+                out[(e, k - 1)] = out.get((e, k - 1), F(0)) + k * c
+        return out
+
+    def mul(a, b):
+        out = {}
+        for (e1, k1), c1 in a.items():
+            for (e2, k2), c2 in b.items():
+                if e1 + e2 < basis.order:
+                    key = (e1 + e2, k1 + k2)
+                    out[key] = out.get(key, F(0)) + c1 * c2
+        return out
+
+    raw = [dict(w.items()) for w in basis.omegas]
+    der = raw
+    for _ in range(derivative):
+        der = [theta(d) for d in der]
+    out = {}
+    for i, j in frames._PAIRS:
+        d = mul(raw[i], der[j])
+        for key, v in mul(raw[j], der[i]).items():
+            d[key] = d.get(key, F(0)) - v
+        out[(i, j)] = {key: v for key, v in d.items() if v != 0}
+    return out
 
 
 class TestMirrorMap:
@@ -310,6 +355,27 @@ class TestSymplecticFrame:
             basis, cw.yukawa_theta(fam).series(basis.order), 2)
         assert frame.pairing_series(basis, 1).is_zero
         assert frame.pairing_series(basis, 2).is_zero
+
+
+    @pytest.mark.parametrize("derivative", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["quintic", "sextic", "theta4",
+                                        "random"])
+    def test_wronskians_match_reference(self, family, derivative):
+        op = {"quintic": lambda: cw.quintic().pf,
+              "sextic": lambda: cw.sextic().pf,
+              "theta4": lambda: cw.constant_coupling_family(1).pf,
+              "random": lambda: random_mum_operator(23)}[family]()
+        basis = cw.frobenius_solve(op, 12)
+        assert frames._wronskians(basis, derivative) == \
+            reference_wronskians(basis, derivative)
+
+    def test_ramified_basis_rejected(self, quintic_basis):
+        half = LogSeries.monomial(1, F(1, 2), order=quintic_basis.order)
+        omegas = (quintic_basis.omega0 + half,) + quintic_basis.omegas[1:]
+        basis = PeriodBasis(omegas, quintic_basis.operator,
+                            quintic_basis.order)
+        with pytest.raises(DomainError, match="unramified"):
+            frames._wronskians(basis, 1)
 
 
 class TestGriffithsIdentity:

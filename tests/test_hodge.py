@@ -26,6 +26,14 @@ class TestPointReports:
             assert abs(mp.exp(-rep.kahler_potential) - rep.pairing_value) < \
                 mp.mpf("1e-60") * rep.pairing_value
 
+    @pytest.mark.parametrize("prec_bits", [128, 256])
+    def test_kahler_equals_point_potential(self, quintic_basis,
+                                           quintic_frame, quintic_family,
+                                           prec_bits):
+        ev = cw.HodgeEvaluator(quintic_basis, quintic_frame, prec_bits)
+        for z0 in cw.sample_points(quintic_family.pf.singular_radius, 0.4, 3):
+            assert ev.kahler(z0) == ev.point(z0).kahler_potential
+
     def test_metric_routes_agree(self, quintic_hodge):
         rep = quintic_hodge.point(mp.mpc("2e-5", "-1e-5"))
         rel = abs(rep.weil_petersson - rep.weil_petersson_ratio) / \

@@ -19,6 +19,46 @@ def geom_quintic(n):
     return LogSeries(terms, order=n)
 
 
+def compose_reference(outer, inner):
+    """Dict-keyed power-by-power substitution, the pre-Horner algorithm."""
+    order = outer.order if inner.order is None else (
+        inner.order if outer.order is None else min(outer.order, inner.order))
+    top = max((e for (e, _), _ in outer.items()), default=F(0))
+    if order is None:
+        order = top + 1
+    inner = LogSeries(dict(inner.items()), order=order)
+    result = LogSeries.zero(order=order)
+    power = LogSeries.constant(1, order=order)
+    for e in range(min(int(top) + 1, math.ceil(order))):
+        if e > 0:
+            power = power * inner
+        result = result + outer.coefficient(e) * power
+    return result
+
+
+def revert_reference(f):
+    """One composition per coefficient: b_m from [z^m] f(b_<m) = 0."""
+    c1 = f.coefficient(1)
+    top = max((e for (e, _), _ in f.items()), default=F(0))
+    order = f.order if f.order is not None else top + 1
+    n = math.ceil(order)
+    b = [F(0)] * n
+    b[1] = 1 / c1
+    for m in range(2, n):
+        partial = LogSeries.from_coefficients(b[: m + 1], order=m + 1)
+        b[m] = -compose_reference(f, partial).coefficient(m) / c1
+    return LogSeries.from_coefficients(b, order=order)
+
+
+def random_reversible(rng, order):
+    """c1*z + sparse higher terms with a non-monic c1."""
+    n = 7 if order is None else math.ceil(order)
+    coeffs = [F(0), F(rng.choice([-3, -2, 1, 2, 5]), rng.randrange(1, 4))]
+    coeffs += [F(rng.randrange(-4, 5), rng.randrange(1, 6))
+               if rng.random() < 0.5 else F(0) for _ in range(n - 2)]
+    return LogSeries.from_coefficients(coeffs, order=order)
+
+
 def random_series(rng, order=6, with_logs=False, ram=1):
     terms = {}
     for _ in range(rng.randrange(1, 8)):
@@ -166,6 +206,17 @@ class TestRevert:
     def test_scaling(self):
         assert LogSeries.from_coefficients([0, 2], order=4).revert()[1] == F(1, 2)
 
+    def test_exact_and_fractional_orders(self):
+        exact = LogSeries.from_coefficients([0, 1, 1]).revert()
+        assert exact == LogSeries.from_coefficients([0, 1, -1], order=3)
+        frac = LogSeries.from_coefficients([0, 1, 1], order=F(7, 2)).revert()
+        assert frac == LogSeries.from_coefficients([0, 1, -1, 2],
+                                                   order=F(7, 2))
+
+    def test_quintic_mirror_map(self, quintic_mirror):
+        assert quintic_mirror.z_of_q == revert_reference(
+            quintic_mirror.q_of_z)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             LogSeries.from_coefficients([1, 1], order=4).revert()
@@ -250,6 +301,25 @@ class TestProperties:
             ident = LogSeries.variable(order=6)
             assert a.compose(b) == ident
             assert b.compose(a) == ident
+        for order in [None, 2, 3, 6, 9, F(7, 2), F(17, 3)] * 4:
+            a = random_reversible(rng, order)
+            b = a.revert()
+            assert b == revert_reference(a)
+            ident = LogSeries.variable(order=b.order)
+            assert a.compose(b) == ident
+            assert b.compose(a) == ident
+
+    def test_compose_matches_reference(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            outer = random_series(rng, order=rng.choice([3, 6, 9]))
+            if rng.random() < 0.3:
+                outer = LogSeries(dict(outer.items()))
+            inner = random_reversible(
+                rng, rng.choice([None, 2, 4, 8, F(11, 2)]))
+            if rng.random() < 0.3:
+                inner = inner - LogSeries.monomial(inner.coefficient(1), 1)
+            assert outer.compose(inner) == compose_reference(outer, inner)
 
     def test_log_exp_identity(self):
         rng = random.Random(19)

@@ -276,42 +276,19 @@ class AnomalyGrid:
 # ----------------------------------------------------------------------
 # finite differences and covariant derivatives
 
-def _ddz(grid: AnomalyGrid, f: GridField) -> GridField:
-    nz = len(grid.z_nodes)
-    if nz < 3:
-        raise BoundaryPoint("z axis too short for a central stencil")
-    step = grid.step_z
-    rows = []
-    for i in range(nz):
-        if i == 0 or i == nz - 1:
-            rows.append(tuple(None for _ in f.values[i]))
-            continue
-        row = []
-        for j in range(len(grid.zbar_nodes)):
-            up, down = f.values[i + 1][j], f.values[i - 1][j]
-            row.append(None if (up is None or down is None)
-                       else (up - down) / (2 * step))
-        rows.append(tuple(row))
-    return GridField(tuple(rows))
-
-
-def _ddzbar(grid: AnomalyGrid, f: GridField) -> GridField:
-    nw = len(grid.zbar_nodes)
-    if nw < 3:
-        raise BoundaryPoint("zbar axis too short for a central stencil")
-    step = grid.step_zbar
-    rows = []
-    for i in range(len(grid.z_nodes)):
-        row = []
-        for j in range(nw):
-            if j == 0 or j == nw - 1:
-                row.append(None)
-                continue
-            up, down = f.values[i][j + 1], f.values[i][j - 1]
-            row.append(None if (up is None or down is None)
-                       else (up - down) / (2 * step))
-        rows.append(tuple(row))
-    return GridField(tuple(rows))
+def _central(grid: AnomalyGrid, f: GridField, axis: str) -> GridField:
+    """Central difference (up - down) / (2 step) along the z or zbar axis."""
+    along_z = axis == "z"
+    if len(grid.z_nodes if along_z else grid.zbar_nodes) < 3:
+        raise BoundaryPoint(f"{axis} axis too short for a central stencil")
+    step = grid.step_z if along_z else grid.step_zbar
+    lines = f.values if along_z else tuple(zip(*f.values))
+    edge = tuple(None for _ in lines[0])
+    out = [edge] + [
+        tuple(None if (u is None or d is None) else (u - d) / (2 * step)
+              for u, d in zip(up, down))
+        for down, up in zip(lines, lines[2:])] + [edge]
+    return GridField(tuple(out) if along_z else tuple(zip(*out)))
 
 
 def covariant_derivative(grid: AnomalyGrid, f: GridField, weight: int,
@@ -322,12 +299,12 @@ def covariant_derivative(grid: AnomalyGrid, f: GridField, weight: int,
     Gamma = d log G from the grid metric and K the Kahler potential.
     """
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
-        out = _ddz(grid, f)
+        out = _central(grid, f, "z")
         if tensor_degree:
-            gamma = _ddz(grid, _map1(mp.log, grid.field("G")))
+            gamma = _central(grid, _map1(mp.log, grid.field("G")), "z")
             out = _fsub(out, _fscale(tensor_degree, _fmul(gamma, f)))
         if weight:
-            dk = _ddz(grid, grid.field("K"))
+            dk = _central(grid, grid.field("K"), "z")
             out = _fadd(out, _fscale(weight, _fmul(dk, f)))
     return out
 
@@ -345,10 +322,6 @@ class ResidualReport:
         return cls(residual=f, max_abs=f.max_abs(), mean_abs=f.mean_abs())
 
 
-def _closed_weight(g: int) -> int:
-    return 2 - 2 * g
-
-
 def _open_weight(g: int, h: int) -> int:
     return 2 - 2 * g - h
 
@@ -360,27 +333,12 @@ def _open_name(g: int, h: int) -> str:
 def hae_residual(grid: AnomalyGrid, g: int) -> ResidualReport:
     """Residual of the closed-string anomaly recursion at genus g >= 2.
 
-    dbar F_g - (1/2) C (D D F_{g-1} + sum_{g1+g2=g, g1,g2>0} D F_{g1} D F_{g2}).
+    dbar F_g - (1/2) C (D D F_{g-1} + sum_{g1+g2=g, g1,g2>0} D F_{g1} D F_{g2}),
+    which is the h = 0 case of the open-string recursion, term for term.
     """
     if g < 2:
         raise DomainError("closed-string recursion starts at genus 2")
-    with mp.workprec(grid.prec_bits + _GUARD_BITS):
-        c_tensor = grid.field("C")
-        lhs = _ddzbar(grid, grid.field(f"F{g}"))
-        prev = grid.field(f"F{g - 1}")
-        k_prev = _closed_weight(g - 1)
-        bracket = covariant_derivative(
-            grid, covariant_derivative(grid, prev, k_prev, 0), k_prev, 1)
-        d_cache = {}
-        for g1 in range(1, g):
-            for gg in {g1, g - g1}:
-                if gg not in d_cache:
-                    d_cache[gg] = covariant_derivative(
-                        grid, grid.field(f"F{gg}"), _closed_weight(gg), 0)
-            bracket = _fadd(bracket, _fmul(d_cache[g1], d_cache[g - g1]))
-        rhs = _fscale(mp.mpf(1) / 2, _fmul(c_tensor, bracket))
-        residual = _fsub(lhs, rhs)
-    return ResidualReport.of(residual)
+    return ehae_residual(grid, g, 0)
 
 
 _UNSTABLE = ((0, 0), (0, 1))
@@ -398,7 +356,7 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
         raise UnstableRange(f"(g, h) = ({g}, {h}) is unstable")
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         c_tensor = grid.field("C")
-        lhs = _ddzbar(grid, grid.field(_open_name(g, h)))
+        lhs = _central(grid, grid.field(_open_name(g, h)), "zbar")
         bracket = None
         if g >= 1:
             prev = grid.field(_open_name(g - 1, h))
@@ -448,7 +406,7 @@ class PropagatorSpec:
     def verify(self, grid: AnomalyGrid, tolerance: float = 1e-8):
         """Max deviation of dbar S from the grid C-tensor."""
         target = grid.field("C")
-        diff = _fsub(_ddzbar(grid, self.as_field()), target)
+        diff = _fsub(_central(grid, self.as_field(), "zbar"), target)
         mismatch = diff.max_abs()
         scale = max(mp.mpf(1), target.max_abs())
         if mismatch > tolerance * scale:

@@ -5,23 +5,23 @@ Gram matrix S in the period basis: for solutions written as coordinate
 vectors u, v, the pairing is u^T S v, and the pairing of the section
 with its theta-derivatives is the series
 
-    Q(Omega, theta^k Omega)(z) = sum_{i<j} S_ij (w_i theta^k w_j - w_j theta^k w_i).
+    Q(Omega, theta^k Omega)(z) = sum_{i<j} S_ij W^k_ij,
+    W^k_ij = w_i theta^k w_j - w_j theta^k w_i.
 
 Flatness and the leading log structure of a normalized basis force
 
-    S_01 = S_02 = S_13 = S_23 = 0,    S_12 = -S_03,
+    S_01 = S_02 = S_13 = S_23 = 0,    S_03 = -S_12 = s,
 
-so the solution space of Q(Omega, theta Omega) = 0 is at most one
-dimensional; the scale is fixed by Q(Omega, theta^3 Omega) = -Y where Y
-is the theta-coordinate triple coupling.  The residual freedom (which
-symplectic basis realizes S) does not affect any exported quantity.
+so only W_03 and W_12 are ever built, Q(Omega, theta Omega) = 0 holds
+for every s, and Q(Omega, theta^3 Omega) = -Y, with Y the
+theta-coordinate triple coupling, fixes s = -kappa / [z^0](W^3_03 -
+W^3_12).  The residual freedom (which symplectic basis realizes S) does
+not affect any exported quantity.
 
-Wronskians run on integers: w_i times the lcm D_i of its denominators
-gives dense int rows per log degree (theta keeps them integral), the
-products fill seven rows of log degree 0..6 (w_3 * theta w_3 exceeds
-3), and each coefficient is divided by D_i D_j once.  Results stay raw
-(exponent, log-degree) -> coefficient maps until they must fit a
-LogSeries again.
+Wronskians run on integers: the rows (``LogSeries.rows``) of w_i and of
+theta^k w_i times the lcm D_i of the denominators of w_i are integral,
+their products fill seven rows of log degree 0..6 (w_3 * theta w_3
+exceeds 3), and each coefficient is divided by D_i D_j once.
 """
 
 from __future__ import annotations
@@ -35,91 +35,56 @@ from .errors import DomainError, LogDegreeOverflow, NormalizationMissing
 from .picard_fuchs import PeriodBasis
 from .series import LogSeries, _mul_trunc
 
-RawTerms = dict[tuple[Fraction, int], Fraction]
-
 _PAIRS = tuple(itertools.combinations(range(4), 2))
+_FRAME_PAIRS = ((0, 3), (1, 2))
 
 
-def _raw_axpy(total: RawTerms, coeff: Fraction, d: RawTerms) -> None:
-    for key, v in d.items():
-        total[key] = total.get(key, Fraction(0)) + coeff * v
+def _integer_rows(series: LogSeries, denom: int, n: int) -> list[list[int]]:
+    """``denom`` times the rows of ``series``, as n-long int lists."""
+    if series.ramification != 1:
+        raise DomainError("period series must be unramified")
+    return [[c.numerator * (denom // c.denominator) for c in row[:n]]
+            + [0] * (n - len(row)) for row in series.rows()]
 
 
-def _raw_to_series(d: RawTerms, order: Fraction) -> LogSeries:
-    if any(k > 3 for (_, k) in d):
-        raise LogDegreeOverflow(
-            "pairing residual has log degree above 3; "
-            "the supplied pairing matrix is not symplectic for this basis")
-    return LogSeries(d, order=order)
-
-
-def _integer_rows(series: LogSeries, n: int) -> tuple[int, list[list[int]]]:
-    """D = lcm of the denominators of ``series`` and its dense int rows,
-    rows[k][e] = D * (coefficient of z^e log^k z)."""
-    denom = math.lcm(*(c.denominator for _, c in series.items()))
-    rows = [[0] * n for _ in range(4)]
-    for (e, k), c in series.items():
-        if e.denominator != 1:
-            raise DomainError("period series must be unramified")
-        rows[k][int(e)] = c.numerator * (denom // c.denominator)
-    return denom, rows
-
-
-def _wronskians(basis: PeriodBasis, derivative: int) -> dict[tuple[int, int], RawTerms]:
-    """w_i theta^der w_j - w_j theta^der w_i for all i < j, as raw maps."""
+def _wronskians(basis: PeriodBasis, derivative: int,
+                pairs) -> dict[tuple[int, int], list[list[Fraction]]]:
+    """W_ij = w_i theta^der w_j - w_j theta^der w_i for (i, j) in pairs,
+    as seven rows (log degree 0..6) of ceil(order) coefficients."""
     n = math.ceil(basis.order)
-    scaled = [_integer_rows(w, n) for w in basis.omegas]
-    ders = []
-    for _, rows in scaled:
+    denoms, plain, ders = [], [], []
+    for w in basis.omegas:
+        denom = math.lcm(*(c.denominator for row in w.rows() for c in row))
+        der = w
         for _ in range(derivative):
-            # theta(z^e log^k z) = e z^e log^k z + k z^e log^(k-1) z
-            rows = [[e * c + (k + 1) * u
-                     for e, (c, u) in enumerate(zip(rows[k], up))]
-                    for k, up in enumerate(rows[1:] + [[0] * n])]
-        ders.append(rows)
+            der = der.theta()
+        denoms.append(denom)
+        plain.append(_integer_rows(w, denom, n))
+        ders.append(_integer_rows(der, denom, n))
     out = {}
-    for i, j in _PAIRS:
+    for i, j in pairs:
         acc = [[0] * n for _ in range(7)]
-        for a, b, sign in ((scaled[i][1], ders[j], 1),
-                           (scaled[j][1], ders[i], -1)):
+        for a, b, sign in ((plain[i], ders[j], 1), (plain[j], ders[i], -1)):
             for (k1, r1), (k2, r2) in itertools.product(enumerate(a),
                                                         enumerate(b)):
                 if any(r1) and any(r2):
                     acc[k1 + k2] = [x + sign * y for x, y in
                                     zip(acc[k1 + k2], _mul_trunc(r1, r2, n))]
-        d = scaled[i][0] * scaled[j][0]
-        out[(i, j)] = {(Fraction(e), k): Fraction(v, d)
-                       for k, row in enumerate(acc)
-                       for e, v in enumerate(row) if v}
+        d = denoms[i] * denoms[j]
+        out[(i, j)] = [[Fraction(v, d) for v in row] for row in acc]
     return out
 
 
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Exact nullspace basis by Gauss-Jordan elimination over Q."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][free]
-        basis.append(v)
-    return basis
+def _pairing(wr, gram, order) -> LogSeries:
+    """sum of S_ij W_ij over the pairs of ``wr``, as a series."""
+    coeffs = [Fraction(gram[i][j]) for i, j in wr]
+    rows = [[sum(s * c for s, c in zip(coeffs, column))
+             for column in zip(*by_pair)] for by_pair in zip(*wr.values())]
+    if any(map(any, rows[4:])):
+        raise LogDegreeOverflow(
+            "pairing residual has log degree above 3; "
+            "the supplied pairing matrix is not symplectic for this basis")
+    return LogSeries.from_rows(rows, order)
 
 
 # standard Gram matrix in the basis (alpha_0, alpha_1, beta^0, beta^1)
@@ -135,24 +100,19 @@ STANDARD_J = (
 class SymplecticFrame:
     """Darboux frame data for the rank-4 local system (kappa = 1).
 
-    ``pairing_matrix`` is the integer Gram matrix in the (alpha, beta)
-    basis; ``transition`` maps Frobenius coordinates to (alpha, beta)
-    coordinates; ``gram_frobenius`` is the induced Gram matrix
-    S = T^T J T in the Frobenius basis.
+    ``transition`` maps Frobenius coordinates to coordinates in the
+    (alpha, beta) basis, whose Gram matrix is ``STANDARD_J``;
+    ``gram_frobenius`` is the induced Gram matrix S = T^T J T in the
+    Frobenius basis.
     """
 
-    pairing_matrix: tuple = STANDARD_J
     transition: tuple = ()
     gram_frobenius: tuple = ()
-
-    @property
-    def dimension(self) -> int:
-        return len(self.pairing_matrix)
 
     def pairing(self, u, v):
         """Q(u, v) for vectors in the (alpha, beta) basis."""
         total = 0
-        for i, row in enumerate(self.pairing_matrix):
+        for i, row in enumerate(STANDARD_J):
             for j, q in enumerate(row):
                 if q:
                     total = total + q * u[i] * v[j]
@@ -160,78 +120,38 @@ class SymplecticFrame:
 
     def pairing_series(self, basis: PeriodBasis, derivative: int) -> LogSeries:
         """The exact series Q(Omega, theta^derivative Omega)."""
-        wr = _wronskians(basis, derivative)
-        total: RawTerms = {}
-        for (i, j), d in wr.items():
-            s = Fraction(self.gram_frobenius[i][j])
-            if s != 0:
-                _raw_axpy(total, s, d)
-        total = {k: v for k, v in total.items() if v != 0}
-        return _raw_to_series(total, basis.order)
+        g = self.gram_frobenius
+        pairs = [(i, j) for i, j in _PAIRS if g[i][j] != 0]
+        return _pairing(_wronskians(basis, derivative, pairs), g, basis.order)
 
 
 def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
                            triple_intersection) -> SymplecticFrame:
     """Fix the constant pairing from the Frobenius basis.
 
-    Solves Q(Omega, theta Omega) = 0 exactly (order by order) for the
-    antisymmetric Gram matrix, then scales it so that
-    Q(Omega, theta^3 Omega) = -yukawa_series.  Both constraints are
-    verified to the full truncation order of the basis.
+    Sets S_03 = -S_12 = s with s = -kappa / [z^0](W^3_03 - W^3_12), then
+    verifies Q(Omega, theta Omega) = 0 and Q(Omega, theta^3 Omega) =
+    -yukawa_series exactly to the full truncation order of the basis.
     """
     kappa = Fraction(triple_intersection)
-    w1 = _wronskians(basis, 1)
-    keys = sorted(set().union(*(set(d) for d in w1.values())))
-    rows = [[w1[p].get(key, Fraction(0)) for p in _PAIRS] for key in keys]
-    null = _nullspace(rows, len(_PAIRS))
-    if not null:
+    w3 = _wronskians(basis, 3, _FRAME_PAIRS)
+    lead = w3[(0, 3)][0][0] - w3[(1, 2)][0][0]
+    if lead == 0:
+        raise NormalizationMissing("pairing is degenerate against theta^3")
+    s, zero = -kappa / lead, Fraction(0)
+    gram = ((zero, zero, zero, s), (zero, zero, -s, zero),
+            (zero, s, zero, zero), (-s, zero, zero, zero))
+    if not _pairing(_wronskians(basis, 1, _FRAME_PAIRS), gram,
+                    basis.order).is_zero:
         raise NormalizationMissing(
-            "no constant antisymmetric pairing annihilates Q(Omega, theta Omega); "
+            "Q(Omega, theta Omega) residual is nonzero; "
             "the operator does not carry a symplectic structure")
-
-    w3 = _wronskians(basis, 3)
-
-    def combine(wr, vec) -> RawTerms:
-        total: RawTerms = {}
-        for coeff, p in zip(vec, _PAIRS):
-            if coeff != 0:
-                _raw_axpy(total, coeff, wr[p])
-        return {k: v for k, v in total.items() if v != 0}
-
-    chosen = None
-    for vec in null:
-        w0 = combine(w3, vec).get((Fraction(0), 0), Fraction(0))
-        if w0 != 0:
-            chosen = [x * (-kappa / w0) for x in vec]
-            break
-    if chosen is None:
-        raise NormalizationMissing(
-            "pairing nullspace is degenerate against theta^3")
-
-    s = {p: c for p, c in zip(_PAIRS, chosen)}
-    gram = [[Fraction(0)] * 4 for _ in range(4)]
-    for (i, j), c in s.items():
-        gram[i][j] = c
-        gram[j][i] = -c
-    gram_t = tuple(tuple(row) for row in gram)
-
-    # the z^0 log structure forces the antidiagonal support pattern
-    expected_zero = [(0, 1), (0, 2), (1, 3), (2, 3)]
-    if any(s[p] != 0 for p in expected_zero) or s[(1, 2)] != -s[(0, 3)]:
-        raise NormalizationMissing(
-            "pairing solution violates the weight-graded support pattern")
-
-    # exact verification against the normalization constraints
-    if combine(w1, chosen):
-        raise NormalizationMissing("Q(Omega, theta Omega) residual is nonzero")
-    res3 = combine(w3, chosen)
-    _raw_axpy(res3, Fraction(1),
-              dict(yukawa_series.truncate(basis.order).items()))
-    if any(res3.values()):
+    res3 = _pairing(w3, gram, basis.order) + yukawa_series.truncate(basis.order)
+    if not res3.is_zero:
         raise NormalizationMissing(
             "Q(Omega, theta^3 Omega) does not reproduce the triple coupling")
-    return SymplecticFrame(gram_frobenius=gram_t,
-                           transition=_transition_from_gram(s[(0, 3)]))
+    return SymplecticFrame(transition=_transition_from_gram(s),
+                           gram_frobenius=gram)
 
 
 def _transition_from_gram(s03: Fraction) -> tuple:

@@ -48,9 +48,8 @@ class HodgePointReport:
     self_pairing_abs: object      # |(Omega, Omega)|, zero up to rounding
     kahler_potential: object      # K = -log (Omega, bar Omega)
     dd_pairing: object            # (D Omega, bar D Omega), real negative
-    weil_petersson: object        # G_{z zbar} > 0
+    weil_petersson: object        # G_{z zbar} > 0, the curvature F_{z zbar}
     weil_petersson_ratio: object  # same metric via g_{z zbar} / g_{0 0bar}
-    curvature: object             # F_{z zbar} of the canonical line
     chern_form_positive: bool
     tail_bound_rel: object
     sign_adjust: int
@@ -77,15 +76,13 @@ class HodgeEvaluator:
         self.radius = basis.operator.singular_radius
         self._n_terms = math.ceil(basis.order)
         with mp.workprec(prec_bits + _GUARD_BITS):
-            self._tables = []
             series_row = list(basis.omegas)
-            for _ in range(4):
-                self._tables.append([self._compile(s) for s in series_row])
+            self._tables = [[self._compile(s) for s in series_row]]
+            for _ in range(3):
                 series_row = [s.theta() for s in series_row]
-            self._S = [[mp.mpf(x.numerator) / x.denominator
-                        for x in row] for row in
-                       (tuple(Fraction(v) for v in r)
-                        for r in frame.gram_frobenius)]
+                self._tables.append([self._compile(s) for s in series_row])
+            self._S = [[mp.mpf(x.numerator) / x.denominator for x in row]
+                       for row in frame.gram_frobenius]
             self._radius_f = mp.mpf(self.radius.numerator) / self.radius.denominator
             # empirical orientation at a small real reference point
             zref = self._radius_f * mp.mpf("0.001")
@@ -94,12 +91,12 @@ class HodgeEvaluator:
             self.sign_adjust = 1 if raw.real > 0 else -1
 
     def _compile(self, series: LogSeries):
-        table = [[mp.mpf(0)] * 4 for _ in range(self._n_terms)]
-        for (e, k), c in series.items():
-            if e.denominator != 1:
-                raise DomainError("period series must be unramified")
-            table[int(e)][k] = mp.mpf(c.numerator) / c.denominator
-        return table
+        """Rows transposed: table[n][k] is the z^n log^k z coefficient."""
+        if series.ramification != 1:
+            raise DomainError("period series must be unramified")
+        zero = mp.mpf(0)
+        return [[mp.mpf(c.numerator) / c.denominator if c else zero
+                 for c in column] for column in zip(*series.rows())]
 
     def _towers(self, z0, branch: int, rows: int = 4):
         """Values of theta^der w_i for der < rows and i in 0..3 at z0."""
@@ -218,7 +215,6 @@ class HodgeEvaluator:
                 dd_pairing=dd.real,
                 weil_petersson=g_wp,
                 weil_petersson_ratio=g_ratio,
-                curvature=g_wp,
                 chern_form_positive=bool(g_wp > 0),
                 tail_bound_rel=self._tail_rel(z0, log_z),
                 sign_adjust=adj,
@@ -318,7 +314,7 @@ def hodge_report_json(reports, config_hash: str | None = None) -> dict:
             "dd_pairing": f(r.dd_pairing),
             "G_wp": f(r.weil_petersson),
             "G_wp_ratio": f(r.weil_petersson_ratio),
-            "curvature": f(r.curvature),
+            "curvature": f(r.weil_petersson),
             "chern_form_positive": r.chern_form_positive,
             "tail_bound_rel": f(r.tail_bound_rel),
             "sign_adjust": r.sign_adjust,

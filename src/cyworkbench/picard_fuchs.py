@@ -191,15 +191,8 @@ def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:
         jets.append(_jet_scale(_jet_mul(acc, inv), Fraction(-1)))
     # f_i(z) = sum_n c_{n,i} z^n; omega_k = sum_{j<=k} f_{k-j} log^j z / j!
     order = Fraction(order)
-    omegas = []
-    for k in range(4):
-        terms = {}
-        for j in range(k + 1):
-            fac = Fraction(1, math.factorial(j))
-            for n in range(n_terms):
-                c = jets[n][k - j]
-                if c != 0:
-                    key = (Fraction(n), j)
-                    terms[key] = terms.get(key, Fraction(0)) + fac * c
-        omegas.append(LogSeries(terms, order=order))
-    return PeriodBasis(tuple(omegas), op, order)
+    omegas = tuple(
+        LogSeries.from_rows([[jet[k - j] / math.factorial(j) for jet in jets]
+                             for j in range(k + 1)], order)
+        for k in range(4))
+    return PeriodBasis(omegas, op, order)

@@ -2,19 +2,22 @@
 
 A :class:`LogSeries` represents
 
-    sum over (e, k) of  c_{e,k} * z^e * log(z)^k,
+    sum over (i, k) of  c_{i,k} * z^(i/r) * log(z)^k,
 
-with exact rational coefficients ``c_{e,k}``, exponents ``e`` in the
-lattice (1/r) * Z_{>=0} for a ramification index ``r``, and log degree
-``k`` at most 3 (period solutions of a threefold at a maximally
-unipotent point have log degree <= 3, so the cap is structural, not a
-tuning knob).
+with exact rational coefficients ``c_{i,k}``, a ramification index
+``r``, and log degree ``k`` at most 3 (period solutions of a threefold
+at a maximally unipotent point have log degree <= 3, so the cap is
+structural, not a tuning knob).  The coefficients live in four dense
+rows, ``rows()[k][i] = c_{i,k}``, the only coefficient format: every
+operation works on the rows, and other modules read and build series
+through ``rows()`` and ``from_rows`` alone.
 
-Series are truncated: a series with ``order = N`` is known modulo z^N.
-Every operation propagates the weakest truncation order of its
-operands, so precision loss is always explicit in the result.  An
-``order`` of ``None`` marks an exact finite expression (a polynomial in
-z^(1/r) and log z).
+Series are truncated: a series with ``order = N`` is known modulo z^N,
+and its rows are ceil(N r) long.  Every operation propagates the
+weakest truncation order of its operands, so precision loss is always
+explicit in the result.  An ``order`` of ``None`` marks an exact finite
+expression (a polynomial in z^(1/r) and log z); its rows end at the top
+nonzero coefficient.
 
 Coefficients stay in ``fractions.Fraction`` end to end; floating point
 enters only through :meth:`LogSeries.eval`, which returns an
@@ -39,6 +42,7 @@ from .errors import DomainError, LogDegreeOverflow, NotAUnit, OutsideDisk
 Rational = Fraction
 
 MAX_LOG_DEGREE = 3
+_ZERO = Fraction(0)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -90,46 +94,55 @@ class EvalResult:
 class LogSeries:
     """Truncated ramified series with log coefficients over Q."""
 
-    __slots__ = ("_terms", "order", "ramification", "max_log_degree")
+    __slots__ = ("_rows", "order", "ramification")
 
     def __init__(
         self,
         terms: Mapping[tuple[Fraction | int, int], Fraction | int] | None = None,
         order: Fraction | int | None = None,
         ramification: int = 1,
-        max_log_degree: int = MAX_LOG_DEGREE,
     ):
-        if ramification < 1:
-            raise DomainError("ramification must be a positive integer")
-        if not 0 <= max_log_degree <= MAX_LOG_DEGREE:
-            raise DomainError("max_log_degree must lie in 0..3")
-        if order is not None:
-            order = Fraction(order)
-            if order <= 0:
-                raise DomainError("truncation order must be positive")
-        clean: dict[tuple[Fraction, int], Fraction] = {}
+        cells: dict[tuple[int, int], Fraction] = {}
         for (e, k), c in (terms or {}).items():
-            e = Fraction(e)
-            c = Fraction(c)
+            e, c = Fraction(e), Fraction(c)
             if c == 0:
                 continue
             if e < 0:
                 raise DomainError(f"negative exponent {e}")
             if (e * ramification).denominator != 1:
                 raise DomainError(
-                    f"exponent {e} not in the 1/{ramification} lattice"
-                )
-            if not 0 <= k <= max_log_degree:
+                    f"exponent {e} not in the 1/{ramification} lattice")
+            if not 0 <= k <= MAX_LOG_DEGREE:
                 raise LogDegreeOverflow(
-                    f"log degree {k} exceeds cap {max_log_degree}"
-                )
+                    f"log degree {k} exceeds cap {MAX_LOG_DEGREE}")
             if order is not None and e >= order:
                 continue  # beyond the known window
-            clean[(e, k)] = c
-        object.__setattr__(self, "_terms", clean)
+            cells[(int(e * ramification), k)] = c
+        n = max((i + 1 for i, _ in cells), default=0)
+        self._store([[cells.get((i, k), 0) for i in range(n)] for k in
+                     range(MAX_LOG_DEGREE + 1)], order, ramification)
+
+    def _store(self, rows, order, ramification: int) -> None:
+        if ramification < 1:
+            raise DomainError("ramification must be a positive integer")
+        if order is not None:
+            order = Fraction(order)
+            if order <= 0:
+                raise DomainError("truncation order must be positive")
+        rows = [[c if type(c) is Fraction else Fraction(c) for c in row]
+                for row in rows]
+        if order is None:
+            n = max((i + 1 for row in rows for i, c in enumerate(row) if c),
+                    default=1)
+        else:
+            n = math.ceil(order * ramification)
+        if any(any(row[:n]) for row in rows[MAX_LOG_DEGREE + 1:]):
+            raise LogDegreeOverflow(f"log degree exceeds cap {MAX_LOG_DEGREE}")
+        object.__setattr__(self, "_rows", tuple(
+            tuple(row[:n]) + (_ZERO,) * (n - len(row))
+            for row in (rows + [[]] * 4)[:MAX_LOG_DEGREE + 1]))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ramification", ramification)
-        object.__setattr__(self, "max_log_degree", max_log_degree)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("LogSeries is immutable")
@@ -138,12 +151,24 @@ class LogSeries:
     # constructors
 
     @classmethod
+    def from_rows(cls, rows, order=None, ramification: int = 1) -> "LogSeries":
+        """Series with coefficient ``rows[k][i]`` at z^(i/r) log^k z.
+
+        The rows are cut or zero-padded to the window ceil(order * r),
+        or trimmed after the top nonzero entry when ``order`` is None.
+        Rows past log degree 3 may be given but must vanish there.
+        """
+        self = object.__new__(cls)
+        self._store(rows, order, ramification)
+        return self
+
+    @classmethod
     def zero(cls, order=None, ramification: int = 1) -> "LogSeries":
-        return cls({}, order=order, ramification=ramification)
+        return cls.from_rows((), order, ramification)
 
     @classmethod
     def constant(cls, c, order=None) -> "LogSeries":
-        return cls({(Fraction(0), 0): Fraction(c)}, order=order)
+        return cls.from_rows([[c]], order)
 
     @classmethod
     def monomial(cls, coeff, exponent, log_degree: int = 0,
@@ -161,22 +186,34 @@ class LogSeries:
     @classmethod
     def log_z(cls, order=None) -> "LogSeries":
         """The series ``log z``."""
-        return cls({(Fraction(0), 1): Fraction(1)}, order=order)
+        return cls.from_rows([[0], [1]], order)
 
     @classmethod
     def from_coefficients(cls, coeffs: Iterable, order=None) -> "LogSeries":
         """Plain power series from ascending z-coefficients."""
-        terms = {(Fraction(n), 0): Fraction(c) for n, c in enumerate(coeffs)}
-        return cls(terms, order=order)
+        return cls.from_rows([list(coeffs)], order)
 
     # ------------------------------------------------------------------
     # inspection
 
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The four coefficient rows, rows[k][i] at z^(i/r) log^k z."""
+        return self._rows
+
     def items(self) -> Iterator[tuple[tuple[Fraction, int], Fraction]]:
-        return iter(sorted(self._terms.items()))
+        """Nonzero terms ((exponent, log degree), coefficient), ascending."""
+        r = self.ramification
+        for i, column in enumerate(zip(*self._rows)):
+            for k, c in enumerate(column):
+                if c:
+                    yield (Fraction(i, r), k), c
 
     def coefficient(self, exponent, log_degree: int = 0) -> Fraction:
-        return self._terms.get((Fraction(exponent), log_degree), Fraction(0))
+        i = Fraction(exponent) * self.ramification
+        if i.denominator != 1 or not 0 <= log_degree <= MAX_LOG_DEGREE:
+            return _ZERO
+        row = self._rows[log_degree]
+        return row[int(i)] if 0 <= i < len(row) else _ZERO
 
     def __getitem__(self, exponent) -> Fraction:
         return self.coefficient(exponent, 0)
@@ -187,73 +224,92 @@ class LogSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not any(map(any, self._rows))
 
     @property
     def is_log_free(self) -> bool:
-        return all(k == 0 for (_, k) in self._terms)
+        return not any(map(any, self._rows[1:]))
 
     @property
     def log_degree(self) -> int:
         """Largest log degree actually present."""
-        return max((k for (_, k) in self._terms), default=0)
+        return max((k for k, row in enumerate(self._rows) if any(row)),
+                   default=0)
 
     def valuation(self) -> Fraction | None:
         """Smallest exponent present, or None for the zero series."""
-        if not self._terms:
-            return None
-        return min(e for (e, _) in self._terms)
+        first = next(self.items(), None)
+        return None if first is None else first[0][0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogSeries):
             return NotImplemented
-        return self._terms == other._terms and self.order == other.order
+        if self.order != other.order:
+            return False
+        if self.ramification == other.ramification:
+            return self._rows == other._rows
+        return list(self.items()) == list(other.items())
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self._terms:
+        terms = list(self.items())
+        if not terms:
             body = "0"
         else:
             parts = []
-            for (e, k), c in list(self.items())[:8]:
+            for (e, k), c in terms[:8]:
                 t = format_rational(c)
                 if e != 0:
                     t += f"*z^{format_rational(e)}" if e != 1 else "*z"
                 if k:
                     t += f"*log(z)^{k}" if k > 1 else "*log(z)"
                 parts.append(t)
-            if len(self._terms) > 8:
+            if len(terms) > 8:
                 parts.append("...")
             body = " + ".join(parts)
         tail = f" + O(z^{format_rational(self.order)})" if self.order is not None else ""
         return f"LogSeries({body}{tail})"
 
     # ------------------------------------------------------------------
-    # ring structure
+    # ring structure, on rows over a common 1/r lattice
 
-    def _join(self, other: "LogSeries") -> tuple[int, Fraction | None, int]:
-        r = math.lcm(self.ramification, other.ramification)
-        order = _min_order(self.order, other.order)
-        cap = max(self.max_log_degree, other.max_log_degree)
-        return r, order, cap
+    def _width(self, r: int) -> int:
+        """Window length on the 1/r lattice, r a multiple of ours."""
+        if self.order is not None:
+            return math.ceil(self.order * r)
+        return (len(self._rows[0]) - 1) * (r // self.ramification) + 1
+
+    def _rows_on(self, r: int, n: int) -> list[list[Fraction]]:
+        """The rows spread onto the 1/r lattice, cut or padded to n."""
+        step = r // self.ramification
+        out = []
+        for row in self._rows:
+            wide = [_ZERO] * n
+            part = row[:(n + step - 1) // step]
+            wide[:len(part) * step:step] = part
+            out.append(wide)
+        return out
+
+    def _join(self, other: "LogSeries") -> tuple[int, Fraction | None]:
+        return (math.lcm(self.ramification, other.ramification),
+                _min_order(self.order, other.order))
 
     def __add__(self, other) -> "LogSeries":
         if not isinstance(other, LogSeries):
             other = LogSeries.constant(other)
-        r, order, cap = self._join(other)
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return LogSeries(terms, order=order, ramification=r, max_log_degree=cap)
+        r, order = self._join(other)
+        n = (math.ceil(order * r) if order is not None
+             else max(self._width(r), other._width(r)))
+        rows = [[x + y for x, y in zip(a, b)] for a, b in
+                zip(self._rows_on(r, n), other._rows_on(r, n))]
+        return LogSeries.from_rows(rows, order, r)
 
     def __radd__(self, other) -> "LogSeries":
         return self + other
 
     def __neg__(self) -> "LogSeries":
-        return LogSeries({k: -c for k, c in self._terms.items()},
-                         order=self.order, ramification=self.ramification,
-                         max_log_degree=self.max_log_degree)
+        return self * -1
 
     def __sub__(self, other) -> "LogSeries":
         if not isinstance(other, LogSeries):
@@ -266,24 +322,26 @@ class LogSeries:
     def __mul__(self, other) -> "LogSeries":
         if not isinstance(other, LogSeries):
             c = Fraction(other)
-            return LogSeries({k: c * v for k, v in self._terms.items()},
-                             order=self.order, ramification=self.ramification,
-                             max_log_degree=self.max_log_degree)
-        r, order, cap = self._join(other)
-        terms: dict[tuple[Fraction, int], Fraction] = {}
-        for (e1, k1), c1 in self._terms.items():
-            for (e2, k2), c2 in other._terms.items():
-                e = e1 + e2
-                if order is not None and e >= order:
+            return LogSeries.from_rows([[c * x for x in row] for row in self._rows],
+                                       self.order, self.ramification)
+        r, order = self._join(other)
+        n = (math.ceil(order * r) if order is not None
+             else self._width(r) + other._width(r) - 1)
+        rows = [[0] * n for _ in range(MAX_LOG_DEGREE + 1)]
+        right = other._rows_on(r, n)
+        for k1, a in enumerate(self._rows_on(r, n)):
+            for k2, b in enumerate(right):
+                if not (any(a) and any(b)):
                     continue
-                k = k1 + k2
-                if k > cap:
-                    raise LogDegreeOverflow(
-                        f"product term log(z)^{k} exceeds cap {cap}"
-                    )
-                key = (e, k)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return LogSeries(terms, order=order, ramification=r, max_log_degree=cap)
+                prod = _mul_trunc(a, b, n)
+                if k1 + k2 > MAX_LOG_DEGREE:
+                    if any(prod):
+                        raise LogDegreeOverflow(
+                            f"product term log(z)^{k1 + k2} exceeds cap "
+                            f"{MAX_LOG_DEGREE}")
+                    continue
+                rows[k1 + k2] = [x + y for x, y in zip(rows[k1 + k2], prod)]
+        return LogSeries.from_rows(rows, order, r)
 
     def __rmul__(self, other) -> "LogSeries":
         return self * other
@@ -306,9 +364,7 @@ class LogSeries:
         order = Fraction(order)
         if self.order is not None and order > self.order:
             raise DomainError("cannot truncate to a higher order than known")
-        return LogSeries(self._terms, order=order,
-                         ramification=self.ramification,
-                         max_log_degree=self.max_log_degree)
+        return LogSeries.from_rows(self._rows, order, self.ramification)
 
     def shift(self, delta) -> "LogSeries":
         """Multiply by the exact monomial z^delta (delta >= 0)."""
@@ -317,36 +373,9 @@ class LogSeries:
             raise DomainError("shift exponent must be nonnegative")
         order = None if self.order is None else self.order + delta
         r = math.lcm(self.ramification, delta.denominator)
-        return LogSeries({(e + delta, k): c for (e, k), c in self._terms.items()},
-                         order=order, ramification=r,
-                         max_log_degree=self.max_log_degree)
-
-    # ------------------------------------------------------------------
-    # dense views (for convolution-style algorithms)
-
-    def _dense(self) -> tuple[list[Fraction], int]:
-        """Log-free coefficients on the 1/r lattice, with window length."""
-        if not self.is_log_free:
-            raise DomainError("operation requires a log-free series")
-        r = self.ramification
-        if self.order is None:
-            top = max((e for (e, _) in self._terms), default=Fraction(0))
-            n = int(top * r) + 1
-        else:
-            n = math.ceil(self.order * r)
-        out = [Fraction(0)] * n
-        for (e, _), c in self._terms.items():
-            idx = int(e * r)
-            if idx < n:
-                out[idx] = c
-        return out, n
-
-    def _replace_dense(self, coeffs: list[Fraction],
-                       order=None) -> "LogSeries":
-        r = self.ramification
-        terms = {(Fraction(i, r), 0): c for i, c in enumerate(coeffs) if c != 0}
-        return LogSeries(terms, order=self.order if order is None else order,
-                         ramification=r, max_log_degree=self.max_log_degree)
+        pad = [_ZERO] * int(delta * r)
+        return LogSeries.from_rows(
+            [pad + row for row in self._rows_on(r, self._width(r))], order, r)
 
     # ------------------------------------------------------------------
     # calculus
@@ -357,24 +386,25 @@ class LogSeries:
         theta(z^e log^k z) = e z^e log^k z + k z^e log^(k-1) z, so the
         truncation order is preserved exactly.
         """
-        terms: dict[tuple[Fraction, int], Fraction] = {}
-        for (e, k), c in self._terms.items():
-            if e != 0:
-                key = (e, k)
-                terms[key] = terms.get(key, Fraction(0)) + e * c
-            if k > 0:
-                key = (e, k - 1)
-                terms[key] = terms.get(key, Fraction(0)) + k * c
-        return LogSeries(terms, order=self.order,
-                         ramification=self.ramification,
-                         max_log_degree=self.max_log_degree)
+        r, rows = self.ramification, self._rows
+        n = len(rows[0])
+        weights = range(n) if r == 1 else [Fraction(i, r) for i in range(n)]
+        out = []
+        for k, row in enumerate(rows):
+            new = [w * c for w, c in zip(weights, row)] if any(row) else row
+            up = rows[k + 1] if k < MAX_LOG_DEGREE else ()
+            if any(up):
+                new = [x + (k + 1) * u for x, u in zip(new, up)]
+            out.append(new)
+        return LogSeries.from_rows(out, self.order, r)
 
     def invert(self) -> "LogSeries":
         """Multiplicative inverse; needs a unit constant term, no logs."""
         if not self.is_log_free:
             raise NotAUnit("cannot invert a series with log terms")
-        a, n = self._dense()
-        if n == 0 or a[0] == 0:
+        a = self._rows[0]
+        n = len(a)
+        if a[0] == 0:
             raise NotAUnit("cannot invert a series with zero constant term")
         b = [Fraction(0)] * n
         b[0] = 1 / a[0]
@@ -385,7 +415,7 @@ class LogSeries:
                     acc += a[k] * b[m - k]
             b[m] = -acc / a[0]
         order = self.order if self.order is not None else Fraction(n, self.ramification)
-        return self._replace_dense(b, order=order)
+        return LogSeries.from_rows([b], order, self.ramification)
 
     def exp(self) -> "LogSeries":
         """Formal exponential; needs zero constant term and no logs."""
@@ -393,9 +423,8 @@ class LogSeries:
             raise DomainError("exp requires a log-free argument")
         if self.constant_term != 0:
             raise DomainError("exp requires zero constant term")
-        a, n = self._dense()
-        if n == 0:
-            return LogSeries.constant(1, order=self.order)
+        a = self._rows[0]
+        n = len(a)
         # exp(f)' = f' exp(f) gives the standard coefficient recurrence;
         # on the 1/r lattice the derivative weights are m/r.
         b = [Fraction(0)] * n
@@ -407,7 +436,7 @@ class LogSeries:
                     acc += Fraction(k) * a[k] * b[m - k]
             b[m] = acc / m
         order = self.order if self.order is not None else Fraction(n, self.ramification)
-        return self._replace_dense(b, order=order)
+        return LogSeries.from_rows([b], order, self.ramification)
 
     def log(self) -> "LogSeries":
         """Formal logarithm; needs constant term 1 and no logs."""
@@ -415,7 +444,8 @@ class LogSeries:
             raise DomainError("log requires a log-free argument")
         if self.constant_term != 1:
             raise DomainError("log requires constant term 1")
-        a, n = self._dense()
+        a = self._rows[0]
+        n = len(a)
         # log(f)' = f'/f: b_m = a_m - (1/m) sum_{k<m} k b_k a_{m-k}
         b = [Fraction(0)] * n
         for m in range(1, n):
@@ -425,7 +455,7 @@ class LogSeries:
                     acc -= Fraction(k) * b[k] * a[m - k]
             b[m] = acc / m
         order = self.order if self.order is not None else Fraction(n, self.ramification)
-        return self._replace_dense(b, order=order)
+        return LogSeries.from_rows([b], order, self.ramification)
 
     def compose(self, inner: "LogSeries") -> "LogSeries":
         """Substitute ``inner`` (zero constant term) for the variable.
@@ -442,11 +472,12 @@ class LogSeries:
         if inner.constant_term != 0:
             raise DomainError("inner series must have zero constant term")
         order = _min_order(self.order, inner.order)
-        a, n = self._dense()
+        a = self._rows[0]
+        n = len(a)
         if order is None:
             order = Fraction(n)
         nn = math.ceil(order)
-        b, _ = LogSeries(inner._terms, order=order)._dense()
+        b = inner.truncate(order)._rows[0]
         acc = []
         for e in reversed(range(min(n, nn))):
             acc = _mul_trunc(b, acc, nn - e)
@@ -467,11 +498,11 @@ class LogSeries:
         c1 = self.coefficient(1)
         if c1 == 0:
             raise DomainError("reversion requires a nonzero linear coefficient")
-        a, n = self._dense()
-        order = self.order if self.order is not None else Fraction(n)
+        a = self._rows[0]
+        order = self.order if self.order is not None else Fraction(len(a))
         nn = math.ceil(order)
         g = LogSeries.from_coefficients(a[1:nn], order=nn - 1)
-        h, _ = g.invert()._dense()
+        h = g.invert()._rows[0]
         b, power = [0], [1]
         for m in range(1, nn):
             power = _mul_trunc(power, h, nn - 1)
@@ -497,16 +528,15 @@ class LogSeries:
             if abs(z0) >= rad:
                 raise OutsideDisk(f"|z0| = {abs(z0)} >= radius {rad}")
             if z0 == 0:
-                value = mp.mpc(self.constant_term.numerator) / self.constant_term.denominator \
-                    if (Fraction(0), 0) in self._terms else mp.mpc(0)
-                has_log_at_zero = any(e == 0 and k > 0 and c != 0
-                                      for (e, k), c in self._terms.items())
-                if has_log_at_zero:
+                c = self.constant_term
+                value = mp.mpc(c.numerator) / c.denominator
+                if any(row[0] for row in self._rows[1:]):
                     raise DomainError("series has log terms; cannot evaluate at 0")
                 return EvalResult(value, mpf(0), prec_bits)
             lz = mp.log(z0) + 2 * mp.pi * mp.mpc(0, 1) * branch
             total = mp.mpc(0)
-            for (e, k), c in self._terms.items():
+            terms = list(self.items())
+            for (e, k), c in terms:
                 term = mp.mpf(c.numerator) / c.denominator
                 term = term * mp.exp(lz * mp.mpf(e.numerator) / e.denominator) \
                     if e != 0 else term
@@ -515,10 +545,10 @@ class LogSeries:
                 total += term
             ratio = abs(z0) / rad
             tail = mpf(0)
-            if self._terms and self.order is not None and ratio < 1:
-                e_top = max(e for (e, _) in self._terms)
+            if terms and self.order is not None and ratio < 1:
+                e_top = terms[-1][0][0]
                 c_top = max(abs(mp.mpf(c.numerator) / c.denominator)
-                            for (e, k), c in self._terms.items() if e == e_top)
+                            for (e, k), c in terms if e == e_top)
                 lead = c_top * abs(z0) ** mp.mpf(float(e_top))
                 logfac = max(mpf(1), abs(lz)) ** self.log_degree
                 tail = lead * logfac * ratio / (1 - ratio)

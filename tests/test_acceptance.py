@@ -219,8 +219,8 @@ def test_criterion_09_extended_residual_suite():
                     for zv in z_nodes]
             half_grid = AnomalyGrid(z_nodes, w_nodes, {"f": vals},
                                     prec_bits=256)
-            from cyworkbench.anomaly import _ddz
-            fd = _ddz(half_grid, half_grid.field("f"))
+            from cyworkbench.anomaly import _central
+            fd = _central(half_grid, half_grid.field("f"), "z")
             theta_series = series.theta()
             for i, zv in enumerate(z_nodes):
                 if fd.values[i][0] is None:

@@ -1,5 +1,6 @@
 """Bernoulli/constant-map exact values and grid residual machinery."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +8,11 @@ import sympy
 from mpmath import mp
 
 import cyworkbench as cw
-from cyworkbench.anomaly import (_ddz, _ddzbar, _fadd, _fmul, AnomalyGrid,
-                                 GridField, PropagatorSpec)
-from cyworkbench.errors import (DomainError, MissingField, NoConvergence,
-                                NonUniformGrid, PropagatorMismatch,
-                                UnstableRange)
+from cyworkbench.anomaly import (_central, _fadd, _fmul, _fscale, _fsub,
+                                 AnomalyGrid, GridField, PropagatorSpec)
+from cyworkbench.errors import (BoundaryPoint, DomainError, MissingField,
+                                NoConvergence, NonUniformGrid,
+                                PropagatorMismatch, UnstableRange)
 from cyworkbench.series import LogSeries
 
 
@@ -114,6 +115,101 @@ def genus2_exprs():
                   "F2": f2}, s_prop
 
 
+def ddz_reference(grid, f):
+    """Central difference along z, as written before the axis merge."""
+    nz = len(grid.z_nodes)
+    if nz < 3:
+        raise BoundaryPoint("z axis too short for a central stencil")
+    rows = []
+    for i in range(nz):
+        if i == 0 or i == nz - 1:
+            rows.append(tuple(None for _ in f.values[i]))
+            continue
+        rows.append(tuple(
+            None if (up is None or down is None)
+            else (up - down) / (2 * grid.step_z)
+            for up, down in zip(f.values[i + 1], f.values[i - 1])))
+    return GridField(tuple(rows))
+
+
+def ddzbar_reference(grid, f):
+    """Central difference along zbar, as written before the axis merge."""
+    nw = len(grid.zbar_nodes)
+    if nw < 3:
+        raise BoundaryPoint("zbar axis too short for a central stencil")
+    rows = []
+    for i in range(len(grid.z_nodes)):
+        row = []
+        for j in range(nw):
+            if j == 0 or j == nw - 1:
+                row.append(None)
+                continue
+            up, down = f.values[i][j + 1], f.values[i][j - 1]
+            row.append(None if (up is None or down is None)
+                       else (up - down) / (2 * grid.step_zbar))
+        rows.append(tuple(row))
+    return GridField(tuple(rows))
+
+
+def hae_reference(grid, g):
+    """The closed recursion residual, as written before it delegated."""
+    with mp.workprec(grid.prec_bits + 24):
+        lhs = ddzbar_reference(grid, grid.field(f"F{g}"))
+        prev = grid.field(f"F{g - 1}")
+        k_prev = 2 - 2 * (g - 1)
+        bracket = cw.covariant_derivative(
+            grid, cw.covariant_derivative(grid, prev, k_prev, 0), k_prev, 1)
+        d_cache = {}
+        for g1 in range(1, g):
+            for gg in {g1, g - g1}:
+                if gg not in d_cache:
+                    d_cache[gg] = cw.covariant_derivative(
+                        grid, grid.field(f"F{gg}"), 2 - 2 * gg, 0)
+            bracket = _fadd(bracket, _fmul(d_cache[g1], d_cache[g - g1]))
+        rhs = _fscale(mp.mpf(1) / 2, _fmul(grid.field("C"), bracket))
+        return _fsub(lhs, rhs)
+
+
+def seeded_grid(seed, nz, nw, names):
+    """Complex nodes with seeded steps and random complex field values,
+    some entries None as after an earlier stencil."""
+    rng = random.Random(seed)
+    with mp.workprec(280):
+        def cplx():
+            return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        z0, w0, hz, hw = cplx(), cplx(), cplx() / 100, cplx() / 100
+        fields = {name: [[None if rng.random() < 0.05 else cplx()
+                          for _ in range(nw)] for _ in range(nz)]
+                  for name in names}
+        return AnomalyGrid([z0 + k * hz for k in range(nz)],
+                           [w0 + k * hw for k in range(nw)], fields)
+
+
+def assert_identical(a, b):
+    assert len(a.values) == len(b.values)
+    for ra, rb in zip(a.values, b.values):
+        assert ra == rb  # identical floats and None pattern, not just close
+
+
+class TestStencil:
+    def test_matches_per_axis_reference(self):
+        for seed, (nz, nw) in enumerate([(16, 16), (7, 5), (3, 9), (9, 3)]):
+            grid = seeded_grid(seed, nz, nw, ["f"])
+            f = grid.field("f")
+            with mp.workprec(grid.prec_bits + 24):
+                assert_identical(_central(grid, f, "z"),
+                                 ddz_reference(grid, f))
+                assert_identical(_central(grid, f, "zbar"),
+                                 ddzbar_reference(grid, f))
+
+    @pytest.mark.parametrize("axis, shape", [("z", (2, 5)), ("zbar", (5, 2))])
+    def test_short_axis(self, axis, shape):
+        grid = seeded_grid(3, *shape, ["f"])
+        with pytest.raises(BoundaryPoint,
+                           match=f"^{axis} axis too short for a central"):
+            _central(grid, grid.field("f"), axis)
+
+
 class TestGridBasics:
     def test_nonuniform_rejected(self):
         with mp.workprec(80):
@@ -157,7 +253,7 @@ class TestCovariantDerivative:
         grid = build_grid({"f": z ** 2 * (1 + w)}, nz=7, nw=5)
         cov = cw.covariant_derivative(grid, grid.field("f"), 0, 0)
         with mp.workprec(grid.prec_bits + 24):
-            plain = _ddz(grid, grid.field("f"))
+            plain = _central(grid, grid.field("f"), "z")
         for ra, rb in zip(cov.values, plain.values):
             for x, y in zip(ra, rb):
                 assert (x is None) == (y is None)
@@ -231,7 +327,7 @@ class TestClosedResidual:
         two = cw.hae_residual(grid.with_field("F2", doubled), 2).residual
         # residual is affine in F_g: R(2 F2) - R(F2) = dbar F2
         with mp.workprec(grid.prec_bits + 24):
-            dbar_f2 = _ddzbar(grid, grid.field("F2"))
+            dbar_f2 = _central(grid, grid.field("F2"), "zbar")
             for i in range(len(grid.z_nodes)):
                 for j in range(len(grid.zbar_nodes)):
                     x, y, d = (two.values[i][j], base.values[i][j],
@@ -262,6 +358,13 @@ class TestClosedResidual:
                            "C": c, "F1": f1, "F2": f2, "F3": f3})
         rep = cw.hae_residual(grid, 3)
         assert rep.max_abs < mp.mpf("1e-8")
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_matches_reference_recursion(self, g):
+        names = ["C", "G", "K"] + [f"F{k}" for k in range(1, g + 1)]
+        grid = seeded_grid(10 + g, 16, 16, names)
+        assert_identical(cw.hae_residual(grid, g).residual,
+                         hae_reference(grid, g))
 
     def test_genus_below_two_rejected(self):
         grid = build_grid({}, nz=3, nw=3)
@@ -397,7 +500,7 @@ class TestOpenResidual:
             vals = [[s.eval(zv, radius=1).value for _ in w_nodes]
                     for zv in nodes]
             grid = AnomalyGrid(nodes, w_nodes, {"f": vals}, prec_bits=256)
-            fd = _ddz(grid, grid.field("f"))
+            fd = _central(grid, grid.field("f"), "z")
             for i, zv in enumerate(nodes):
                 row = fd.values[i]
                 if row[0] is None:

@@ -52,6 +52,66 @@ def random_mum_operator(seed):
     return PFOperator(tuple(coeffs), F(1, 100))
 
 
+def random_hypergeometric_family(seed):
+    """theta^4 - mu z (theta + a)(theta + 1 - a)(theta + b)(theta + 1 - b)
+    with seeded a, b, mu: MUM, symplectic, and Y = kappa / (1 - mu z)."""
+    rng = random.Random(seed)
+    a, b = (F(rng.randrange(1, 6), rng.randrange(6, 13)) for _ in range(2))
+    mu = F(rng.randrange(2, 900), rng.randrange(1, 5))
+    p, q = a * (1 - a), b * (1 - b)
+    coeffs = ((0, -mu * p * q), (0, -mu * (p + q)), (0, -mu * (1 + p + q)),
+              (0, -2 * mu), (1, -mu))
+    return cw.CYFamilyConfig(name="hypergeometric",
+                             pf=PFOperator(coeffs, 1 / mu),
+                             triple_intersection=rng.randrange(1, 20),
+                             c2_H=0, euler=0)
+
+
+def _nullspace(rows, ncols):
+    """Exact nullspace basis by Gauss-Jordan elimination over Q."""
+    m = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][col]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [F(0)] * ncols
+        v[free] = F(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][free]
+        basis.append(v)
+    return basis
+
+
+def reference_gram(basis, kappa):
+    """The general solve the closed form replaced: nullspace of
+    Q(Omega, theta Omega) = 0 over all six pairs, scaled on theta^3."""
+    w1, w3 = reference_wronskians(basis, 1), reference_wronskians(basis, 3)
+    keys = sorted(set().union(*(set(d) for d in w1.values())))
+    rows = [[w1[p].get(key, F(0)) for p in frames._PAIRS] for key in keys]
+    for vec in _nullspace(rows, len(frames._PAIRS)):
+        lead = sum(c * w3[p].get((F(0), 0), F(0))
+                   for c, p in zip(vec, frames._PAIRS))
+        if lead != 0:
+            gram = [[F(0)] * 4 for _ in range(4)]
+            for (i, j), c in zip(frames._PAIRS, vec):
+                gram[i][j], gram[j][i] = c * -kappa / lead, c * kappa / lead
+            return tuple(map(tuple, gram))
+    raise NormalizationMissing("no pairing")
+
+
 def reference_wronskians(basis, derivative):
     """w_i theta^der w_j - w_j theta^der w_i on (exponent, log) -> Fraction maps."""
 
@@ -366,8 +426,39 @@ class TestSymplecticFrame:
               "theta4": lambda: cw.constant_coupling_family(1).pf,
               "random": lambda: random_mum_operator(23)}[family]()
         basis = cw.frobenius_solve(op, 12)
-        assert frames._wronskians(basis, derivative) == \
+        rows = frames._wronskians(basis, derivative, frames._PAIRS)
+        assert {pair: {(F(e), k): c for k, row in enumerate(acc)
+                       for e, c in enumerate(row) if c}
+                for pair, acc in rows.items()} == \
             reference_wronskians(basis, derivative)
+
+    @pytest.mark.parametrize("family", [
+        cw.quintic, cw.sextic, lambda: cw.constant_coupling_family(3),
+        lambda: random_hypergeometric_family(5),
+        lambda: random_hypergeometric_family(6)],
+        ids=["quintic", "sextic", "theta4", "hypergeometric-5",
+             "hypergeometric-6"])
+    def test_closed_form_gram_matches_nullspace(self, family):
+        fam = family()
+        basis = cw.frobenius_solve(fam.pf, 12)
+        frame = cw.solve_symplectic_frame(
+            basis, cw.yukawa_theta(fam).series(basis.order),
+            fam.triple_intersection)
+        assert frame.gram_frobenius == reference_gram(
+            basis, fam.triple_intersection)
+
+    def test_random_operator_rejected_like_nullspace(self):
+        basis = cw.frobenius_solve(random_mum_operator(23), 12)
+        with pytest.raises(NormalizationMissing):
+            reference_gram(basis, 1)
+        with pytest.raises(NormalizationMissing, match="theta Omega"):
+            cw.solve_symplectic_frame(basis, LogSeries.constant(-1), 1)
+
+    def test_wrong_coupling_rejected(self, quintic_basis, quintic_yukawa):
+        y = quintic_yukawa.series(quintic_basis.order)
+        with pytest.raises(NormalizationMissing, match="triple coupling"):
+            cw.solve_symplectic_frame(
+                quintic_basis, y + LogSeries.monomial(1, 3), 5)
 
     def test_ramified_basis_rejected(self, quintic_basis):
         half = LogSeries.monomial(1, F(1, 2), order=quintic_basis.order)
@@ -375,7 +466,7 @@ class TestSymplecticFrame:
         basis = PeriodBasis(omegas, quintic_basis.operator,
                             quintic_basis.order)
         with pytest.raises(DomainError, match="unramified"):
-            frames._wronskians(basis, 1)
+            frames._wronskians(basis, 1, frames._FRAME_PAIRS)
 
 
 class TestGriffithsIdentity:

@@ -59,6 +59,78 @@ def random_reversible(rng, order):
     return LogSeries.from_coefficients(coeffs, order=order)
 
 
+def _joined(a, b):
+    order = a.order if b.order is None else (
+        b.order if a.order is None else min(a.order, b.order))
+    return math.lcm(a.ramification, b.ramification), order
+
+
+def add_reference(a, b):
+    """Dict-keyed sum over (exponent, log degree), the pre-row algorithm."""
+    r, order = _joined(a, b)
+    terms = dict(a.items())
+    for key, c in b.items():
+        terms[key] = terms.get(key, F(0)) + c
+    return LogSeries(terms, order=order, ramification=r)
+
+
+def mul_reference(a, b):
+    """Dict-keyed product; any surviving term past log^3 overflows."""
+    r, order = _joined(a, b)
+    terms = {}
+    for (e1, k1), c1 in a.items():
+        for (e2, k2), c2 in b.items():
+            e = e1 + e2
+            if order is not None and e >= order:
+                continue
+            if k1 + k2 > 3:
+                raise LogDegreeOverflow(f"log(z)^{k1 + k2}")
+            terms[(e, k1 + k2)] = terms.get((e, k1 + k2), F(0)) + c1 * c2
+    return LogSeries(terms, order=order, ramification=r)
+
+
+def theta_reference(a):
+    """Dict-keyed z d/dz."""
+    terms = {}
+    for (e, k), c in a.items():
+        if e != 0:
+            terms[(e, k)] = terms.get((e, k), F(0)) + e * c
+        if k > 0:
+            terms[(e, k - 1)] = terms.get((e, k - 1), F(0)) + k * c
+    return LogSeries(terms, order=a.order, ramification=a.ramification)
+
+
+def lattice_series(rng):
+    """Sparse series on the 1/r lattice, r in 1..3, log degree up to 3,
+    exact or truncated at an integer or fractional order."""
+    r = rng.choice([1, 2, 3])
+    order = rng.choice([None, 1, 2, 4, F(1, 2), F(7, 2), F(17, 3)])
+    terms = {}
+    for _ in range(rng.randrange(0, 6)):
+        key = (F(rng.randrange(0, 5 * r), r), rng.choice([0, 0, 1, 2, 3]))
+        terms[key] = F(rng.randrange(-9, 10), rng.randrange(1, 7))
+    return LogSeries(terms, order=order, ramification=r)
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or LogDegreeOverflow if it raised that."""
+    try:
+        return fn(*args)
+    except LogDegreeOverflow:
+        return LogDegreeOverflow
+
+
+def assert_same(got, ref):
+    """Equal as series and on the same lattice and window."""
+    if ref is LogDegreeOverflow:
+        assert got is LogDegreeOverflow
+        return
+    assert got == ref
+    assert (got.ramification, got.order) == (ref.ramification, ref.order)
+    assert list(got.items()) == list(ref.items())
+    assert got.rows() == ref.rows()
+
+
 def random_series(rng, order=6, with_logs=False, ram=1):
     terms = {}
     for _ in range(rng.randrange(1, 8)):
@@ -350,6 +422,75 @@ class TestProperties:
             a = random_series(rng, order=8)
             b = random_series(rng, order=8)
             assert (a * b).truncate(5) == a.truncate(5) * b.truncate(5)
+
+
+class TestRowsMatchDictReference:
+    """The row arithmetic against the dict-keyed algorithms it replaced."""
+
+    def test_add(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            a, b = lattice_series(rng), lattice_series(rng)
+            assert_same(a + b, add_reference(a, b))
+            assert_same(a - b, add_reference(a, -1 * b))
+
+    def test_mul(self):
+        rng = random.Random(41)
+        overflows = 0
+        for _ in range(300):
+            a, b = lattice_series(rng), lattice_series(rng)
+            ref = outcome(mul_reference, a, b)
+            overflows += ref is LogDegreeOverflow
+            assert_same(outcome(a.__mul__, b), ref)
+        assert 20 < overflows < 280
+
+    def test_theta(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            a = lattice_series(rng)
+            assert_same(a.theta(), theta_reference(a))
+
+    def test_log_degree_overflow_cases(self):
+        lz2 = LogSeries({(F(1), 2): F(1)}, order=3)
+        # the only log^4 term sits at z^2, inside the window
+        assert_same(outcome(lz2.__mul__, lz2),
+                    outcome(mul_reference, lz2, lz2))
+        # ... and at z^4, beyond it: nothing overflows
+        far = LogSeries({(F(2), 2): F(1)}, order=3)
+        assert_same(far * far, mul_reference(far, far))
+        # log^4 terms that cancel still overflow, term by term
+        a = LogSeries({(F(1), 2): F(1), (F(2), 3): F(1)}, order=3)
+        b = LogSeries({(F(1), 2): F(1), (F(0), 1): F(-1)}, order=3)
+        assert_same(outcome(a.__mul__, b), outcome(mul_reference, a, b))
+        assert outcome(a.__mul__, b) is LogDegreeOverflow
+        with pytest.raises(LogDegreeOverflow):
+            LogSeries({(F(0), 4): F(1)})
+        with pytest.raises(LogDegreeOverflow):
+            LogSeries.from_rows([[], [], [], [], [0, 1]], order=3)
+        assert LogSeries.from_rows([[], [], [], [], [0, 0, 0, 1]],
+                                   order=3).is_zero
+
+    def test_equality_across_lattices(self):
+        whole = LogSeries({(F(1), 0): F(2)}, order=3)
+        assert whole == LogSeries({(F(1), 0): F(2)}, order=3, ramification=2)
+        assert whole == LogSeries({(F(1), 0): F(2)}, order=3, ramification=3)
+        assert whole != LogSeries({(F(1), 0): F(2), (F(1, 2), 0): F(1)},
+                                  order=3, ramification=2)
+        assert whole != LogSeries({(F(1), 0): F(2)}, ramification=2)
+        assert whole + LogSeries.zero(order=3, ramification=2) == whole
+
+    def test_rows_round_trip(self):
+        rng = random.Random(47)
+        for _ in range(100):
+            a = lattice_series(rng)
+            assert len(a.rows()) == 4
+            width = len(a.rows()[0])
+            if a.order is not None:
+                assert width == math.ceil(a.order * a.ramification)
+            else:
+                assert width == 1 or any(row[-1] for row in a.rows())
+            assert_same(LogSeries.from_rows(a.rows(), a.order,
+                                            a.ramification), a)
 
 
 class TestJson:

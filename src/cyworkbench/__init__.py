@@ -9,20 +9,18 @@ recursion (closed and open-string extended).
 
 __version__ = "0.1.0"
 
-from .anomaly import (AnomalyGrid, BernoulliTable, GridField, PropagatorSpec,
-                      ResidualReport, bernoulli, constant_map_contribution,
+from .anomaly import (AnomalyGrid, GridField, PropagatorSpec, ResidualReport,
+                      bernoulli, constant_map_contribution,
                       covariant_derivative, ehae_residual, genus2_integrate,
                       hae_residual, holomorphic_limit)
 from .errors import WorkbenchError
 from .families import constant_coupling_family, family_from_json, \
-    family_to_json, quintic, sextic
+    family_to_json
 from .frames import SymplecticFrame, solve_symplectic_frame
 from .genus0 import (CYFamilyConfig, GWPotential, InstantonResult, MirrorMap,
-                     YukawaCoupling, YukawaData, assemble_genus0,
-                     build_mirror_map, check_special_geometry_identity,
-                     compute_yukawa, coupling_from_potential,
-                     extract_instantons, flat_yukawa, genus0_export,
-                     yukawa_theta)
+                     YukawaCoupling, assemble_genus0, build_mirror_map,
+                     coupling_from_potential, extract_instantons, flat_yukawa,
+                     genus0_export, yukawa_theta)
 from .hodge import (HodgeEvaluator, HodgePointReport, fd_curvature_check,
                     griffiths_residuals, hodge_report_json, sample_points)
 from .picard_fuchs import PeriodBasis, PFOperator, frobenius_solve
@@ -32,20 +30,19 @@ from .series import EvalResult, LogSeries, Rational, format_rational, \
     parse_rational
 
 __all__ = [
-    "AnomalyGrid", "BernoulliTable", "CYFamilyConfig", "EvalResult",
-    "GWPotential", "GridField", "HodgeEvaluator", "HodgePointReport",
-    "InstantonResult", "LogSeries", "MirrorMap", "PFOperator", "PeriodBasis",
+    "AnomalyGrid", "CYFamilyConfig", "EvalResult", "GWPotential",
+    "GridField", "HodgeEvaluator", "HodgePointReport", "InstantonResult",
+    "LogSeries", "MirrorMap", "PFOperator", "PeriodBasis",
     "PropagatorSpec", "Rational", "ResidualReport", "SymplecticFrame",
-    "WorkbenchConfig", "WorkbenchError", "YukawaCoupling", "YukawaData",
-    "assemble_genus0", "bernoulli", "build_mirror_map",
-    "check_special_geometry_identity", "compute_yukawa", "config_hash",
+    "WorkbenchConfig", "WorkbenchError", "YukawaCoupling",
+    "assemble_genus0", "bernoulli", "build_mirror_map", "config_hash",
     "constant_coupling_family", "constant_map_contribution",
     "coupling_from_potential", "covariant_derivative", "ehae_residual",
     "extract_instantons", "family_from_json", "family_to_json",
     "fd_curvature_check", "flat_yukawa", "frobenius_solve",
     "genus0_export", "genus2_integrate", "griffiths_residuals",
     "hae_residual", "hodge_report_json", "holomorphic_limit",
-    "load_manifest", "parse_rational", "format_rational",
-    "quintic", "report", "run_pipeline", "sample_points", "sextic",
-    "solve_symplectic_frame", "yukawa_theta",
+    "load_manifest", "parse_rational", "format_rational", "report",
+    "run_pipeline", "sample_points", "solve_symplectic_frame",
+    "yukawa_theta",
 ]

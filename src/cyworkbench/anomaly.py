@@ -1,7 +1,7 @@
 """Constant-map contributions and anomaly-equation residuals on grids.
 
-The genus-g constant-map term is exact rational arithmetic built on a
-Bernoulli table.  Everything else operates on sampled non-holomorphic
+The genus-g constant-map term is exact rational arithmetic built on
+Bernoulli numbers.  Everything else operates on sampled non-holomorphic
 data: fields F_g(z, zbar) tabulated on a rectangular grid whose two
 axes are independent holomorphic and antiholomorphic samples.  The
 verifier differentiates by central finite differences, assembles the
@@ -43,36 +43,22 @@ _GUARD_BITS = 24
 # ----------------------------------------------------------------------
 # Bernoulli numbers and constant maps
 
-class BernoulliTable:
-    """B_0..B_bound via the defining recurrence, exact over Q.
-
-    sum_{k=0}^{n} binom(n+1, k) B_k = 0 for n >= 1, with B_0 = 1.
-    """
-
-    def __init__(self, bound: int = 2):
-        self.values: dict[int, Fraction] = {0: Fraction(1)}
-        self.extend(bound)
-
-    def extend(self, bound: int) -> None:
-        for n in range(max(self.values) + 1, bound + 1):
-            acc = Fraction(0)
-            for k in range(n):
-                acc += math.comb(n + 1, k) * self.values[k]
-            self.values[n] = -acc / (n + 1)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError("Bernoulli index must be nonnegative")
-        if n not in self.values:
-            self.extend(n)
-        return self.values[n]
-
-
-_BERNOULLI = BernoulliTable(16)
+_BERNOULLI = [Fraction(1)]
 
 
 def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention)."""
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention).
+
+    From sum_{k=0}^{n} binom(n+1, k) B_k = 0 for n >= 1 with B_0 = 1;
+    computed values are kept in a module-level list.
+    """
+    if n < 0:
+        raise DomainError("Bernoulli index must be nonnegative")
+    for m in range(len(_BERNOULLI), n + 1):
+        acc = Fraction(0)
+        for k in range(m):
+            acc += math.comb(m + 1, k) * _BERNOULLI[k]
+        _BERNOULLI.append(-acc / (m + 1))
     return _BERNOULLI[n]
 
 
@@ -221,9 +207,6 @@ class AnomalyGrid:
             raise MissingField(f"grid is missing field {name!r}")
         return GridField(self.fields[name])
 
-    def has_field(self, name: str) -> bool:
-        return name in self.fields
-
     def with_field(self, name: str, values) -> "AnomalyGrid":
         if isinstance(values, GridField):
             values = values.values
@@ -357,12 +340,6 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         c_tensor = grid.field("C")
         lhs = _central(grid, grid.field(_open_name(g, h)), "zbar")
-        bracket = None
-        if g >= 1:
-            prev = grid.field(_open_name(g - 1, h))
-            k_prev = _open_weight(g - 1, h)
-            bracket = covariant_derivative(
-                grid, covariant_derivative(grid, prev, k_prev, 0), k_prev, 1)
         d_cache = {}
 
         def dfield(gg, hh):
@@ -372,6 +349,10 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
                     _open_weight(gg, hh), 0)
             return d_cache[(gg, hh)]
 
+        bracket = None
+        if g >= 1:
+            bracket = covariant_derivative(
+                grid, dfield(g - 1, h), _open_weight(g - 1, h), 1)
         for g1 in range(0, g + 1):
             for h1 in range(0, h + 1):
                 pair1, pair2 = (g1, h1), (g - g1, h - h1)
@@ -431,9 +412,9 @@ def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
     """Integrate the genus-2 recursion with a declared propagator.
 
     F_2 = (1/2) S (D D F_1 + (D F_1)^2) + ambiguity(z), with ambiguity a
-    holomorphic function of z (callable, constant, or None).  The
-    output is accepted only if its own recursion residual stays below
-    the tolerance; there is no silent failure mode.
+    holomorphic function of z given as a callable, or None.  The output
+    is accepted only if its own recursion residual stays below the
+    tolerance; there is no silent failure mode.
     """
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         propagator.verify(grid, tolerance)
@@ -443,11 +424,7 @@ def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
         bracket = _fadd(ddf1, _fmul(df1, df1))
         f2 = _fscale(mp.mpf(1) / 2, _fmul(propagator.as_field(), bracket))
         if ambiguity is not None:
-            if callable(ambiguity):
-                amb = grid.tabulate(lambda z, w: mp.mpc(ambiguity(z)))
-            else:
-                amb = grid.tabulate(lambda z, w: mp.mpc(ambiguity))
-            f2 = _fadd(f2, amb)
+            f2 = _fadd(f2, grid.tabulate(lambda z, w: mp.mpc(ambiguity(z))))
         check_grid = grid.with_field("F2", f2)
         report = hae_residual(check_grid, 2)
         if report.max_abs > tolerance:

@@ -8,8 +8,8 @@
     workbench hodge-report <config.json> [--samples N] [--radius-fraction F] ...
 
 Exit codes: 0 success, 1 configuration error, 2 violated mathematical
-precondition, 3 numeric tolerance failure.  WORKBENCH_OUT overrides the
-output directory.
+precondition, 3 numeric tolerance failure.  The output directory is
+--out, else WORKBENCH_OUT, else the config's output_dir.
 """
 
 from __future__ import annotations
@@ -41,9 +41,16 @@ def _load_json(path) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _resolve_out(args) -> str:
-    out = getattr(args, "out", None) or os.environ.get("WORKBENCH_OUT")
-    return out or "workbench-out"
+def _resolve_out(args, cfg: WorkbenchConfig | None = None) -> str | None:
+    """--out, then WORKBENCH_OUT, then the config's output_dir.
+
+    A command with a config falls back to "workbench-out"; one without
+    (genus2) writes nothing when no directory is named.
+    """
+    out = args.out or os.environ.get("WORKBENCH_OUT")
+    if cfg is not None:
+        out = out or cfg.output_dir or "workbench-out"
+    return out
 
 
 def _load_config(args) -> WorkbenchConfig:
@@ -62,8 +69,7 @@ def _load_config(args) -> WorkbenchConfig:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    out = args.out or os.environ.get("WORKBENCH_OUT") or cfg.output_dir \
-        or "workbench-out"
+    out = _resolve_out(args, cfg)
     entry = run_pipeline(cfg, out)
     print(f"run complete: {out} (config {entry['config_hash'][:16]})")
     for a in entry["artifacts"]:
@@ -77,22 +83,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_hae_check(args) -> int:
+def _cmd_residual_check(args) -> int:
     grid = AnomalyGrid.from_json(_load_json(args.grid))
-    rep = hae_residual(grid, args.genus)
-    print(f"hae residual (g={args.genus}): max {mp.nstr(rep.max_abs, 8)} "
+    if args.command == "hae-check":
+        rep = hae_residual(grid, args.genus)
+        label = f"hae residual (g={args.genus})"
+    else:
+        rep = ehae_residual(grid, args.genus, args.holes)
+        label = f"ehae residual (g={args.genus}, h={args.holes})"
+    print(f"{label}: max {mp.nstr(rep.max_abs, 8)} "
           f"mean {mp.nstr(rep.mean_abs, 8)}")
-    if args.tolerance is not None and rep.max_abs > args.tolerance:
-        print(f"FAIL: above tolerance {args.tolerance}")
-        return 3
-    return 0
-
-
-def _cmd_ehae_check(args) -> int:
-    grid = AnomalyGrid.from_json(_load_json(args.grid))
-    rep = ehae_residual(grid, args.genus, args.holes)
-    print(f"ehae residual (g={args.genus}, h={args.holes}): "
-          f"max {mp.nstr(rep.max_abs, 8)} mean {mp.nstr(rep.mean_abs, 8)}")
     if args.tolerance is not None and rep.max_abs > args.tolerance:
         print(f"FAIL: above tolerance {args.tolerance}")
         return 3
@@ -105,7 +105,7 @@ def _cmd_genus2(args) -> int:
     f2, rep = genus2_integrate(grid, prop, tolerance=args.tolerance or 1e-8)
     print(f"genus-2 integration: residual max {mp.nstr(rep.max_abs, 8)} "
           f"mean {mp.nstr(rep.mean_abs, 8)}")
-    out = getattr(args, "out", None) or os.environ.get("WORKBENCH_OUT")
+    out = _resolve_out(args)
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -123,7 +123,7 @@ def _cmd_hodge_report(args) -> int:
         basis, yukawa_theta(cfg.family).series(basis.order),
         cfg.family.triple_intersection)
     doc = hodge_stage(cfg, basis, frame, config_hash(cfg))
-    outdir = Path(_resolve_out(args))
+    outdir = Path(_resolve_out(args, cfg))
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "hodge.json").write_text(
         json.dumps(doc, indent=1, sort_keys=True) + "\n")
@@ -156,14 +156,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("--genus", type=int, default=2)
     p.add_argument("--tolerance", type=float)
-    p.set_defaults(func=_cmd_hae_check)
+    p.set_defaults(func=_cmd_residual_check)
 
     p = sub.add_parser("ehae-check", help="open-string residual on a grid")
     p.add_argument("grid")
     p.add_argument("--genus", type=int, default=0)
     p.add_argument("--holes", type=int, default=2)
     p.add_argument("--tolerance", type=float)
-    p.set_defaults(func=_cmd_ehae_check)
+    p.set_defaults(func=_cmd_residual_check)
 
     p = sub.add_parser("genus2", help="integrate genus 2 with a propagator")
     p.add_argument("grid")

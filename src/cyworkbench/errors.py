@@ -60,10 +60,6 @@ class NotMUM(MathPreconditionError):
     """Indicial polynomial at z = 0 is not a quadruple root at 0."""
 
 
-class ResonanceFailure(MathPreconditionError):
-    """A Frobenius recurrence step is not uniquely solvable."""
-
-
 class NonMeromorphic(MathPreconditionError):
     """The triple-coupling ODE has no rational-function solution."""
 

@@ -87,36 +87,12 @@ def _pairing(wr, gram, order) -> LogSeries:
     return LogSeries.from_rows(rows, order)
 
 
-# standard Gram matrix in the basis (alpha_0, alpha_1, beta^0, beta^1)
-STANDARD_J = (
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (-1, 0, 0, 0),
-    (0, -1, 0, 0),
-)
-
-
 @dataclass(frozen=True)
 class SymplecticFrame:
-    """Darboux frame data for the rank-4 local system (kappa = 1).
+    """Constant pairing on the rank-4 local system (kappa = 1), given by
+    its antisymmetric Gram matrix S in the Frobenius basis."""
 
-    ``transition`` maps Frobenius coordinates to coordinates in the
-    (alpha, beta) basis, whose Gram matrix is ``STANDARD_J``;
-    ``gram_frobenius`` is the induced Gram matrix S = T^T J T in the
-    Frobenius basis.
-    """
-
-    transition: tuple = ()
-    gram_frobenius: tuple = ()
-
-    def pairing(self, u, v):
-        """Q(u, v) for vectors in the (alpha, beta) basis."""
-        total = 0
-        for i, row in enumerate(STANDARD_J):
-            for j, q in enumerate(row):
-                if q:
-                    total = total + q * u[i] * v[j]
-        return total
+    gram_frobenius: tuple
 
     def pairing_series(self, basis: PeriodBasis, derivative: int) -> LogSeries:
         """The exact series Q(Omega, theta^derivative Omega)."""
@@ -150,21 +126,4 @@ def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
     if not res3.is_zero:
         raise NormalizationMissing(
             "Q(Omega, theta^3 Omega) does not reproduce the triple coupling")
-    return SymplecticFrame(transition=_transition_from_gram(s),
-                           gram_frobenius=gram)
-
-
-def _transition_from_gram(s03: Fraction) -> tuple:
-    """T with T^T J T = S for S supported on (0,3) and (1,2).
-
-    Columns are the (alpha, beta) coordinates of the Frobenius basis
-    vectors: e0 -> alpha_0, e1 -> alpha_1, e2 -> -s beta^1, e3 -> s beta^0,
-    which realizes Q(e0, e3) = s and Q(e1, e2) = -s.
-    """
-    s = Fraction(s03)
-    return (
-        (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(0), s),
-        (Fraction(0), Fraction(0), -s, Fraction(0)),
-    )
+    return SymplecticFrame(gram_frobenius=gram)

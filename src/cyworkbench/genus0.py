@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (DomainError, IntegralityViolation, NonMeromorphic,
-                     NormalizationMissing)
-from .frames import SymplecticFrame
+from .errors import DomainError, IntegralityViolation, NonMeromorphic
 from .picard_fuchs import PeriodBasis, PFOperator, Poly
 from .series import LogSeries, _mul_trunc, format_rational
 
@@ -98,14 +96,6 @@ class YukawaCoupling:
                          "power": power}
                         for coeffs, power in self.factors],
         }
-
-
-@dataclass(frozen=True)
-class YukawaData:
-    """Theta-coordinate coupling and its flat-coordinate q-expansion."""
-
-    y_theta: YukawaCoupling
-    c_ttt: LogSeries
 
 
 @dataclass(frozen=True)
@@ -288,18 +278,6 @@ def flat_yukawa(y: YukawaCoupling, basis: PeriodBasis,
     return c_z.compose(mm.z_of_q)
 
 
-def compute_yukawa(config: CYFamilyConfig, basis: PeriodBasis,
-                   mm: MirrorMap) -> YukawaData:
-    """Both coupling presentations, checked against the classical value."""
-    y = yukawa_theta(config)
-    c_ttt = flat_yukawa(y, basis, mm)
-    kappa = Fraction(config.triple_intersection)
-    if y.scale != kappa or c_ttt.constant_term != kappa:
-        raise DomainError("coupling does not restrict to the classical "
-                          "triple intersection at the large-radius point")
-    return YukawaData(y_theta=y, c_ttt=c_ttt)
-
-
 def extract_instantons(c_ttt: LogSeries, config: CYFamilyConfig,
                        strict: bool = True) -> InstantonResult:
     """Invert the multiple-cover sum C_ttt = kappa + sum n_d d^3 q^d/(1-q^d).
@@ -355,14 +333,6 @@ def coupling_from_potential(potential: GWPotential) -> LogSeries:
     third = potential.quantum.theta().theta().theta()
     return third + LogSeries.constant(6 * potential.classical_cubic,
                                       order=third.order)
-
-
-def check_special_geometry_identity(basis: PeriodBasis,
-                                    frame: SymplecticFrame | None) -> LogSeries:
-    """The series Q(Omega, theta Omega); vanishes for a normalized frame."""
-    if frame is None:
-        raise NormalizationMissing("no symplectic frame supplied")
-    return frame.pairing_series(basis, 1)
 
 
 def genus0_export(config: CYFamilyConfig, result: InstantonResult,

@@ -31,6 +31,9 @@ from .picard_fuchs import PeriodBasis
 from .series import LogSeries
 
 _GUARD_BITS = 24
+# relative bound in point() on the imaginary parts of the sign-law
+# pairings and on |(Omega, Omega)|
+_SIGN_TOL = 1e-18
 
 
 @dataclass(frozen=True)
@@ -169,8 +172,7 @@ class HodgeEvaluator:
                     f"{mp.nstr(z0, 8)}")
             return -mp.log(g00.real)
 
-    def point(self, z0, branch: int = 0,
-              sign_tol: float = 1e-18) -> HodgePointReport:
+    def point(self, z0, branch: int = 0) -> HodgePointReport:
         with mp.workprec(self.prec_bits + _GUARD_BITS):
             z0 = mp.mpc(z0)
             self._check_inside(z0)
@@ -180,17 +182,17 @@ class HodgeEvaluator:
             adj = self.sign_adjust
             g00 = adj * self._pair_conj(u0, u0)
             self_abs = abs(mp.mpc(0, 1) * self._pair(u0, u0))
-            if g00.real <= 0 or abs(g00.imag) > sign_tol * abs(g00.real):
+            if g00.real <= 0 or abs(g00.imag) > _SIGN_TOL * abs(g00.real):
                 raise SignViolation(
                     f"(Omega, bar Omega) = {mp.nstr(g00, 8)} fails the "
                     f"positivity law at {mp.nstr(z0, 8)}")
-            if self_abs > 1e-18 * g00.real:
+            if self_abs > _SIGN_TOL * g00.real:
                 raise SignViolation("(Omega, Omega) is not numerically zero")
             lam = adj * self._pair_conj(u1, u0) / g00
             d_theta = [a - lam * b for a, b in zip(u1, u0)]
             d_z = [x / z0 for x in d_theta]
             dd = adj * self._pair_conj(d_z, d_z)
-            if dd.real >= 0 or abs(dd.imag) > sign_tol * abs(dd.real):
+            if dd.real >= 0 or abs(dd.imag) > _SIGN_TOL * abs(dd.real):
                 raise SignViolation(
                     f"(D Omega, bar D Omega) = {mp.nstr(dd, 8)} fails the "
                     f"negativity law at {mp.nstr(z0, 8)}")
@@ -222,18 +224,14 @@ class HodgeEvaluator:
         return report
 
 
-def fd_curvature_check(evaluator, z0, h, tolerance: float | None = 1e-6,
-                       frame: SymplecticFrame | None = None,
-                       prec_bits: int = 256) -> CurvatureCheck:
+def fd_curvature_check(evaluator: HodgeEvaluator, z0, h,
+                       tolerance: float | None = 1e-6) -> CurvatureCheck:
     """Compare algebraic curvature with a central difference of K.
 
     F_{z zbar} = d^2 K / dz dzbar is approximated by the five-point
     Laplacian stencil (quadratic order in the step h); the stencil
-    points z0 +- h and z0 +- ih must stay inside the disk.  Accepts a
-    prepared HodgeEvaluator, or a PeriodBasis plus ``frame``.
+    points z0 +- h and z0 +- ih must stay inside the disk.
     """
-    if isinstance(evaluator, PeriodBasis):
-        evaluator = HodgeEvaluator(evaluator, frame, prec_bits)
     with mp.workprec(evaluator.prec_bits + _GUARD_BITS):
         z0 = mp.mpc(z0)
         h = mp.mpf(h)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NotMUM, ResonanceFailure
+from .errors import DomainError, NotMUM
 from .series import LogSeries, format_rational, parse_rational
 
 Poly = tuple[Fraction, ...]  # ascending z-coefficients
@@ -61,13 +61,10 @@ def _jet_mul(u, v):
     return tuple(out)
 
 
-def _jet_inv_quartic(n: int, lead: Fraction):
-    """Inverse of lead*(lam+n)^4 in Q[lam]/(lam^4), n >= 1."""
-    if n == 0 or lead == 0:
-        raise ResonanceFailure("recurrence pivot vanished")
+def _jet_inv_quartic(n: int):
+    """Inverse of (lam+n)^4 in Q[lam]/(lam^4), n >= 1."""
     nf = Fraction(n)
-    base = (nf ** -4, -4 * nf ** -5, 10 * nf ** -6, -20 * nf ** -7)
-    return _jet_scale(base, 1 / lead)
+    return (nf ** -4, -4 * nf ** -5, 10 * nf ** -6, -20 * nf ** -7)
 
 
 @dataclass(frozen=True)
@@ -157,10 +154,6 @@ class PeriodBasis:
         return self.omegas[0]
 
     @property
-    def omega1(self) -> LogSeries:
-        return self.omegas[1]
-
-    @property
     def sigma1(self) -> LogSeries:
         """Log-free correction in omega_1 = omega_0 log z + sigma_1.
 
@@ -187,7 +180,7 @@ def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:
         for j in range(1, min(n, maxj) + 1):
             pj = op._theta_poly_jet(j, n - j)
             acc = _jet_add(acc, _jet_mul(pj, jets[n - j]))
-        inv = _jet_inv_quartic(n, Fraction(1))
+        inv = _jet_inv_quartic(n)
         jets.append(_jet_scale(_jet_mul(acc, inv), Fraction(-1)))
     # f_i(z) = sum_n c_{n,i} z^n; omega_k = sum_{j<=k} f_{k-j} log^j z / j!
     order = Fraction(order)

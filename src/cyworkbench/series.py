@@ -236,11 +236,6 @@ class LogSeries:
         return max((k for k, row in enumerate(self._rows) if any(row)),
                    default=0)
 
-    def valuation(self) -> Fraction | None:
-        """Smallest exponent present, or None for the zero series."""
-        first = next(self.items(), None)
-        return None if first is None else first[0][0]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogSeries):
             return NotImplemented
@@ -461,9 +456,9 @@ class LogSeries:
         """Substitute ``inner`` (zero constant term) for the variable.
 
         Both series must be unramified and log-free; the result is
-        correct modulo z^min(orders) because the inner series has
-        valuation >= 1.  Horner's rule on dense lists: R_e = a_e + inner *
-        R_(e+1) is needed only modulo z^(N-e), as inner^e has valuation >= e.
+        correct modulo z^min(orders) because the inner series starts at
+        z^1.  Horner's rule on dense lists: R_e = a_e + inner * R_(e+1) is
+        needed only modulo z^(N-e), as inner^e starts at z^e.
         """
         if self.ramification != 1 or inner.ramification != 1:
             raise DomainError("composition requires unramified series")

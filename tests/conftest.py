@@ -1,13 +1,24 @@
 """Shared fixtures: quintic pipeline objects reused across the suite."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 import cyworkbench as cw
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_family(name):
+    """The family of the shipped config ``configs/<name>.json``."""
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    return cw.family_from_json(doc["family"])
+
 
 @pytest.fixture(scope="session")
 def quintic_family():
-    return cw.quintic()
+    return shipped_family("quintic")
 
 
 @pytest.fixture(scope="session")

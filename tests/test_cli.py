@@ -127,6 +127,32 @@ class TestRun:
         assert (target / "instantons.json").exists()
 
 
+class TestOutputDirectory:
+    """One rule: --out, then WORKBENCH_OUT, then the config's output_dir."""
+
+    @pytest.mark.parametrize("command", ["run", "hodge-report"])
+    def test_config_output_dir(self, tmp_path, monkeypatch, command):
+        cfg = fast_quintic_config(tmp_path,
+                                  output_dir=str(tmp_path / "cfg-out"))
+        monkeypatch.delenv("WORKBENCH_OUT", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert main([command, str(cfg)]) == 0
+        assert (tmp_path / "cfg-out" / "hodge.json").exists()
+        assert not (tmp_path / "workbench-out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "hodge-report"])
+    def test_flag_then_env_before_config(self, tmp_path, monkeypatch,
+                                         command):
+        cfg = fast_quintic_config(tmp_path,
+                                  output_dir=str(tmp_path / "cfg-out"))
+        monkeypatch.setenv("WORKBENCH_OUT", str(tmp_path / "env-out"))
+        assert main([command, str(cfg)]) == 0
+        assert main([command, str(cfg), "--out",
+                     str(tmp_path / "flag-out")]) == 0
+        assert sorted(p.name for p in tmp_path.glob("*-out")) == \
+            ["env-out", "flag-out"]
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.json")]) == 1

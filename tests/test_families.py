@@ -1,4 +1,7 @@
-"""Second reference family: the pipeline is not quintic-specific."""
+"""Second reference family: the pipeline is not quintic-specific.
+
+The sextic is loaded from the shipped ``configs/sextic.json``.
+"""
 
 import math
 from fractions import Fraction as F
@@ -7,22 +10,24 @@ from mpmath import mp
 
 import cyworkbench as cw
 
+from conftest import shipped_family
+
 
 class TestSextic:
     def test_fundamental_period_oracle(self):
-        basis = cw.frobenius_solve(cw.sextic().pf, 10)
+        basis = cw.frobenius_solve(shipped_family("sextic").pf, 10)
         for d in range(10):
             assert basis.omega0[d] == F(
                 math.factorial(6 * d),
                 math.factorial(d) ** 4 * math.factorial(2 * d))
 
     def test_coupling_closed_form(self):
-        y = cw.yukawa_theta(cw.sextic())
+        y = cw.yukawa_theta(shipped_family("sextic"))
         assert y.scale == 3
         assert y.factors == (((F(1), F(-11664)), -1),)
 
     def test_instanton_numbers(self):
-        fam = cw.sextic()
+        fam = shipped_family("sextic")
         basis = cw.frobenius_solve(fam.pf, 12)
         mm = cw.build_mirror_map(basis)
         c = cw.flat_yukawa(cw.yukawa_theta(fam), basis, mm)
@@ -33,7 +38,7 @@ class TestSextic:
         assert not res.flagged
 
     def test_griffiths_residuals(self):
-        fam = cw.sextic()
+        fam = shipped_family("sextic")
         basis = cw.frobenius_solve(fam.pf, 10)
         frame = cw.solve_symplectic_frame(
             basis, cw.yukawa_theta(fam).series(basis.order), 3)
@@ -41,7 +46,7 @@ class TestSextic:
         assert r1.is_zero and r2.is_zero
 
     def test_hodge_signs_on_disk(self):
-        fam = cw.sextic()
+        fam = shipped_family("sextic")
         basis = cw.frobenius_solve(fam.pf, 60)
         frame = cw.solve_symplectic_frame(
             basis, cw.yukawa_theta(fam).series(basis.order), 3)
@@ -57,9 +62,9 @@ class TestSextic:
         assert chk.rel_error < 1e-6
 
     def test_constant_maps_use_family_euler(self):
-        assert cw.constant_map_contribution(2, cw.sextic().euler) == \
-            F(-204, 5760)
+        euler = shipped_family("sextic").euler
+        assert cw.constant_map_contribution(2, euler) == F(-204, 5760)
 
     def test_config_round_trip(self):
-        fam = cw.sextic()
+        fam = shipped_family("sextic")
         assert cw.family_from_json(cw.family_to_json(fam)) == fam

@@ -55,8 +55,7 @@ class TestPointReports:
         gram = [list(row) for row in quintic_frame.gram_frobenius]
         gram[1][2] = -gram[1][2]
         gram[2][1] = -gram[2][1]
-        bad = SymplecticFrame(gram_frobenius=tuple(tuple(r) for r in gram),
-                              transition=quintic_frame.transition)
+        bad = SymplecticFrame(gram_frobenius=tuple(tuple(r) for r in gram))
         ev = cw.HodgeEvaluator(quintic_basis, bad, prec_bits=128)
         with pytest.raises(SignViolation):
             ev.point(mp.mpc("1e-5", "1e-5"))
@@ -141,8 +140,7 @@ class TestGriffithsResiduals:
         gram = [list(row) for row in quintic_frame.gram_frobenius]
         gram[0][2] += 1
         gram[2][0] -= 1
-        bad = SymplecticFrame(gram_frobenius=tuple(tuple(r) for r in gram),
-                              transition=quintic_frame.transition)
+        bad = SymplecticFrame(gram_frobenius=tuple(tuple(r) for r in gram))
         r1, r2 = cw.griffiths_residuals(quintic_basis, bad)
         assert not (r1.is_zero and r2.is_zero)
 

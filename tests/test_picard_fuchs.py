@@ -6,9 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from cyworkbench.errors import NotMUM
-from cyworkbench.families import quintic
 from cyworkbench.picard_fuchs import PFOperator, frobenius_solve
 from cyworkbench.series import LogSeries
+
+from conftest import shipped_family
 
 
 def theta4() -> PFOperator:
@@ -33,13 +34,13 @@ class TestApplyOperator:
         assert theta4().apply(LogSeries.constant(1, order=5)).is_zero
 
     def test_quintic_annihilates_factorial_sum(self):
-        op = quintic().pf
+        op = shipped_family("quintic").pf
         assert op.apply(factorial_period(15)).is_zero
 
 
 class TestCheckMum:
     def test_quintic(self):
-        op = quintic().pf
+        op = shipped_family("quintic").pf
         assert op.is_mum()
         assert op.indicial_polynomial() == (F(0), F(0), F(0), F(0), F(1))
 
@@ -58,11 +59,11 @@ class TestCheckMum:
 
 class TestFrobenius:
     def test_quintic_fundamental_period(self):
-        basis = frobenius_solve(quintic().pf, 12)
+        basis = frobenius_solve(shipped_family("quintic").pf, 12)
         assert basis.omega0 == factorial_period(12)
 
     def test_quintic_sigma1_leading(self):
-        basis = frobenius_solve(quintic().pf, 6)
+        basis = frobenius_solve(shipped_family("quintic").pf, 6)
         sigma1 = basis.sigma1
         assert sigma1.is_log_free
         assert sigma1.constant_term == 0
@@ -70,13 +71,13 @@ class TestFrobenius:
         assert sigma1[2] == 810225
 
     def test_all_solutions_annihilated(self):
-        fam = quintic()
+        fam = shipped_family("quintic")
         basis = frobenius_solve(fam.pf, 10)
         for w in basis.omegas:
             assert fam.pf.apply(w).is_zero
 
     def test_log_structure(self):
-        basis = frobenius_solve(quintic().pf, 8)
+        basis = frobenius_solve(shipped_family("quintic").pf, 8)
         for k, w in enumerate(basis.omegas):
             assert w.log_degree == k
             # top log part is omega_0 log^k z / k!, exactly
@@ -115,7 +116,7 @@ class TestFrobenius:
         assert basis.omega0[1] == 1  # (0+1)^4 / 1^4
 
     def test_determinism(self):
-        op = quintic().pf
+        op = shipped_family("quintic").pf
         b1 = frobenius_solve(op, 9)
         b2 = frobenius_solve(op, 9)
         assert b1.omegas == b2.omegas
@@ -140,5 +141,5 @@ class TestOperatorBasics:
                        singular_radius=F(1))
 
     def test_json_round_trip(self):
-        op = quintic().pf
+        op = shipped_family("quintic").pf
         assert PFOperator.from_json(op.to_json()) == op

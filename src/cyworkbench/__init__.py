@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .anomaly import (AnomalyGrid, GridField, PropagatorSpec, ResidualReport,
                       bernoulli, constant_map_contribution,
                       covariant_derivative, ehae_residual, genus2_integrate,
-                      hae_residual, holomorphic_limit)
+                      hae_residual)
 from .errors import WorkbenchError
 from .families import constant_coupling_family, family_from_json, \
     family_to_json
@@ -26,11 +26,10 @@ from .hodge import (HodgeEvaluator, HodgePointReport, fd_curvature_check,
 from .picard_fuchs import PeriodBasis, PFOperator, frobenius_solve
 from .pipeline import (WorkbenchConfig, config_hash, load_manifest, report,
                        run_pipeline)
-from .series import EvalResult, LogSeries, Rational, format_rational, \
-    parse_rational
+from .series import LogSeries, Rational, format_rational, parse_rational
 
 __all__ = [
-    "AnomalyGrid", "CYFamilyConfig", "EvalResult", "GWPotential",
+    "AnomalyGrid", "CYFamilyConfig", "GWPotential",
     "GridField", "HodgeEvaluator", "HodgePointReport", "InstantonResult",
     "LogSeries", "MirrorMap", "PFOperator", "PeriodBasis",
     "PropagatorSpec", "Rational", "ResidualReport", "SymplecticFrame",
@@ -41,7 +40,7 @@ __all__ = [
     "extract_instantons", "family_from_json", "family_to_json",
     "fd_curvature_check", "flat_yukawa", "frobenius_solve",
     "genus0_export", "genus2_integrate", "griffiths_residuals",
-    "hae_residual", "hodge_report_json", "holomorphic_limit",
+    "hae_residual", "hodge_report_json",
     "load_manifest", "parse_rational", "format_rational", "report",
     "run_pipeline", "sample_points", "solve_symplectic_frame",
     "yukawa_theta",

@@ -33,9 +33,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import (BoundaryPoint, DomainError, MissingField, NoConvergence,
-                     NonUniformGrid, PropagatorMismatch,
-                     ResidualToleranceError, UnstableRange, malformed_input)
+from .errors import (BoundaryPoint, DomainError, MissingField, NonUniformGrid,
+                     PropagatorMismatch, ResidualToleranceError,
+                     UnstableRange, malformed_input)
 
 _GUARD_BITS = 24
 
@@ -432,61 +432,3 @@ def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
                 f"integrated F_2 has residual {mp.nstr(report.max_abs, 6)} "
                 f"above tolerance {tolerance}")
     return f2, report
-
-
-# ----------------------------------------------------------------------
-# holomorphic limit
-
-@dataclass(frozen=True)
-class LimitResult:
-    """Extrapolated zbar-independent profile and its quality measure."""
-
-    profile: tuple
-    residual: object
-    convention: str
-
-
-def holomorphic_limit(grid: AnomalyGrid, name_or_field, weight: int = 0,
-                      x0_values=None) -> LimitResult:
-    """Extrapolate a field to the zbar-limit edge of the grid.
-
-    The last zbar slice is the limit estimate; the gap to the previous
-    slice is the reported residual.  The zbar-dependence must decay
-    toward the edge, otherwise NoConvergence.  For weight k != 0 the
-    profile is multiplied by x0^(-k) per z-node (x0_values required).
-    """
-    f = grid.field(name_or_field) if isinstance(name_or_field, str) \
-        else name_or_field
-    with mp.workprec(grid.prec_bits + _GUARD_BITS):
-        last = len(grid.zbar_nodes) - 1
-
-        def step_gap(j):
-            gap = mp.mpf(0)
-            for i in range(len(grid.z_nodes)):
-                a, b = f.values[i][j], f.values[i][j + 1]
-                if a is None or b is None:
-                    continue
-                gap = max(gap, abs(a - b))
-            return gap
-
-        first_step, last_step = step_gap(0), step_gap(last - 1)
-        if last_step > first_step and last_step > mp.mpf("1e-30"):
-            raise NoConvergence(
-                "field does not decay toward the limit regime "
-                f"(edge step {mp.nstr(last_step, 6)} > interior step "
-                f"{mp.nstr(first_step, 6)})")
-        last_gap = last_step
-        profile = []
-        for i in range(len(grid.z_nodes)):
-            v = f.values[i][last]
-            if v is None:
-                profile.append(None)
-                continue
-            if weight != 0:
-                if x0_values is None:
-                    raise DomainError(
-                        "x0 values are required for a weighted limit")
-                v = v * x0_values[i] ** (-weight)
-            profile.append(v)
-    return LimitResult(profile=tuple(profile), residual=last_gap,
-                       convention=grid.limit_convention)

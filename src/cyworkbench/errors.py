@@ -113,9 +113,5 @@ class PropagatorMismatch(NumericToleranceError):
     """Declared propagator does not satisfy its dbar-equation."""
 
 
-class NoConvergence(NumericToleranceError):
-    """Field does not decay toward the holomorphic-limit regime."""
-
-
 class ResidualToleranceError(NumericToleranceError):
     """An integrated free energy failed its own residual check."""

@@ -8,9 +8,11 @@ canonical line.  For a point z0 on the slit disk the pairing of a
 section with a conjugate uses componentwise conjugation in the
 log-twisted coordinate frame w_k / (2 pi i)^k; the twist makes the
 large-radius coordinate t/(2 pi i) the one with growing imaginary part,
-which is the regime where the sign laws hold.  The residual overall
-sign is fixed empirically at one real reference point and then held
-fixed, as the orientation is conventional.
+which is the regime where the sign laws hold.  The overall sign is
+exact: for a Gram matrix with S_12 = -S_03 the leading term of
+i Q(Omega, bar Omega) near z = 0 is -(4/3) S_03 (|log z| / 2 pi)^3, so
+the orientation is -sign(S_03), which is +1 for every validated frame
+(S_03 = -kappa).
 
 Point evaluations are independent and all inputs immutable, so sample
 grids parallelize across processes (mpmath precision contexts are
@@ -25,7 +27,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import DomainError, OutsideDisk, PrecisionLoss, SignViolation
+from .errors import (DomainError, NormalizationMissing, OutsideDisk,
+                     PrecisionLoss, SignViolation)
 from .frames import SymplecticFrame
 from .picard_fuchs import PeriodBasis
 from .series import LogSeries
@@ -69,37 +72,43 @@ class CurvatureCheck:
 
 
 class HodgeEvaluator:
-    """Caches numeric period data for repeated point evaluation."""
+    """Caches numeric period data for repeated point evaluation.
+
+    Every tower entry is read off the four log-free Frobenius series
+    f_0..f_3 of the basis (omega_k = sum_j f_{k-j} log^j z / j!):
+    with L the branch-shifted log z,
+
+        theta^d omega_k = sum_{j<=k} sum_{m<=min(d,j)}
+                          C(d,m) (theta^(d-m) f_(k-j)) L^(j-m) / (j-m)!,
+
+    and theta^e f_i(z0) = sum_n n^e f_i[n] z0^n is one dot product.
+    """
 
     def __init__(self, basis: PeriodBasis, frame: SymplecticFrame,
                  prec_bits: int = 256):
-        self.basis = basis
-        self.frame = frame
+        if any(w.ramification != 1 for w in basis.omegas):
+            raise DomainError("period series must be unramified")
         self.prec_bits = prec_bits
-        self.radius = basis.operator.singular_radius
-        self._n_terms = math.ceil(basis.order)
+        jets = [w.rows()[0] for w in basis.omegas]
+        self._n_terms = len(jets[0])
+        radius = basis.operator.singular_radius
+        s03 = frame.gram_frobenius[0][3]
+        if s03 == 0:
+            raise NormalizationMissing("pairing has S_03 = 0")
+        # orientation from the leading log term (module docstring)
+        self.sign_adjust = 1 if s03 < 0 else -1
         with mp.workprec(prec_bits + _GUARD_BITS):
-            series_row = list(basis.omegas)
-            self._tables = [[self._compile(s) for s in series_row]]
-            for _ in range(3):
-                series_row = [s.theta() for s in series_row]
-                self._tables.append([self._compile(s) for s in series_row])
+            # _dots[e][i][n] = n^e f_i[n]
+            self._dots = [[[mp.mpf(n ** e * c.numerator) / c.denominator
+                            for n, c in enumerate(f)] for f in jets]
+                          for e in range(4)]
             self._S = [[mp.mpf(x.numerator) / x.denominator for x in row]
                        for row in frame.gram_frobenius]
-            self._radius_f = mp.mpf(self.radius.numerator) / self.radius.denominator
-            # empirical orientation at a small real reference point
-            zref = self._radius_f * mp.mpf("0.001")
-            u0 = self._twisted(self._towers(zref, 0, 1)[0])
-            raw = self._pair_conj(u0, u0)
-            self.sign_adjust = 1 if raw.real > 0 else -1
-
-    def _compile(self, series: LogSeries):
-        """Rows transposed: table[n][k] is the z^n log^k z coefficient."""
-        if series.ramification != 1:
-            raise DomainError("period series must be unramified")
-        zero = mp.mpf(0)
-        return [[mp.mpf(c.numerator) / c.denominator if c else zero
-                 for c in column] for column in zip(*series.rows())]
+            self._radius_f = mp.mpf(radius.numerator) / radius.denominator
+            # top retained coefficient of omega_3 over its log powers
+            top = (jets[3 - j][-1] / math.factorial(j) for j in range(4))
+            self._top = max(abs(mp.mpf(c.numerator) / c.denominator)
+                            for c in top) or mp.mpf(1)
 
     def _towers(self, z0, branch: int, rows: int = 4):
         """Values of theta^der w_i for der < rows and i in 0..3 at z0."""
@@ -107,20 +116,13 @@ class HodgeEvaluator:
         powers = [mp.mpc(1)]
         for _ in range(1, self._n_terms):
             powers.append(powers[-1] * z0)
-        out = []
-        for der in range(rows):
-            row = []
-            for i in range(4):
-                table = self._tables[der][i]
-                total = mp.mpc(0)
-                for n in range(self._n_terms):
-                    c0, c1, c2, c3 = table[n]
-                    horner = c0 + log_z * (c1 + log_z * (c2 + log_z * c3))
-                    if horner != 0:
-                        total += powers[n] * horner
-                row.append(total)
-            out.append(row)
-        return out
+        jet = [[mp.fdot(vec, powers) for vec in self._dots[e]]
+               for e in range(rows)]
+        log_pow = [mp.mpf(1), log_z, log_z ** 2 / 2, log_z ** 3 / 6]
+        return [[mp.fsum(math.comb(d, m) * jet[d - m][k - m - p] * log_pow[p]
+                         for m in range(min(d, k) + 1)
+                         for p in range(k - m + 1))
+                 for k in range(4)] for d in range(rows)]
 
     def _twisted(self, vec):
         two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
@@ -148,8 +150,7 @@ class HodgeEvaluator:
         ratio = abs(z0) / self._radius_f
         if ratio >= 1:
             return mp.inf
-        top = max(abs(c) for c in self._tables[0][3][self._n_terms - 1]) or mp.mpf(1)
-        lead = top * abs(z0) ** (self._n_terms - 1)
+        lead = self._top * abs(z0) ** (self._n_terms - 1)
         logfac = max(mp.mpf(1), abs(log_z)) ** 3
         return lead * logfac * ratio / (1 - ratio)
 

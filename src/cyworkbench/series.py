@@ -19,10 +19,7 @@ explicit in the result.  An ``order`` of ``None`` marks an exact finite
 expression (a polynomial in z^(1/r) and log z); its rows end at the top
 nonzero coefficient.
 
-Coefficients stay in ``fractions.Fraction`` end to end; floating point
-enters only through :meth:`LogSeries.eval`, which returns an
-mpmath-backed value at a caller-chosen binary precision together with a
-crude geometric tail bound.
+Coefficients stay in ``fractions.Fraction`` end to end.
 
 Instances are immutable and safe to share across threads.
 """
@@ -30,14 +27,11 @@ Instances are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Mapping
 
-from mpmath import mp, mpf
-
-from .errors import DomainError, LogDegreeOverflow, NotAUnit, OutsideDisk
+from .errors import DomainError, LogDegreeOverflow, NotAUnit
 
 Rational = Fraction
 
@@ -80,15 +74,6 @@ def _min_order(a: Fraction | None, b: Fraction | None) -> Fraction | None:
     if b is None:
         return a
     return min(a, b)
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Numeric value of a truncated series plus a crude tail bound."""
-
-    value: object  # mpmath mpc
-    tail_bound: object  # mpmath mpf
-    prec_bits: int
 
 
 class LogSeries:
@@ -503,52 +488,6 @@ class LogSeries:
             power = _mul_trunc(power, h, nn - 1)
             b.append(Fraction(power[m - 1], m))
         return LogSeries.from_coefficients(b, order=order)
-
-    # ------------------------------------------------------------------
-    # numeric boundary
-
-    def eval(self, z0, radius, branch: int = 0, prec_bits: int = 256) -> EvalResult:
-        """Evaluate at ``z0`` with ``|z0|`` inside the convergence disk.
-
-        ``branch`` shifts log z by 2*pi*i*branch off the principal
-        branch.  The tail bound extrapolates the last retained
-        coefficient geometrically with ratio |z0|/radius.
-        """
-        with mp.workprec(prec_bits + 20):
-            z0 = mp.mpc(z0)
-            if isinstance(radius, Fraction):
-                rad = mpf(radius.numerator) / radius.denominator
-            else:
-                rad = mpf(radius)
-            if abs(z0) >= rad:
-                raise OutsideDisk(f"|z0| = {abs(z0)} >= radius {rad}")
-            if z0 == 0:
-                c = self.constant_term
-                value = mp.mpc(c.numerator) / c.denominator
-                if any(row[0] for row in self._rows[1:]):
-                    raise DomainError("series has log terms; cannot evaluate at 0")
-                return EvalResult(value, mpf(0), prec_bits)
-            lz = mp.log(z0) + 2 * mp.pi * mp.mpc(0, 1) * branch
-            total = mp.mpc(0)
-            terms = list(self.items())
-            for (e, k), c in terms:
-                term = mp.mpf(c.numerator) / c.denominator
-                term = term * mp.exp(lz * mp.mpf(e.numerator) / e.denominator) \
-                    if e != 0 else term
-                if k:
-                    term = term * lz ** k
-                total += term
-            ratio = abs(z0) / rad
-            tail = mpf(0)
-            if terms and self.order is not None and ratio < 1:
-                e_top = terms[-1][0][0]
-                c_top = max(abs(mp.mpf(c.numerator) / c.denominator)
-                            for (e, k), c in terms if e == e_top)
-                lead = c_top * abs(z0) ** mp.mpf(float(e_top))
-                logfac = max(mpf(1), abs(lz)) ** self.log_degree
-                tail = lead * logfac * ratio / (1 - ratio)
-            value = +total
-        return EvalResult(value, tail, prec_bits)
 
     # ------------------------------------------------------------------
     # serialization

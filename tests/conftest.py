@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 import cyworkbench as cw
 
@@ -14,6 +15,16 @@ def shipped_family(name):
     """The family of the shipped config ``configs/<name>.json``."""
     doc = json.loads((CONFIGS / f"{name}.json").read_text())
     return cw.family_from_json(doc["family"])
+
+
+def series_value(series, z0):
+    """Sum of c z0^(i/r) log^k z0 over ``series.rows()``, at the ambient
+    precision and on the principal branch."""
+    r, log_z = series.ramification, mp.log(z0)
+    return mp.fsum(mp.mpf(c.numerator) / c.denominator
+                   * mp.exp(log_z * i / r) * log_z ** k
+                   for k, row in enumerate(series.rows())
+                   for i, c in enumerate(row) if c)
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,8 @@ from cyworkbench.anomaly import AnomalyGrid, GridField, PropagatorSpec
 from cyworkbench.cli import main
 from cyworkbench.series import LogSeries
 
+from conftest import series_value
+
 
 @contextlib.contextmanager
 def criterion(num, desc):
@@ -215,7 +217,7 @@ def test_criterion_09_extended_residual_suite():
         series = LogSeries({(F(1, 2), 0): F(1), (F(3, 2), 0): F(2)},
                            order=3, ramification=2)
         with mp.workprec(280):
-            vals = [[series.eval(zv, radius=1).value for _ in w_nodes]
+            vals = [[series_value(series, zv) for _ in w_nodes]
                     for zv in z_nodes]
             half_grid = AnomalyGrid(z_nodes, w_nodes, {"f": vals},
                                     prec_bits=256)
@@ -225,7 +227,7 @@ def test_criterion_09_extended_residual_suite():
             for i, zv in enumerate(z_nodes):
                 if fd.values[i][0] is None:
                     continue
-                expected = theta_series.eval(zv, radius=1).value / zv
+                expected = series_value(theta_series, zv) / zv
                 assert abs(fd.values[i][0] - expected) < mp.mpf("1e-4")
 
 

@@ -11,9 +11,11 @@ import cyworkbench as cw
 from cyworkbench.anomaly import (_central, _fadd, _fmul, _fscale, _fsub,
                                  AnomalyGrid, GridField, PropagatorSpec)
 from cyworkbench.errors import (BoundaryPoint, DomainError, MissingField,
-                                NoConvergence, NonUniformGrid,
-                                PropagatorMismatch, UnstableRange)
+                                NonUniformGrid, PropagatorMismatch,
+                                UnstableRange)
 from cyworkbench.series import LogSeries
+
+from conftest import series_value
 
 
 # ----------------------------------------------------------------------
@@ -497,7 +499,7 @@ class TestOpenResidual:
         with mp.workprec(280):
             nodes = [mp.mpf("0.2") + k * mp.mpf("0.001") for k in range(7)]
             w_nodes = [mp.mpf("0.1"), mp.mpf("0.101"), mp.mpf("0.102")]
-            vals = [[s.eval(zv, radius=1).value for _ in w_nodes]
+            vals = [[series_value(s, zv) for _ in w_nodes]
                     for zv in nodes]
             grid = AnomalyGrid(nodes, w_nodes, {"f": vals}, prec_bits=256)
             fd = _central(grid, grid.field("f"), "z")
@@ -505,7 +507,7 @@ class TestOpenResidual:
                 row = fd.values[i]
                 if row[0] is None:
                     continue
-                expected = ds.eval(zv, radius=1).value / zv
+                expected = series_value(ds, zv) / zv
                 assert abs(row[0] - expected) < mp.mpf("1e-4")
 
 
@@ -583,48 +585,3 @@ class TestGenus2Integration:
         from cyworkbench.errors import ResidualToleranceError
         with pytest.raises(ResidualToleranceError):
             cw.genus2_integrate(grid, prop, tolerance=1e-8)
-
-
-class TestHolomorphicLimit:
-    def test_zbar_independent_returns_input(self):
-        z, w = sympy.symbols("z w")
-        grid = build_grid({"f": z ** 2 + 0 * w}, nz=5, nw=6)
-        res = cw.holomorphic_limit(grid, "f", weight=0)
-        assert res.residual < mp.mpf("1e-70")
-        for i, zv in enumerate(grid.z_nodes):
-            assert res.profile[i] == grid.field("f").values[i][-1]
-
-    def test_decaying_tail(self):
-        z, w = sympy.symbols("z w")
-        grid = build_grid({"f": z + sympy.exp(-40 * w)}, nz=5, nw=8)
-        res = cw.holomorphic_limit(grid, "f", weight=0)
-        assert res.residual < mp.mpf("1e-3")
-        for i, zv in enumerate(grid.z_nodes):
-            assert abs(res.profile[i] - zv) < mp.mpf("1e-3")
-
-    def test_weighted_limit_applies_x0_power(self):
-        z, w = sympy.symbols("z w")
-        grid = build_grid({"f": 1 + 0 * z}, nz=4, nw=4)
-        x0 = [mp.mpf(2)] * 4
-        res = cw.holomorphic_limit(grid, "f", weight=-2, x0_values=x0)
-        # weight 2-2g = -2 means genus 2: profile multiplied by x0^2
-        for v in res.profile:
-            assert abs(v - 4) < mp.mpf("1e-70")
-
-    def test_weight_zero_needs_no_x0(self):
-        z, w = sympy.symbols("z w")
-        grid = build_grid({"f": z + 0 * w}, nz=4, nw=4)
-        res = cw.holomorphic_limit(grid, "f", weight=0)
-        assert res.profile[1] == grid.field("f").values[1][-1]
-
-    def test_growing_field_rejected(self):
-        z, w = sympy.symbols("z w")
-        grid = build_grid({"f": z + sympy.exp(40 * w)}, nz=4, nw=8)
-        with pytest.raises(NoConvergence):
-            cw.holomorphic_limit(grid, "f", weight=0)
-
-    def test_missing_x0_rejected(self):
-        z, w = sympy.symbols("z w")
-        grid = build_grid({"f": 1 + 0 * z}, nz=4, nw=4)
-        with pytest.raises(DomainError):
-            cw.holomorphic_limit(grid, "f", weight=-2)

@@ -1,10 +1,15 @@
-"""Runtime dependencies: the package imports with mpmath alone."""
+"""Runtime dependencies: the package imports with mpmath alone, and the
+exact layer does not import it at all."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# modules that compute in Fraction only; errors is their one other import
+EXACT_LAYER = ("series", "picard_fuchs", "frames", "genus0")
 
 
 def test_import_does_not_load_sympy():
@@ -13,3 +18,24 @@ def test_import_does_not_load_sympy():
     proc = subprocess.run([sys.executable, "-c", code, str(SRC)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def _imports(name):
+    """(level, module) for every import statement in cyworkbench.<name>."""
+    tree = ast.parse((SRC / "cyworkbench" / f"{name}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((0, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.level, node.module or ""
+
+
+def test_exact_layer_is_float_free():
+    allowed = set(EXACT_LAYER) | {"errors"}
+    for name in EXACT_LAYER:
+        imports = list(_imports(name))
+        assert not [m for level, m in imports
+                    if level == 0 and m.split(".")[0] == "mpmath"], name
+        # relative imports stay inside the exact layer, so none of them
+        # pulls mpmath in either
+        assert {m for level, m in imports if level} <= allowed, name

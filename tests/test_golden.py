@@ -6,6 +6,13 @@ at a fixed precision and is pinned the same way.  The digests below were
 recorded for the shipped quintic and sextic families at truncation order
 12, two Hodge samples, Hodge order 48 and 128 bits.  A change that moves
 one of them changes the program's output and has to say so.
+
+One ``hodge.json`` key is rounding residue, not a value: Q is
+antisymmetric, so i Q(Omega, Omega) vanishes identically and
+``self_pairing_abs`` prints whatever the period kernel's rounding leaves
+of it.  Any change to how the periods are summed moves that key, and
+with it the ``hodge.json`` digests, while every other printed digit
+stays put.
 """
 
 import hashlib
@@ -24,16 +31,16 @@ GOLDEN = {
                         "aa8674f1e21bc1b6e194d3c26aba1fe9",
         "instantons.json": "0cc7d7433d096faa051a6c0e42e2d36b"
                            "20b01f4607ec6507c3498ae7f8808957",
-        "hodge.json": "2d2abf43e9a125e5cc2f723aa076561d"
-                      "79a1427053a5db04cc7a39865795d9b7",
+        "hodge.json": "767cca449d6e7f7387b7320d60bf5ae0"
+                      "1c9a8ef14c9b0605d6c75038a9b5233c",
     },
     "sextic": {
         "periods.json": "0b0de1f60be1de78a6b0c1e2fdc62b77"
                         "8779ae221527cd5ebb991468a684370d",
         "instantons.json": "7f535e307fa0e6faca1da7a6b3e68a04"
                            "763aa20f907fee6656198a36de095afc",
-        "hodge.json": "71caefcea22e8724e046409fda94f3df"
-                      "cbddfbd5448afb4b0aac727f41d2f9a0",
+        "hodge.json": "9cff21bb93a8a6764e4d6665ca24d89f"
+                      "4fd217ef454c0a527528848891b92595",
     },
 }
 

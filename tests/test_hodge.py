@@ -1,11 +1,47 @@
 """Point reports, sign laws, and finite-difference curvature."""
 
+import math
+import random
+
 import pytest
 from mpmath import mp
 
 import cyworkbench as cw
-from cyworkbench.errors import OutsideDisk, PrecisionLoss, SignViolation
+from cyworkbench.errors import (NormalizationMissing, OutsideDisk,
+                               PrecisionLoss, SignViolation)
 from cyworkbench.frames import SymplecticFrame
+
+from conftest import shipped_family
+
+
+def _compile(series):
+    """Rows transposed: table[n][k] is the z^n log^k z coefficient."""
+    zero = mp.mpf(0)
+    return [[mp.mpf(c.numerator) / c.denominator if c else zero
+             for c in column] for column in zip(*series.rows())]
+
+
+def reference_towers(basis, z0, rows=4):
+    """theta^der w_i at z0 by Horner in log z over the exact theta-series
+    of every w_i, the evaluator's former route."""
+    tables, series_row = [], list(basis.omegas)
+    for _ in range(rows):
+        tables.append([_compile(s) for s in series_row])
+        series_row = [s.theta() for s in series_row]
+    log_z = mp.log(z0)
+    powers = [mp.mpc(1)]
+    for _ in range(1, math.ceil(basis.order)):
+        powers.append(powers[-1] * z0)
+    out = []
+    for row in tables:
+        values = []
+        for table in row:
+            total = mp.mpc(0)
+            for power, (c0, c1, c2, c3) in zip(powers, table):
+                total += power * (c0 + log_z * (c1 + log_z * (c2 + log_z * c3)))
+            values.append(total)
+        out.append(values)
+    return out
 
 
 class TestPointReports:
@@ -45,6 +81,33 @@ class TestPointReports:
         assert rep.tail_bound_rel < mp.mpf("1e-20")
         assert rep.prec_bits == 256
 
+    def test_fundamental_period_partial_sums(self, quintic_family,
+                                             quintic_frame):
+        basis = cw.frobenius_solve(quintic_family.pf, 6)
+        ev = cw.HodgeEvaluator(basis, quintic_frame, prec_bits=128)
+        with mp.workprec(150):
+            z0 = mp.mpf("1e-6")
+            value = ev.point(z0).period_vector[0]
+            oracle = sum(
+                (mp.mpf(math.factorial(5 * d)) / math.factorial(d) ** 5)
+                * z0 ** d for d in range(6))
+            assert abs(value - oracle) < mp.mpf("1e-30")
+            assert abs(value - mp.mpf("1.0001201135684742")) < 1e-12
+
+    def test_branch_shift(self, quintic_hodge):
+        # log z -> log z + 2 pi i takes w_1 to w_1 + 2 pi i w_0, and the
+        # same for every theta-derivative
+        z0 = mp.mpc("1e-5", "2e-5")
+        base = quintic_hodge.point(z0)
+        shifted = quintic_hodge.point(z0, branch=1)
+        with mp.workprec(280):
+            two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+            for row in ("period_vector", "theta1", "theta2", "theta3"):
+                w, v = getattr(base, row), getattr(shifted, row)
+                assert v[0] == w[0]
+                assert abs(v[1] - w[1] - two_pi_i * w[0]) < \
+                    mp.mpf("1e-60") * abs(w[1])
+
     def test_outside_disk(self, quintic_hodge):
         with pytest.raises(OutsideDisk):
             quintic_hodge.point(mp.mpc("0.001"))
@@ -59,6 +122,59 @@ class TestPointReports:
         ev = cw.HodgeEvaluator(quintic_basis, bad, prec_bits=128)
         with pytest.raises(SignViolation):
             ev.point(mp.mpc("1e-5", "1e-5"))
+
+
+class TestReferenceRoute:
+    """The jet kernel against the former per-series Horner route."""
+
+    @pytest.fixture(scope="class", params=["quintic", "sextic"])
+    def family_data(self, request):
+        fam = shipped_family(request.param)
+        basis = cw.frobenius_solve(fam.pf, 48)
+        frame = cw.solve_symplectic_frame(
+            basis, cw.yukawa_theta(fam).series(basis.order),
+            fam.triple_intersection)
+        return fam, basis, frame
+
+    @pytest.mark.parametrize("prec_bits", [128, 256, 2048])
+    def test_towers_and_kahler(self, family_data, prec_bits):
+        fam, basis, frame = family_data
+        ev = cw.HodgeEvaluator(basis, frame, prec_bits)
+        rng = random.Random(prec_bits)
+        radius = fam.pf.singular_radius
+        with mp.workprec(prec_bits + 24):
+            bound = mp.mpf(2) ** -prec_bits
+            rad = mp.mpf(radius.numerator) / radius.denominator
+            for _ in range(4):
+                z0 = mp.mpc(rad * mp.mpf(rng.uniform(0.01, 0.5))
+                            * mp.expjpi(mp.mpf(rng.uniform(-0.8, 0.8))))
+                ref = reference_towers(basis, z0)
+                got = ev._towers(z0, 0)
+                for ref_row, got_row in zip(ref, got):
+                    for a, b in zip(ref_row, got_row):
+                        assert abs(a - b) <= bound * abs(a)
+                u0 = ev._twisted(ref[0])
+                k_ref = -mp.log((ev.sign_adjust * ev._pair_conj(u0, u0)).real)
+                assert abs(ev.kahler(z0) - k_ref) <= bound * abs(k_ref)
+
+    def test_orientation_matches_sampled_rule(self, family_data):
+        # the former rule: the sign of (Omega, bar Omega) at 0.001 radius
+        fam, basis, frame = family_data
+        ev = cw.HodgeEvaluator(basis, frame, 128)
+        radius = fam.pf.singular_radius
+        with mp.workprec(152):
+            zref = mp.mpf(radius.numerator) / radius.denominator / 1000
+            u0 = ev._twisted(reference_towers(basis, zref, rows=1)[0])
+            sampled = 1 if ev._pair_conj(u0, u0).real > 0 else -1
+        assert ev.sign_adjust == sampled == 1
+
+
+    def test_orientation_needs_s03(self, quintic_basis, quintic_frame):
+        gram = [list(row) for row in quintic_frame.gram_frobenius]
+        gram[0][3] = gram[3][0] = 0
+        bad = SymplecticFrame(gram_frobenius=tuple(tuple(r) for r in gram))
+        with pytest.raises(NormalizationMissing):
+            cw.HodgeEvaluator(quintic_basis, bad, prec_bits=128)
 
 
 class TestSignSuite:

@@ -5,10 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from mpmath import mp
 
-from cyworkbench.errors import (DomainError, LogDegreeOverflow, NotAUnit,
-                                OutsideDisk)
+from cyworkbench.errors import DomainError, LogDegreeOverflow, NotAUnit
 from cyworkbench.series import LogSeries, format_rational, parse_rational
 
 
@@ -296,42 +294,6 @@ class TestRevert:
             LogSeries.from_coefficients([0, 0, 1], order=4).revert()
 
 
-class TestEval:
-    def test_constant_at_zero(self):
-        res = LogSeries.from_coefficients([1, 1], order=4).eval(0, radius=1)
-        assert res.value == 1
-
-    def test_linear(self):
-        res = LogSeries.variable(order=4).eval(0.5, radius=1)
-        assert abs(res.value - 0.5) < 1e-60
-
-    def test_fundamental_period_partial_sums(self):
-        w0 = geom_quintic(6)
-        with mp.workprec(150):
-            z0 = mp.mpf("1e-6")
-            res = w0.eval(z0, radius=F(1, 3125), prec_bits=128)
-            oracle = sum(
-                (mp.mpf(math.factorial(5 * d)) / math.factorial(d) ** 5)
-                * z0 ** d for d in range(6))
-            assert abs(res.value - oracle) < mp.mpf("1e-30")
-            assert abs(res.value - mp.mpf("1.0001201135684742")) < 1e-12
-
-    def test_outside_disk(self):
-        with pytest.raises(OutsideDisk):
-            LogSeries.variable(order=4).eval(0.5, radius=F(1, 4))
-
-    def test_branch_shift(self):
-        lz = LogSeries.log_z(order=2)
-        base = lz.eval(0.25, radius=1).value
-        shifted = lz.eval(0.25, radius=1, branch=1).value
-        assert abs(shifted - base - 2j * mp.pi) < 1e-60
-
-    def test_tail_bound_reported(self):
-        res = geom_quintic(6).eval(1e-4, radius=F(1, 3125), prec_bits=128)
-        assert res.tail_bound > 0
-        assert res.prec_bits == 128
-
-
 class TestProperties:
     """Randomized ring laws, exact to truncation order."""
 
@@ -399,22 +361,6 @@ class TestProperties:
             a = random_series(rng)
             a = a - LogSeries.constant(a.constant_term, order=a.order)
             assert a.exp().log() == a
-
-    def test_eval_compatible_with_ring_ops(self):
-        rng = random.Random(23)
-        z0 = mp.mpf("0.001")
-        for _ in range(10):
-            a = random_series(rng)
-            b = random_series(rng)
-            ra = a.eval(z0, radius=1)
-            rb = b.eval(z0, radius=1)
-            vab = (a * b).eval(z0, radius=1)
-            # cross terms dropped by truncation are covered by the tails
-            budget = mp.mpf("1e-40") + 3 * (
-                vab.tail_bound
-                + ra.tail_bound * (abs(rb.value) + 1)
-                + rb.tail_bound * (abs(ra.value) + 1))
-            assert abs(vab.value - ra.value * rb.value) <= budget
 
     def test_truncation_monotone(self):
         rng = random.Random(29)

@@ -20,9 +20,14 @@ Weil-Petersson metric.  The sign of the line term is pinned by the
 k = -1 case, where D reproduces the projection formula for the
 holomorphic volume form.
 
-Grids are immutable after construction; residual evaluation touches
-points independently, so large grids parallelize across processes
-(mpmath precision contexts are process-global).
+Grids are immutable after construction, so each grid keeps a private
+memo of the fields derived from it, built once at the grid's working
+precision: the connection (Gamma and dK) and the first and second
+covariant derivatives of each named field, keyed by (name, weight,
+order).  ``with_field`` keeps the entries that do not read the replaced
+field and drops them all when it replaces G or K.  The public
+``covariant_derivative`` of an arbitrary field is not memoised; it
+reads the cached connection.
 """
 
 from __future__ import annotations
@@ -119,46 +124,38 @@ class GridField:
                     out = max(out, abs(v))
         return out
 
-    def mean_abs(self):
-        total, count = mp.mpf(0), 0
-        for row in self.values:
-            for v in row:
-                if v is not None:
-                    total += abs(v)
-                    count += 1
-        return total / count if count else mp.mpf(0)
-
     def valid_count(self) -> int:
         return sum(1 for row in self.values for v in row if v is not None)
 
 
-def _map2(f, a, b):
+def _pointwise(fn, *fields):
+    """fn applied entry by entry; None wherever any operand is None."""
     return GridField(tuple(
-        tuple(None if (x is None or y is None) else f(x, y)
-              for x, y in zip(ra, rb))
-        for ra, rb in zip(a.values, b.values)))
-
-
-def _map1(f, a):
-    return GridField(tuple(
-        tuple(None if x is None else f(x) for x in row)
-        for row in a.values))
+        tuple(None if any(x is None for x in xs) else fn(*xs)
+              for xs in zip(*rows))
+        for rows in zip(*(f.values for f in fields))))
 
 
 def _fadd(a, b):
-    return _map2(lambda x, y: x + y, a, b)
+    return _pointwise(lambda x, y: x + y, a, b)
 
 
 def _fsub(a, b):
-    return _map2(lambda x, y: x - y, a, b)
+    return _pointwise(lambda x, y: x - y, a, b)
 
 
 def _fmul(a, b):
-    return _map2(lambda x, y: x * y, a, b)
+    return _pointwise(lambda x, y: x * y, a, b)
 
 
 def _fscale(c, a):
-    return _map1(lambda x: c * x, a)
+    return _pointwise(lambda x: c * x, a)
+
+
+def _check_shape(rows, z_nodes, zbar_nodes, what: str):
+    if len(rows) != len(z_nodes) or any(
+            len(r) != len(zbar_nodes) for r in rows):
+        raise NonUniformGrid(f"{what} does not match the grid shape")
 
 
 @dataclass(frozen=True)
@@ -187,12 +184,11 @@ class AnomalyGrid:
         shaped = {}
         for name, values in self.fields.items():
             rows = tuple(tuple(row) for row in values)
-            if len(rows) != len(self.z_nodes) or any(
-                    len(r) != len(self.zbar_nodes) for r in rows):
-                raise NonUniformGrid(
-                    f"field {name!r} does not match the grid shape")
+            _check_shape(rows, self.z_nodes, self.zbar_nodes,
+                         f"field {name!r}")
             shaped[name] = rows
         object.__setattr__(self, "fields", shaped)
+        object.__setattr__(self, "_memo", {})
 
     @property
     def step_z(self):
@@ -212,7 +208,12 @@ class AnomalyGrid:
             values = values.values
         new_fields = dict(self.fields)
         new_fields[name] = tuple(tuple(row) for row in values)
-        return replace(self, fields=new_fields)
+        out = replace(self, fields=new_fields)
+        # memo keys lead with the field they read; G and K enter everything
+        if name not in ("G", "K"):
+            out._memo.update((key, value) for key, value in self._memo.items()
+                             if key[0] != name)
+        return out
 
     def tabulate(self, fn) -> GridField:
         """Sample a callable fn(z, zbar) over the grid."""
@@ -264,14 +265,43 @@ def _central(grid: AnomalyGrid, f: GridField, axis: str) -> GridField:
     along_z = axis == "z"
     if len(grid.z_nodes if along_z else grid.zbar_nodes) < 3:
         raise BoundaryPoint(f"{axis} axis too short for a central stencil")
-    step = grid.step_z if along_z else grid.step_zbar
+    span = 2 * (grid.step_z if along_z else grid.step_zbar)
     lines = f.values if along_z else tuple(zip(*f.values))
     edge = tuple(None for _ in lines[0])
     out = [edge] + [
-        tuple(None if (u is None or d is None) else (u - d) / (2 * step)
+        tuple(None if (u is None or d is None) else (u - d) / span
               for u, d in zip(up, down))
         for down, up in zip(lines, lines[2:])] + [edge]
     return GridField(tuple(out) if along_z else tuple(zip(*out)))
+
+
+def _memoised(grid: AnomalyGrid, key: tuple, build) -> GridField:
+    """A derived field from the grid's memo, built on first use."""
+    if key not in grid._memo:
+        with mp.workprec(grid.prec_bits + _GUARD_BITS):
+            grid._memo[key] = build()
+    return grid._memo[key]
+
+
+def _gamma(grid: AnomalyGrid) -> GridField:
+    """Gamma = d log G."""
+    return _memoised(grid, ("G", "Gamma"), lambda: _central(
+        grid, _pointwise(mp.log, grid.field("G")), "z"))
+
+
+def _dk(grid: AnomalyGrid) -> GridField:
+    return _memoised(grid, ("K", "dK"),
+                     lambda: _central(grid, grid.field("K"), "z"))
+
+
+def _named_derivative(grid: AnomalyGrid, name: str, weight: int,
+                      order: int) -> GridField:
+    """D (order 1) or D D (order 2) of the named field of this weight."""
+    def build():
+        inner = (grid.field(name) if order == 1 else
+                 _named_derivative(grid, name, weight, order - 1))
+        return covariant_derivative(grid, inner, weight, order - 1)
+    return _memoised(grid, (name, weight, order), build)
 
 
 def covariant_derivative(grid: AnomalyGrid, f: GridField, weight: int,
@@ -281,15 +311,20 @@ def covariant_derivative(grid: AnomalyGrid, f: GridField, weight: int,
     D f = d f - tensor_degree * Gamma f + weight * (dK) f, with
     Gamma = d log G from the grid metric and K the Kahler potential.
     """
+    t, w = tensor_degree, weight
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
-        out = _central(grid, f, "z")
-        if tensor_degree:
-            gamma = _central(grid, _map1(mp.log, grid.field("G")), "z")
-            out = _fsub(out, _fscale(tensor_degree, _fmul(gamma, f)))
-        if weight:
-            dk = _central(grid, grid.field("K"), "z")
-            out = _fadd(out, _fscale(weight, _fmul(dk, f)))
-    return out
+        df = _central(grid, f, "z")
+        if t and w:
+            return _pointwise(
+                lambda d, x, gm, k: d - t * (gm * x) + w * (k * x),
+                df, f, _gamma(grid), _dk(grid))
+        if t:
+            return _pointwise(lambda d, x, gm: d - t * (gm * x),
+                              df, f, _gamma(grid))
+        if w:
+            return _pointwise(lambda d, x, k: d + w * (k * x),
+                              df, f, _dk(grid))
+    return df
 
 
 @dataclass(frozen=True)
@@ -302,7 +337,10 @@ class ResidualReport:
 
     @classmethod
     def of(cls, f: GridField) -> "ResidualReport":
-        return cls(residual=f, max_abs=f.max_abs(), mean_abs=f.mean_abs())
+        norms = [abs(v) for row in f.values for v in row if v is not None]
+        total = sum(norms, mp.mpf(0))
+        return cls(residual=f, max_abs=max([mp.mpf(0)] + norms),
+                   mean_abs=total / len(norms) if norms else total)
 
 
 def _open_weight(g: int, h: int) -> int:
@@ -340,35 +378,30 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         c_tensor = grid.field("C")
         lhs = _central(grid, grid.field(_open_name(g, h)), "zbar")
-        d_cache = {}
 
-        def dfield(gg, hh):
-            if (gg, hh) not in d_cache:
-                d_cache[(gg, hh)] = covariant_derivative(
-                    grid, grid.field(_open_name(gg, hh)),
-                    _open_weight(gg, hh), 0)
-            return d_cache[(gg, hh)]
+        def dfield(gg, hh, order=1):
+            return _named_derivative(grid, _open_name(gg, hh),
+                                     _open_weight(gg, hh), order)
 
-        bracket = None
-        if g >= 1:
-            bracket = covariant_derivative(
-                grid, dfield(g - 1, h), _open_weight(g - 1, h), 1)
+        bracket = dfield(g - 1, h, 2) if g >= 1 else None
         for g1 in range(0, g + 1):
             for h1 in range(0, h + 1):
                 pair1, pair2 = (g1, h1), (g - g1, h - h1)
                 if pair1 in _UNSTABLE or pair2 in _UNSTABLE:
                     continue
-                term = _fmul(dfield(*pair1), dfield(*pair2))
-                bracket = term if bracket is None else _fadd(bracket, term)
-        if bracket is None:
-            residual = lhs
-        else:
-            residual = _fsub(lhs, _fscale(mp.mpf(1) / 2,
-                                          _fmul(c_tensor, bracket)))
+                if bracket is None:
+                    bracket = _fmul(dfield(*pair1), dfield(*pair2))
+                else:
+                    bracket = _pointwise(lambda b, x, y: b + x * y, bracket,
+                                         dfield(*pair1), dfield(*pair2))
+        residual = lhs
+        if bracket is not None:
+            half = mp.mpf(1) / 2
+            residual = _pointwise(lambda r, c, b: r - half * (c * b),
+                                  lhs, c_tensor, bracket)
         if h >= 1:
-            delta = grid.field("Delta")
-            disk_term = _fmul(delta, dfield(g, h - 1))
-            residual = _fadd(residual, disk_term)
+            residual = _pointwise(lambda r, a, d: r + a * d, residual,
+                                  grid.field("Delta"), dfield(g, h - 1))
     return ResidualReport.of(residual)
 
 
@@ -386,6 +419,8 @@ class PropagatorSpec:
 
     def verify(self, grid: AnomalyGrid, tolerance: float = 1e-8):
         """Max deviation of dbar S from the grid C-tensor."""
+        _check_shape(self.values, grid.z_nodes, grid.zbar_nodes,
+                     "propagator S")
         target = grid.field("C")
         diff = _fsub(_central(grid, self.as_field(), "zbar"), target)
         mismatch = diff.max_abs()
@@ -418,11 +453,11 @@ def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
     """
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         propagator.verify(grid, tolerance)
-        f1 = grid.field("F1")
-        df1 = covariant_derivative(grid, f1, 0, 0)
-        ddf1 = covariant_derivative(grid, df1, 0, 1)
-        bracket = _fadd(ddf1, _fmul(df1, df1))
-        f2 = _fscale(mp.mpf(1) / 2, _fmul(propagator.as_field(), bracket))
+        half = mp.mpf(1) / 2
+        f2 = _pointwise(lambda s, dd, d: half * (s * (dd + d * d)),
+                        propagator.as_field(),
+                        _named_derivative(grid, "F1", 0, 2),
+                        _named_derivative(grid, "F1", 0, 1))
         if ambiguity is not None:
             f2 = _fadd(f2, grid.tabulate(lambda z, w: mp.mpc(ambiguity(z))))
         check_grid = grid.with_field("F2", f2)

@@ -102,7 +102,8 @@ def _cmd_residual_check(args) -> int:
 def _cmd_genus2(args) -> int:
     grid = AnomalyGrid.from_json(_load_json(args.grid))
     prop = PropagatorSpec.from_json(_load_json(args.propagator))
-    f2, rep = genus2_integrate(grid, prop, tolerance=args.tolerance or 1e-8)
+    tol = 1e-8 if args.tolerance is None else args.tolerance
+    f2, rep = genus2_integrate(grid, prop, tolerance=tol)
     print(f"genus-2 integration: residual max {mp.nstr(rep.max_abs, 8)} "
           f"mean {mp.nstr(rep.mean_abs, 8)}")
     out = _resolve_out(args)

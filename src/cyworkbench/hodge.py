@@ -110,9 +110,14 @@ class HodgeEvaluator:
             self._top = max(abs(mp.mpf(c.numerator) / c.denominator)
                             for c in top) or mp.mpf(1)
 
+    @staticmethod
+    def _log(z0, branch: int):
+        """L = log z0 + 2 pi i branch, the log the towers are built on."""
+        return mp.log(z0) + 2 * mp.pi * mp.mpc(0, 1) * branch
+
     def _towers(self, z0, branch: int, rows: int = 4):
         """Values of theta^der w_i for der < rows and i in 0..3 at z0."""
-        log_z = mp.log(z0) + 2 * mp.pi * mp.mpc(0, 1) * branch
+        log_z = self._log(z0, branch)
         powers = [mp.mpc(1)]
         for _ in range(1, self._n_terms):
             powers.append(powers[-1] * z0)
@@ -203,7 +208,6 @@ class HodgeEvaluator:
             h11 = adj * self._pair_conj(u1, u1)
             g_ratio = ((-h11.real + (abs(lam) ** 2) * g00.real)
                        / (abs(z0) ** 2)) / g00.real
-            log_z = mp.log(z0)
             report = HodgePointReport(
                 z0=z0,
                 prec_bits=self.prec_bits,
@@ -219,7 +223,7 @@ class HodgeEvaluator:
                 weil_petersson=g_wp,
                 weil_petersson_ratio=g_ratio,
                 chern_form_positive=bool(g_wp > 0),
-                tail_bound_rel=self._tail_rel(z0, log_z),
+                tail_bound_rel=self._tail_rel(z0, self._log(z0, branch)),
                 sign_adjust=adj,
             )
         return report

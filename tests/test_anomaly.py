@@ -1,5 +1,6 @@
 """Bernoulli/constant-map exact values and grid residual machinery."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ import sympy
 from mpmath import mp
 
 import cyworkbench as cw
+from cyworkbench import anomaly
 from cyworkbench.anomaly import (_central, _fadd, _fmul, _fscale, _fsub,
                                  AnomalyGrid, GridField, PropagatorSpec)
 from cyworkbench.errors import (BoundaryPoint, DomainError, MissingField,
@@ -585,3 +587,93 @@ class TestGenus2Integration:
         from cyworkbench.errors import ResidualToleranceError
         with pytest.raises(ResidualToleranceError):
             cw.genus2_integrate(grid, prop, tolerance=1e-8)
+
+
+# ----------------------------------------------------------------------
+# derived-field memo
+
+def workload_grid():
+    """Every field that hae (g=2), ehae (1,1) and genus 2 read, and S."""
+    z, w, exprs, s_prop = genus2_exprs()
+    exprs.update({"Delta": sympy.Rational(2, 3) - w / 5 + z / 8,
+                  "F0_1": 1 + z + z ** 2 / 3, "F1_1": z * w + w ** 2 / 7})
+    grid = build_grid(exprs)
+    fn = sympy.lambdify((z, w), s_prop, modules="mpmath")
+    with mp.workprec(280):
+        prop = PropagatorSpec(tuple(
+            tuple(mp.mpc(fn(zv, wv)) for wv in grid.zbar_nodes)
+            for zv in grid.z_nodes))
+    return grid, prop
+
+
+def workload_calls(prop):
+    return {"hae": lambda grid: cw.hae_residual(grid, 2),
+            "ehae": lambda grid: cw.ehae_residual(grid, 1, 1),
+            "genus2": lambda grid: cw.genus2_integrate(
+                grid, prop, tolerance=math.inf)[1]}
+
+
+def assert_same_report(a, b):
+    assert_identical(a.residual, b.residual)
+    assert a.max_abs == b.max_abs and a.mean_abs == b.mean_abs
+
+
+class TestDerivedFieldMemo:
+    @pytest.mark.parametrize("name", ["hae", "ehae", "genus2"])
+    def test_warm_grid_matches_fresh(self, name):
+        fresh, prop = workload_grid()
+        calls = workload_calls(prop)
+        expected = calls[name](fresh)
+        warm, _ = workload_grid()
+        for other, call in calls.items():
+            if other != name:
+                call(warm)
+        assert_same_report(calls[name](warm), expected)
+
+    @pytest.mark.parametrize("name, expr", [
+        ("F1", lambda z, w: z ** 3 - 2 * z),
+        ("G", lambda z, w: sympy.exp(z / 5) * (1 + z * w)),
+        ("K", lambda z, w: z / 3 - w * z / 2)])
+    def test_with_field_invalidates(self, name, expr):
+        grid, prop = workload_grid()
+        calls = workload_calls(prop)
+        for call in calls.values():
+            call(grid)
+        z, w = sympy.symbols("z w")
+        values = build_grid({name: expr(z, w)}).field(name)
+        fresh = AnomalyGrid(grid.z_nodes, grid.zbar_nodes,
+                            {**grid.fields, name: values.values})
+        replaced = grid.with_field(name, values)
+        for call in calls.values():
+            assert_same_report(call(replaced), call(fresh))
+
+    def test_one_pass_per_derived_field(self, monkeypatch):
+        """hae (g=2), ehae (1,1) and genus 2 on one grid: 10 central
+        differences and one log pass over G in total."""
+        grid, prop = workload_grid()
+        counts = {"central": 0, "log": 0}
+        central, log = anomaly._central, mp.log
+
+        def counting_central(*args):
+            counts["central"] += 1
+            return central(*args)
+
+        def counting_log(x):
+            counts["log"] += 1
+            return log(x)
+
+        monkeypatch.setattr(anomaly, "_central", counting_central)
+        monkeypatch.setattr(mp, "log", counting_log)
+        cw.hae_residual(grid, 2)
+        cw.ehae_residual(grid, 1, 1)
+        cw.genus2_integrate(grid, prop)
+        assert counts == {"central": 10,
+                          "log": grid.field("G").valid_count()}
+
+
+class TestPropagatorShape:
+    def test_wrong_shape_names_the_propagator(self):
+        grid, prop = workload_grid()
+        short = PropagatorSpec(tuple(row[:-1] for row in prop.values[:-1]))
+        with pytest.raises(NonUniformGrid, match="^propagator S does not"):
+            cw.genus2_integrate(grid, short)

@@ -341,6 +341,30 @@ class TestGridCommands:
         ppath.write_text(json.dumps(prop_doc))
         assert main(["genus2", str(gpath), "--propagator", str(ppath)]) == 3
 
+    def test_genus2_zero_tolerance_is_kept(self, tmp_path, capsys):
+        """--tolerance 0 is a real bound; the residual of ~1e-35 fails it."""
+        grid_doc, prop_doc = synthetic_grid_doc()
+        grid_doc["fields"].pop("F2")
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid_doc))
+        ppath = tmp_path / "prop.json"
+        ppath.write_text(json.dumps(prop_doc))
+        assert main(["genus2", str(gpath), "--propagator", str(ppath),
+                     "--tolerance", "0"]) == 3
+        assert main(["genus2", str(gpath), "--propagator", str(ppath)]) == 0
+
+    def test_genus2_propagator_shape(self, tmp_path, capsys):
+        grid_doc, prop_doc = synthetic_grid_doc()
+        grid_doc["fields"].pop("F2")
+        prop_doc["S"] = [row[:-1] for row in prop_doc["S"][:-1]]
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid_doc))
+        ppath = tmp_path / "prop.json"
+        ppath.write_text(json.dumps(prop_doc))
+        assert main(["genus2", str(gpath), "--propagator", str(ppath)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (NonUniformGrid): propagator S ")
+
 
 class TestHodgeReportCommand:
     def test_writes_report(self, tmp_path, capsys):

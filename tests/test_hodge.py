@@ -94,6 +94,18 @@ class TestPointReports:
             assert abs(value - oracle) < mp.mpf("1e-30")
             assert abs(value - mp.mpf("1.0001201135684742")) < 1e-12
 
+    def test_tail_bound_follows_branch(self, quintic_hodge,
+                                       quintic_family):
+        # the bound grows with |L|^3, L = log z0 + 2 pi i branch
+        z0 = cw.sample_points(quintic_family.pf.singular_radius, 0.5, 24)[-1]
+        base = quintic_hodge.point(z0).tail_bound_rel
+        far = quintic_hodge.point(z0, branch=3).tail_bound_rel
+        assert far > base
+        with mp.workprec(280):
+            log_z = mp.log(mp.mpc(z0))
+            ratio = abs(log_z + 6 * mp.pi * mp.mpc(0, 1)) / abs(log_z)
+            assert abs(far / base - ratio ** 3) < mp.mpf("1e-30")
+
     def test_branch_shift(self, quintic_hodge):
         # log z -> log z + 2 pi i takes w_1 to w_1 + 2 pi i w_0, and the
         # same for every theta-derivative

@@ -110,6 +110,17 @@ def _uniform_step(nodes, axis: str):
     return step
 
 
+def _nan_max(norms):
+    """Largest of the nonnegative ``norms`` (0 if none); NaN if any is NaN."""
+    out = mp.mpf(0)
+    for a in norms:
+        if not a <= out:
+            if a != a:
+                return a
+            out = a
+    return out
+
+
 @dataclass(frozen=True)
 class GridField:
     """Sampled field with None marking stencil-invalidated entries."""
@@ -117,12 +128,8 @@ class GridField:
     values: tuple
 
     def max_abs(self):
-        out = mp.mpf(0)
-        for row in self.values:
-            for v in row:
-                if v is not None:
-                    out = max(out, abs(v))
-        return out
+        return _nan_max(abs(v) for row in self.values for v in row
+                        if v is not None)
 
     def valid_count(self) -> int:
         return sum(1 for row in self.values for v in row if v is not None)
@@ -339,7 +346,7 @@ class ResidualReport:
     def of(cls, f: GridField) -> "ResidualReport":
         norms = [abs(v) for row in f.values for v in row if v is not None]
         total = sum(norms, mp.mpf(0))
-        return cls(residual=f, max_abs=max([mp.mpf(0)] + norms),
+        return cls(residual=f, max_abs=_nan_max(norms),
                    mean_abs=total / len(norms) if norms else total)
 
 
@@ -425,7 +432,7 @@ class PropagatorSpec:
         diff = _fsub(_central(grid, self.as_field(), "zbar"), target)
         mismatch = diff.max_abs()
         scale = max(mp.mpf(1), target.max_abs())
-        if mismatch > tolerance * scale:
+        if not mismatch <= tolerance * scale:  # NaN fails
             raise PropagatorMismatch(
                 f"dbar S deviates from C by {mp.nstr(mismatch, 6)}")
         return mismatch
@@ -462,7 +469,7 @@ def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
             f2 = _fadd(f2, grid.tabulate(lambda z, w: mp.mpc(ambiguity(z))))
         check_grid = grid.with_field("F2", f2)
         report = hae_residual(check_grid, 2)
-        if report.max_abs > tolerance:
+        if not report.max_abs <= tolerance:  # NaN fails
             raise ResidualToleranceError(
                 f"integrated F_2 has residual {mp.nstr(report.max_abs, 6)} "
                 f"above tolerance {tolerance}")

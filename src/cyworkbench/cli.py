@@ -55,14 +55,12 @@ def _resolve_out(args, cfg: WorkbenchConfig | None = None) -> str | None:
 
 def _load_config(args) -> WorkbenchConfig:
     cfg = WorkbenchConfig.from_json(_load_json(args.config))
-    if getattr(args, "order", None):
-        cfg.truncation_order = args.order
-    if getattr(args, "precision_bits", None):
-        cfg.precision_bits = args.precision_bits
-    if getattr(args, "samples", None):
-        cfg.sample_count = args.samples
-    if getattr(args, "radius_fraction", None):
-        cfg.radius_fraction = args.radius_fraction
+    for flag, field in (("order", "truncation_order"),
+                        ("precision_bits", "precision_bits"),
+                        ("samples", "sample_count"),
+                        ("radius_fraction", "radius_fraction")):
+        if getattr(args, flag, None) is not None:  # 0 is an override too
+            setattr(cfg, field, getattr(args, flag))
     cfg.__post_init__()  # revalidate overrides
     return cfg
 
@@ -93,7 +91,7 @@ def _cmd_residual_check(args) -> int:
         label = f"ehae residual (g={args.genus}, h={args.holes})"
     print(f"{label}: max {mp.nstr(rep.max_abs, 8)} "
           f"mean {mp.nstr(rep.mean_abs, 8)}")
-    if args.tolerance is not None and rep.max_abs > args.tolerance:
+    if args.tolerance is not None and not rep.max_abs <= args.tolerance:
         print(f"FAIL: above tolerance {args.tolerance}")
         return 3
     return 0

@@ -13,10 +13,6 @@ exact: for a Gram matrix with S_12 = -S_03 the leading term of
 i Q(Omega, bar Omega) near z = 0 is -(4/3) S_03 (|log z| / 2 pi)^3, so
 the orientation is -sign(S_03), which is +1 for every validated frame
 (S_03 = -kappa).
-
-Point evaluations are independent and all inputs immutable, so sample
-grids parallelize across processes (mpmath precision contexts are
-process-global, so prefer processes over threads).
 """
 
 from __future__ import annotations

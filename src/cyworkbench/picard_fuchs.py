@@ -13,8 +13,9 @@ unique and is solved term by term over exact rationals.
 
 The recurrence works in the jet ring Q[lam]/(lam^4): the coefficient
 functions c_n(lam) of the deformed solution z^lam * sum c_n(lam) z^n are
-carried to third order in lam, and the four basis elements are read off
-as the lam-Taylor coefficients of z^lam * sum c_n(lam) z^n.
+carried to third order in lam as 4-long lists multiplied by
+``series._mul_trunc``, and the four basis elements are read off as the
+lam-Taylor coefficients of z^lam * sum c_n(lam) z^n.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NotMUM
-from .series import LogSeries, format_rational, parse_rational
+from .series import LogSeries, _mul_trunc, format_rational, parse_rational
 
 Poly = tuple[Fraction, ...]  # ascending z-coefficients
 
@@ -40,31 +41,6 @@ def _poly(coeffs) -> Poly:
 
 def _poly_at_zero(p: Poly) -> Fraction:
     return p[0] if p else Fraction(0)
-
-
-# jets: tuples of 4 Fractions, coefficients of lam^0..lam^3
-def _jet_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _jet_scale(u, c):
-    return tuple(a * c for a in u)
-
-
-def _jet_mul(u, v):
-    out = [Fraction(0)] * _JET_LEN
-    for i in range(_JET_LEN):
-        if u[i] == 0:
-            continue
-        for j in range(_JET_LEN - i):
-            out[i + j] += u[i] * v[j]
-    return tuple(out)
-
-
-def _jet_inv_quartic(n: int):
-    """Inverse of (lam+n)^4 in Q[lam]/(lam^4), n >= 1."""
-    nf = Fraction(n)
-    return (nf ** -4, -4 * nf ** -5, 10 * nf ** -6, -20 * nf ** -7)
 
 
 @dataclass(frozen=True)
@@ -99,19 +75,6 @@ class PFOperator:
 
     def is_mum(self) -> bool:
         return self.indicial_polynomial() == (Fraction(0),) * 4 + (Fraction(1),)
-
-    def _theta_poly_jet(self, j: int, shift: int):
-        """Jet of P_j(lam + shift) where P_j(x) = sum_k a_k[j] x^k."""
-        res = (Fraction(0),) * _JET_LEN
-        xpow = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-        x = (Fraction(shift), Fraction(1), Fraction(0), Fraction(0))
-        for k in range(5):
-            p = self.coefficients[k]
-            if j < len(p) and p[j] != 0:
-                res = _jet_add(res, _jet_scale(xpow, p[j]))
-            if k < 4:
-                xpow = _jet_mul(xpow, x)
-        return res
 
     def apply(self, s: LogSeries) -> LogSeries:
         """Apply the operator to a series, truncation preserved."""
@@ -174,14 +137,24 @@ def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:
     if n_terms < 1:
         raise DomainError("order must be at least 1")
     maxj = op.z_degree
-    jets = [(Fraction(1), Fraction(0), Fraction(0), Fraction(0))]
+    # [lam^i] P_j(lam + s) = sum_k a_k[j] C(k, i) s^(k-i), kept as the
+    # pairs (k - i, a_k[j] C(k, i))
+    taylor = [[[(k - i, p[j] * math.comb(k, i))
+                for k, p in enumerate(op.coefficients)
+                if k >= i and j < len(p) and p[j]] for i in range(_JET_LEN)]
+              for j in range(maxj + 1)]
+    jets = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
     for n in range(1, n_terms):
-        acc = (Fraction(0),) * _JET_LEN
+        acc = [0] * _JET_LEN
         for j in range(1, min(n, maxj) + 1):
-            pj = op._theta_poly_jet(j, n - j)
-            acc = _jet_add(acc, _jet_mul(pj, jets[n - j]))
-        inv = _jet_inv_quartic(n)
-        jets.append(_jet_scale(_jet_mul(acc, inv), Fraction(-1)))
+            pj = [sum(c * (n - j) ** e for e, c in col) for col in taylor[j]]
+            acc = [x + y for x, y in
+                   zip(acc, _mul_trunc(pj, jets[n - j], _JET_LEN))]
+        # times (lam+n)^-4; _mul_trunc hands back ints when no denominator
+        # is left, so each entry is made a Fraction again
+        inv = [Fraction(c, n ** e)
+               for c, e in ((1, 4), (-4, 5), (10, 6), (-20, 7))]
+        jets.append([-Fraction(c) for c in _mul_trunc(acc, inv, _JET_LEN)])
     # f_i(z) = sum_n c_{n,i} z^n; omega_k = sum_{j<=k} f_{k-j} log^j z / j!
     order = Fraction(order)
     omegas = tuple(

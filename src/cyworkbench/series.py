@@ -379,21 +379,23 @@ class LogSeries:
         return LogSeries.from_rows(out, self.order, r)
 
     def invert(self) -> "LogSeries":
-        """Multiplicative inverse; needs a unit constant term, no logs."""
+        """Multiplicative inverse; needs a unit constant term, no logs.
+
+        Newton iteration b <- b (2 - a b) doubles the known length of b
+        per step.
+        """
         if not self.is_log_free:
             raise NotAUnit("cannot invert a series with log terms")
         a = self._rows[0]
         n = len(a)
         if a[0] == 0:
             raise NotAUnit("cannot invert a series with zero constant term")
-        b = [Fraction(0)] * n
-        b[0] = 1 / a[0]
-        for m in range(1, n):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if a[k] != 0:
-                    acc += a[k] * b[m - k]
-            b[m] = -acc / a[0]
+        b, m = [1 / a[0]], 1
+        while m < n:
+            m = min(2 * m, n)
+            e = [-c for c in _mul_trunc(a, b, m)]
+            e[0] += 2
+            b = _mul_trunc(b, e, m)
         order = self.order if self.order is not None else Fraction(n, self.ramification)
         return LogSeries.from_rows([b], order, self.ramification)
 
@@ -406,7 +408,9 @@ class LogSeries:
         a = self._rows[0]
         n = len(a)
         # exp(f)' = f' exp(f) gives the standard coefficient recurrence;
-        # on the 1/r lattice the derivative weights are m/r.
+        # on the 1/r lattice the derivative weights are m/r.  It stays a
+        # scalar loop: each b_m reads the b_k just found, so no single
+        # product computes it.
         b = [Fraction(0)] * n
         b[0] = Fraction(1)
         for m in range(1, n):
@@ -419,21 +423,20 @@ class LogSeries:
         return LogSeries.from_rows([b], order, self.ramification)
 
     def log(self) -> "LogSeries":
-        """Formal logarithm; needs constant term 1 and no logs."""
+        """Formal logarithm; needs constant term 1 and no logs.
+
+        log f is the integral of (theta f) / f; with integer lattice
+        indices i in place of the weights i/r the two factors of r cancel.
+        """
         if not self.is_log_free:
             raise DomainError("log requires a log-free argument")
         if self.constant_term != 1:
             raise DomainError("log requires constant term 1")
         a = self._rows[0]
         n = len(a)
-        # log(f)' = f'/f: b_m = a_m - (1/m) sum_{k<m} k b_k a_{m-k}
-        b = [Fraction(0)] * n
-        for m in range(1, n):
-            acc = Fraction(m) * a[m]
-            for k in range(1, m):
-                if a[m - k] != 0 and b[k] != 0:
-                    acc -= Fraction(k) * b[k] * a[m - k]
-            b[m] = acc / m
+        d = _mul_trunc([i * c for i, c in enumerate(a)],
+                       self.invert()._rows[0], n)
+        b = [_ZERO] + [Fraction(c, i) for i, c in enumerate(d) if i]
         order = self.order if self.order is not None else Fraction(n, self.ramification)
         return LogSeries.from_rows([b], order, self.ramification)
 

@@ -1,6 +1,8 @@
 """Shared fixtures: quintic pipeline objects reused across the suite."""
 
 import json
+import random
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,17 @@ def shipped_family(name):
     """The family of the shipped config ``configs/<name>.json``."""
     doc = json.loads((CONFIGS / f"{name}.json").read_text())
     return cw.family_from_json(doc["family"])
+
+
+def random_mum_operator(seed, degree=2):
+    """a_0..a_3 vanish at z = 0 and a_4(0) = 1, so theta^4 is the indicial
+    part; a_0..a_3 have z-degree ``degree``, a_4 one less."""
+    rng = random.Random(seed)
+    coeffs = [(0,) + tuple(F(rng.randrange(-9, 10), rng.randrange(1, 4))
+                           for _ in range(degree)) for _ in range(4)]
+    coeffs.append((1,) + tuple(F(rng.randrange(-9, 10), rng.randrange(1, 4))
+                               for _ in range(degree - 1)))
+    return cw.PFOperator(tuple(coeffs), F(1, 100))
 
 
 def series_value(series, z0):

@@ -238,6 +238,19 @@ class TestGridBasics:
                 for x, y in zip(ra, rb):
                     assert abs(x - y) < mp.mpf("1e-35")
 
+    def test_max_abs_propagates_nan(self):
+        """One NaN entry anywhere makes both norms NaN, not the finite max."""
+        nan = mp.mpc("nan", 0)
+        for values in ([[None, nan], [mp.mpc(3, 4), mp.mpc(1)]],
+                       [[mp.mpc(3, 4), nan], [None, mp.mpc(1)]]):
+            field = GridField(tuple(map(tuple, values)))
+            assert mp.isnan(field.max_abs())
+            assert mp.isnan(anomaly.ResidualReport.of(field).max_abs)
+        finite = GridField(((None, mp.mpc(3, 4)), (mp.mpc(1), None)))
+        assert finite.max_abs() == 5
+        assert anomaly.ResidualReport.of(finite).max_abs == 5
+        assert GridField(((None,),)).max_abs() == 0
+
     def test_shape_mismatch_rejected(self):
         grid = build_grid({}, nz=3, nw=3)
         with pytest.raises(NonUniformGrid):

@@ -175,6 +175,16 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("flag", ["--order", "--precision-bits",
+                                      "--samples", "--radius-fraction"])
+    def test_zero_override_rejected(self, tmp_path, capsys, flag):
+        """An override of 0 is validated, not swapped for the config's value."""
+        assert main(["hodge-report", str(REPO_CONFIG), flag, "0",
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (ConfigError): ")
+        assert len(err.strip().splitlines()) == 1
+
     def test_report_without_run(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
 
@@ -248,6 +258,17 @@ class TestGridCommands:
         path.write_text(json.dumps(grid_doc))
         assert main(["hae-check", str(path), "--genus", "2",
                      "--tolerance", "1e-90"]) == 3
+
+    def test_hae_check_nan_residual_fails(self, tmp_path, capsys):
+        """NaN residuals fail the tolerance instead of reading max 0."""
+        grid_doc, _ = synthetic_grid_doc()
+        grid_doc["fields"]["F2"] = [[["nan", "0"] for _ in row]
+                                    for row in grid_doc["fields"]["F2"]]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid_doc))
+        assert main(["hae-check", str(path), "--genus", "2",
+                     "--tolerance", "1e-8"]) == 3
+        assert "max nan" in capsys.readouterr().out
 
     def test_ehae_check_closed_reduction(self, tmp_path):
         grid_doc, _ = synthetic_grid_doc()
@@ -340,6 +361,18 @@ class TestGridCommands:
         ppath = tmp_path / "prop.json"
         ppath.write_text(json.dumps(prop_doc))
         assert main(["genus2", str(gpath), "--propagator", str(ppath)]) == 3
+
+    def test_genus2_nan_propagator(self, tmp_path, capsys):
+        grid_doc, prop_doc = synthetic_grid_doc()
+        grid_doc["fields"].pop("F2")
+        prop_doc["S"] = [[["nan", "0"] for _ in row] for row in prop_doc["S"]]
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid_doc))
+        ppath = tmp_path / "prop.json"
+        ppath.write_text(json.dumps(prop_doc))
+        assert main(["genus2", str(gpath), "--propagator", str(ppath)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error (PropagatorMismatch): dbar S deviates from C by nan")
 
     def test_genus2_zero_tolerance_is_kept(self, tmp_path, capsys):
         """--tolerance 0 is a real bound; the residual of ~1e-35 fails it."""

@@ -9,12 +9,13 @@ import sympy
 import cyworkbench as cw
 from cyworkbench import frames
 from cyworkbench.errors import (DomainError, IntegralityViolation,
-                                NonMeromorphic, NormalizationMissing)
+                                LogDegreeOverflow, NonMeromorphic,
+                                NormalizationMissing)
 from cyworkbench.frames import SymplecticFrame
 from cyworkbench.picard_fuchs import PFOperator, PeriodBasis
 from cyworkbench.series import LogSeries
 
-from conftest import shipped_family
+from conftest import random_mum_operator, shipped_family
 
 
 Z = sympy.Symbol("z")
@@ -43,15 +44,6 @@ def factored_family(factors, kappa=5):
 def trivial_basis(order=8, kappa=1):
     fam = cw.constant_coupling_family(kappa)
     return fam, cw.frobenius_solve(fam.pf, order)
-
-
-def random_mum_operator(seed):
-    """a_0..a_3 vanish at z = 0 and a_4(0) = 1, so theta^4 is the indicial part."""
-    rng = random.Random(seed)
-    coeffs = [(0,) + tuple(F(rng.randrange(-9, 10), rng.randrange(1, 4))
-                           for _ in range(2)) for _ in range(4)]
-    coeffs.append((1, F(rng.randrange(-9, 10), rng.randrange(1, 4))))
-    return PFOperator(tuple(coeffs), F(1, 100))
 
 
 def random_hypergeometric_family(seed):
@@ -95,6 +87,14 @@ def _nullspace(rows, ncols):
             v[pc] = -m[i][free]
         basis.append(v)
     return basis
+
+
+def pair_frame(i, j):
+    """A frame whose Gram matrix holds only S_ij = 1 = -S_ji, so its
+    pairing series is the single Wronskian W_ij."""
+    gram = [[F(0)] * 4 for _ in range(4)]
+    gram[i][j], gram[j][i] = F(1), F(-1)
+    return SymplecticFrame(gram_frobenius=tuple(map(tuple, gram)))
 
 
 def reference_gram(basis, kappa):
@@ -406,11 +406,19 @@ class TestSymplecticFrame:
               "theta4": lambda: cw.constant_coupling_family(1).pf,
               "random": lambda: random_mum_operator(23)}[family]()
         basis = cw.frobenius_solve(op, 12)
-        rows = frames._wronskians(basis, derivative, frames._PAIRS)
-        assert {pair: {(F(e), k): c for k, row in enumerate(acc)
-                       for e, c in enumerate(row) if c}
-                for pair, acc in rows.items()} == \
-            reference_wronskians(basis, derivative)
+        ref = reference_wronskians(basis, derivative)
+        # the pairs whose products stay within log degree 3
+        for i, j in [(0, 1), (0, 2), (0, 3), (1, 2)]:
+            got = pair_frame(i, j).pairing_series(basis, derivative)
+            assert got.order == basis.order
+            assert dict(got.items()) == ref[(i, j)]
+
+    @pytest.mark.parametrize("pair", [(1, 3), (2, 3)])
+    def test_gram_past_log_degree_three_overflows(self, quintic_basis, pair):
+        """w_1 theta w_3 and w_2 theta w_3 carry log^4 z and log^5 z: a Gram
+        matrix with S_13 or S_23 != 0 is refused."""
+        with pytest.raises(LogDegreeOverflow):
+            pair_frame(*pair).pairing_series(quintic_basis, 1)
 
     @pytest.mark.parametrize("family", [
         lambda: shipped_family("quintic"), lambda: shipped_family("sextic"),
@@ -447,7 +455,7 @@ class TestSymplecticFrame:
         basis = PeriodBasis(omegas, quintic_basis.operator,
                             quintic_basis.order)
         with pytest.raises(DomainError, match="unramified"):
-            frames._wronskians(basis, 1, frames._FRAME_PAIRS)
+            cw.solve_symplectic_frame(basis, LogSeries.constant(-1), 5)
 
 
 class TestGriffithsIdentity:

@@ -9,7 +9,7 @@ from cyworkbench.errors import NotMUM
 from cyworkbench.picard_fuchs import PFOperator, frobenius_solve
 from cyworkbench.series import LogSeries
 
-from conftest import shipped_family
+from conftest import random_mum_operator, shipped_family
 
 
 def theta4() -> PFOperator:
@@ -23,6 +23,36 @@ def factorial_period(n):
         {(F(d), 0): F(math.factorial(5 * d), math.factorial(d) ** 5)
          for d in range(n)},
         order=n)
+
+
+def _jet_mul(u, v):
+    out = [F(0)] * 4
+    for i in range(4):
+        for j in range(4 - i):
+            out[i + j] += u[i] * v[j]
+    return out
+
+
+def jet_ring_basis(op, order):
+    """The jet-ring solve the _mul_trunc kernel replaced: P_j(lam + s) by
+    repeated jet products, every product one Fraction at a time."""
+    jets = [[F(1), F(0), F(0), F(0)]]
+    for n in range(1, order):
+        acc = [F(0)] * 4
+        for j in range(1, min(n, op.z_degree) + 1):
+            pj, xpow = [F(0)] * 4, [F(1), F(0), F(0), F(0)]
+            for p in op.coefficients:
+                if j < len(p):
+                    pj = [a + p[j] * x for a, x in zip(pj, xpow)]
+                xpow = _jet_mul(xpow, [F(n - j), F(1), F(0), F(0)])
+            acc = [a + b for a, b in zip(acc, _jet_mul(pj, jets[n - j]))]
+        nf = F(n)
+        inv = [nf ** -4, -4 * nf ** -5, 10 * nf ** -6, -20 * nf ** -7]
+        jets.append([-c for c in _jet_mul(acc, inv)])
+    return tuple(
+        LogSeries.from_rows([[jet[k - j] / math.factorial(j) for jet in jets]
+                             for j in range(k + 1)], order)
+        for k in range(4))
 
 
 class TestApplyOperator:
@@ -114,6 +144,19 @@ class TestFrobenius:
             assert op.apply(w).is_zero
         assert basis.omega0.constant_term == 1
         assert basis.omega0[1] == 1  # (0+1)^4 / 1^4
+
+    @pytest.mark.parametrize("op", [
+        lambda: shipped_family("quintic").pf,
+        lambda: shipped_family("sextic").pf,
+        lambda: random_mum_operator(23),
+        lambda: random_mum_operator(31, degree=3)],
+        ids=["quintic", "sextic", "degree-2", "degree-3"])
+    def test_jets_match_jet_ring(self, op):
+        op = op()
+        basis = frobenius_solve(op, 14)
+        assert basis.omegas == jet_ring_basis(op, 14)
+        assert all(type(c) is F for w in basis.omegas
+                   for row in w.rows() for c in row)
 
     def test_determinism(self):
         op = shipped_family("quintic").pf

@@ -129,6 +129,42 @@ def assert_same(got, ref):
     assert got.rows() == ref.rows()
 
 
+def _log_free_result(a, coeffs):
+    order = a.order if a.order is not None else F(len(coeffs), a.ramification)
+    return LogSeries.from_rows([coeffs], order, a.ramification)
+
+
+def invert_reference(a):
+    """The scalar recurrence that Newton iteration replaced."""
+    c = a.rows()[0]
+    b = [1 / c[0]]
+    for m in range(1, len(c)):
+        b.append(-sum(c[k] * b[m - k] for k in range(1, m + 1)) / c[0])
+    return _log_free_result(a, b)
+
+
+def log_reference(a):
+    """The scalar recurrence b_m = a_m - (1/m) sum_{k<m} k b_k a_(m-k)."""
+    c = a.rows()[0]
+    b = [F(0)]
+    for m in range(1, len(c)):
+        b.append(c[m] - sum((k * b[k] * c[m - k] for k in range(1, m)),
+                            F(0)) / m)
+    return _log_free_result(a, b)
+
+
+def unit_series(rng, constant):
+    """Log-free series on the 1/r lattice, r in 1..3, with the given
+    constant term; exact, one entry long, or truncated."""
+    r = rng.choice([1, 2, 3])
+    order = rng.choice([None, F(1, r), 1, 3, F(7, 2), 6])
+    terms = {(F(0), 0): constant}
+    for _ in range(rng.randrange(0, 8)):
+        key = (F(rng.randrange(1, 6 * r), r), 0)
+        terms[key] = F(rng.randrange(-9, 10), rng.randrange(1, 7))
+    return LogSeries(terms, order=order, ramification=r)
+
+
 def random_series(rng, order=6, with_logs=False, ram=1):
     terms = {}
     for _ in range(rng.randrange(1, 8)):
@@ -437,6 +473,26 @@ class TestRowsMatchDictReference:
                 assert width == 1 or any(row[-1] for row in a.rows())
             assert_same(LogSeries.from_rows(a.rows(), a.order,
                                             a.ramification), a)
+
+
+class TestKernelsMatchRecurrences:
+    """invert and log on _mul_trunc against the recurrences they replaced."""
+
+    def test_invert(self):
+        rng = random.Random(53)
+        for _ in range(120):
+            a = unit_series(rng, F(rng.choice([-3, -1, 1, 2, 5]),
+                                   rng.randrange(1, 4)))
+            assert_same(a.invert(), invert_reference(a))
+        assert_same(LogSeries.constant(F(-2, 3)).invert(),
+                    LogSeries.constant(F(-3, 2), order=1))
+
+    def test_log(self):
+        rng = random.Random(59)
+        for _ in range(120):
+            a = unit_series(rng, F(1))
+            assert_same(a.log(), log_reference(a))
+        assert_same(LogSeries.constant(1).log(), LogSeries.zero(order=1))
 
 
 class TestJson:

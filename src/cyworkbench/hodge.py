@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, lshift, mul
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpc_mul, mpc_one, round_nearest
 
 from .errors import (DomainError, NormalizationMissing, OutsideDisk,
                      PrecisionLoss, SignViolation)
@@ -33,6 +35,20 @@ _GUARD_BITS = 24
 # relative bound in point() on the imaginary parts of the sign-law
 # pairings and on |(Omega, Omega)|
 _SIGN_TOL = 1e-18
+
+
+def _split(raw):
+    """Signed mantissas and binary exponents of raw mpf tuples."""
+    return [-m if s else m for s, m, _, _ in raw], [e for _, _, e, _ in raw]
+
+
+def _dot(mans, exps, pmans, pexps, prec):
+    """sum_n mans[n] pmans[n] 2^(exps[n] + pexps[n]) as one exact integer
+    sum, rounded once to nearest: the value mp.fdot gives."""
+    shifts = list(map(add, exps, pexps))
+    low = min(shifts)
+    total = sum(map(lshift, map(mul, mans, pmans), [e - low for e in shifts]))
+    return from_man_exp(total, low, prec, round_nearest)
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,9 @@ class HodgeEvaluator:
                           C(d,m) (theta^(d-m) f_(k-j)) L^(j-m) / (j-m)!,
 
     and theta^e f_i(z0) = sum_n n^e f_i[n] z0^n is one dot product.
+    The vectors n^e f_i[n] are kept as integer mantissas and binary
+    exponents; each dot product is an exact integer sum rounded once,
+    the value mp.fdot gives.
     """
 
     def __init__(self, basis: PeriodBasis, frame: SymplecticFrame,
@@ -94,12 +113,18 @@ class HodgeEvaluator:
         # orientation from the leading log term (module docstring)
         self.sign_adjust = 1 if s03 < 0 else -1
         with mp.workprec(prec_bits + _GUARD_BITS):
-            # _dots[e][i][n] = n^e f_i[n]
-            self._dots = [[[mp.mpf(n ** e * c.numerator) / c.denominator
-                            for n, c in enumerate(f)] for f in jets]
+            # _vecs[e][i] = (mantissas, exponents) of n^e f_i[n]
+            self._vecs = [[_split([(mp.mpf(n ** e * c.numerator)
+                                    / c.denominator)._mpf_
+                                   for n, c in enumerate(f)]) for f in jets]
                           for e in range(4)]
-            self._S = [[mp.mpf(x.numerator) / x.denominator for x in row]
-                       for row in frame.gram_frobenius]
+            self._S = [(i, j, mp.mpf(x.numerator) / x.denominator)
+                       for i, row in enumerate(frame.gram_frobenius)
+                       for j, x in enumerate(row) if x]
+            two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
+            self._twist = [mp.mpc(1)]
+            for _ in range(3):
+                self._twist.append(self._twist[-1] * two_pi_i)
             self._radius_f = mp.mpf(radius.numerator) / radius.denominator
             # top retained coefficient of omega_3 over its log powers
             top = (jets[3 - j][-1] / math.factorial(j) for j in range(4))
@@ -111,14 +136,15 @@ class HodgeEvaluator:
         """L = log z0 + 2 pi i branch, the log the towers are built on."""
         return mp.log(z0) + 2 * mp.pi * mp.mpc(0, 1) * branch
 
-    def _towers(self, z0, branch: int, rows: int = 4):
-        """Values of theta^der w_i for der < rows and i in 0..3 at z0."""
-        log_z = self._log(z0, branch)
-        powers = [mp.mpc(1)]
+    def _towers(self, z0, log_z, rows: int = 4):
+        """theta^der w_i for der < rows and i in 0..3 at z0; log_z is L."""
+        prec = mp.prec
+        powers = [mpc_one]
         for _ in range(1, self._n_terms):
-            powers.append(powers[-1] * z0)
-        jet = [[mp.fdot(vec, powers) for vec in self._dots[e]]
-               for e in range(rows)]
+            powers.append(mpc_mul(powers[-1], z0._mpc_, prec, round_nearest))
+        re, im = (_split([p[k] for p in powers]) for k in (0, 1))
+        jet = [[mp.make_mpc((_dot(*vec, *re, prec), _dot(*vec, *im, prec)))
+                for vec in self._vecs[e]] for e in range(rows)]
         log_pow = [mp.mpf(1), log_z, log_z ** 2 / 2, log_z ** 3 / 6]
         return [[mp.fsum(math.comb(d, m) * jet[d - m][k - m - p] * log_pow[p]
                          for m in range(min(d, k) + 1)
@@ -126,49 +152,42 @@ class HodgeEvaluator:
                  for k in range(4)] for d in range(rows)]
 
     def _twisted(self, vec):
-        two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-        out = []
-        w = mp.mpc(1)
-        for x in vec:
-            out.append(x / w)
-            w *= two_pi_i
-        return out
+        return [x / w for x, w in zip(vec, self._twist)]
 
     def _pair(self, u, v):
-        total = mp.mpc(0)
-        for i in range(4):
-            for j in range(4):
-                s = self._S[i][j]
-                if s != 0:
-                    total += s * u[i] * v[j]
-        return total
+        return sum((s * u[i] * v[j] for i, j, s in self._S), mp.mpc(0))
 
     def _pair_conj(self, u, v):
         """(u, bar v) = i Q(u, conj v), before sign adjustment."""
         return mp.mpc(0, 1) * self._pair(u, [x.conjugate() for x in v])
 
-    def _tail_rel(self, z0, log_z):
-        ratio = abs(z0) / self._radius_f
+    def _tail_rel(self, abs_z, log_z):
+        ratio = abs_z / self._radius_f
         if ratio >= 1:
             return mp.inf
-        lead = self._top * abs(z0) ** (self._n_terms - 1)
+        lead = self._top * abs_z ** (self._n_terms - 1)
         logfac = max(mp.mpf(1), abs(log_z)) ** 3
         return lead * logfac * ratio / (1 - ratio)
 
     def _check_inside(self, z0):
-        if abs(z0) >= self._radius_f:
+        """|z0|, once z0 is known to lie on the punctured disk."""
+        abs_z = abs(z0)
+        if not abs_z < self._radius_f:
             raise OutsideDisk(
-                f"|z0| = {mp.nstr(abs(z0), 8)} outside radius "
+                f"|z0| = {mp.nstr(abs_z, 8)} outside radius "
                 f"{mp.nstr(self._radius_f, 8)}")
+        if abs_z == 0:
+            raise DomainError("z0 = 0 is the MUM point, where log z0 diverges")
+        return abs_z
 
     def kahler(self, z0, branch: int = 0):
         """K = -log (Omega, bar Omega) at z0."""
         with mp.workprec(self.prec_bits + _GUARD_BITS):
             z0 = mp.mpc(z0)
             self._check_inside(z0)
-            u0 = self._twisted(self._towers(z0, branch, 1)[0])
+            u0 = self._twisted(self._towers(z0, self._log(z0, branch), 1)[0])
             g00 = self.sign_adjust * self._pair_conj(u0, u0)
-            if g00.real <= 0:
+            if not g00.real > 0:
                 raise SignViolation(
                     f"(Omega, bar Omega) = {mp.nstr(g00, 8)} not positive at "
                     f"{mp.nstr(z0, 8)}")
@@ -177,24 +196,25 @@ class HodgeEvaluator:
     def point(self, z0, branch: int = 0) -> HodgePointReport:
         with mp.workprec(self.prec_bits + _GUARD_BITS):
             z0 = mp.mpc(z0)
-            self._check_inside(z0)
-            towers = self._towers(z0, branch)
+            abs_z = self._check_inside(z0)
+            log_z = self._log(z0, branch)
+            towers = self._towers(z0, log_z)
             u0 = self._twisted(towers[0])
             u1 = self._twisted(towers[1])
             adj = self.sign_adjust
             g00 = adj * self._pair_conj(u0, u0)
             self_abs = abs(mp.mpc(0, 1) * self._pair(u0, u0))
-            if g00.real <= 0 or abs(g00.imag) > _SIGN_TOL * abs(g00.real):
+            if not (g00.real > 0 and abs(g00.imag) <= _SIGN_TOL * g00.real):
                 raise SignViolation(
                     f"(Omega, bar Omega) = {mp.nstr(g00, 8)} fails the "
                     f"positivity law at {mp.nstr(z0, 8)}")
-            if self_abs > _SIGN_TOL * g00.real:
+            if not self_abs <= _SIGN_TOL * g00.real:
                 raise SignViolation("(Omega, Omega) is not numerically zero")
             lam = adj * self._pair_conj(u1, u0) / g00
             d_theta = [a - lam * b for a, b in zip(u1, u0)]
             d_z = [x / z0 for x in d_theta]
             dd = adj * self._pair_conj(d_z, d_z)
-            if dd.real >= 0 or abs(dd.imag) > _SIGN_TOL * abs(dd.real):
+            if not (dd.real < 0 and abs(dd.imag) <= -_SIGN_TOL * dd.real):
                 raise SignViolation(
                     f"(D Omega, bar D Omega) = {mp.nstr(dd, 8)} fails the "
                     f"negativity law at {mp.nstr(z0, 8)}")
@@ -203,7 +223,7 @@ class HodgeEvaluator:
             # second route: expand D Omega = nabla Omega - lam Omega
             h11 = adj * self._pair_conj(u1, u1)
             g_ratio = ((-h11.real + (abs(lam) ** 2) * g00.real)
-                       / (abs(z0) ** 2)) / g00.real
+                       / (abs_z ** 2)) / g00.real
             report = HodgePointReport(
                 z0=z0,
                 prec_bits=self.prec_bits,
@@ -219,7 +239,7 @@ class HodgeEvaluator:
                 weil_petersson=g_wp,
                 weil_petersson_ratio=g_ratio,
                 chern_form_positive=bool(g_wp > 0),
-                tail_bound_rel=self._tail_rel(z0, self._log(z0, branch)),
+                tail_bound_rel=self._tail_rel(abs_z, log_z),
                 sign_adjust=adj,
             )
         return report

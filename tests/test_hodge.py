@@ -7,8 +7,8 @@ import pytest
 from mpmath import mp
 
 import cyworkbench as cw
-from cyworkbench.errors import (NormalizationMissing, OutsideDisk,
-                               PrecisionLoss, SignViolation)
+from cyworkbench.errors import (DomainError, NormalizationMissing,
+                               OutsideDisk, PrecisionLoss, SignViolation)
 from cyworkbench.frames import SymplecticFrame
 
 from conftest import shipped_family
@@ -42,6 +42,27 @@ def reference_towers(basis, z0, rows=4):
             values.append(total)
         out.append(values)
     return out
+
+
+def fdot_vectors(basis):
+    """vecs[e][i][n] = n^e f_i[n] as mpf at the working precision."""
+    jets = [w.rows()[0] for w in basis.omegas]
+    return [[[mp.mpf(n ** e * c.numerator) / c.denominator
+              for n, c in enumerate(f)] for f in jets] for e in range(4)]
+
+
+def fdot_towers(vecs, z0, log_z, rows=4):
+    """theta^der w_i at z0 from 16 mp.fdot calls on fdot_vectors, the
+    evaluator's former dot-product kernel."""
+    powers = [mp.mpc(1)]
+    for _ in range(1, len(vecs[0][0])):
+        powers.append(powers[-1] * z0)
+    jet = [[mp.fdot(vec, powers) for vec in vecs[e]] for e in range(rows)]
+    log_pow = [mp.mpf(1), log_z, log_z ** 2 / 2, log_z ** 3 / 6]
+    return [[mp.fsum(math.comb(d, m) * jet[d - m][k - m - p] * log_pow[p]
+                     for m in range(min(d, k) + 1)
+                     for p in range(k - m + 1))
+             for k in range(4)] for d in range(rows)]
 
 
 class TestPointReports:
@@ -124,6 +145,24 @@ class TestPointReports:
         with pytest.raises(OutsideDisk):
             quintic_hodge.point(mp.mpc("0.001"))
 
+    @pytest.mark.parametrize("method", ["point", "kahler"])
+    def test_mum_point_rejected(self, quintic_hodge, method):
+        # log z0 diverges at z0 = 0: formerly a ZeroDivisionError from
+        # point() and a NaN potential from kahler()
+        with pytest.raises(DomainError) as info:
+            getattr(quintic_hodge, method)(0)
+        assert info.value.exit_code == 2
+        with pytest.raises(OutsideDisk):
+            getattr(quintic_hodge, method)(mp.mpc(mp.nan))
+
+    @pytest.mark.parametrize("method", ["point", "kahler"])
+    def test_nan_fails_sign_laws(self, quintic_hodge, monkeypatch, method):
+        nan_towers = [[mp.mpc(mp.nan, mp.nan)] * 4] * 4
+        monkeypatch.setattr(quintic_hodge, "_towers",
+                            lambda z0, log_z, rows=4: nan_towers[:rows])
+        with pytest.raises(SignViolation):
+            getattr(quintic_hodge, method)(mp.mpc("1e-5", "1e-5"))
+
     def test_wrong_polarization_flagged(self, quintic_basis, quintic_frame):
         # flipping the relative sign of the antidiagonal blocks breaks
         # the negativity law for the (2,1) component
@@ -161,7 +200,7 @@ class TestReferenceRoute:
                 z0 = mp.mpc(rad * mp.mpf(rng.uniform(0.01, 0.5))
                             * mp.expjpi(mp.mpf(rng.uniform(-0.8, 0.8))))
                 ref = reference_towers(basis, z0)
-                got = ev._towers(z0, 0)
+                got = ev._towers(z0, ev._log(z0, 0))
                 for ref_row, got_row in zip(ref, got):
                     for a, b in zip(ref_row, got_row):
                         assert abs(a - b) <= bound * abs(a)
@@ -187,6 +226,43 @@ class TestReferenceRoute:
         bad = SymplecticFrame(gram_frobenius=tuple(tuple(r) for r in gram))
         with pytest.raises(NormalizationMissing):
             cw.HodgeEvaluator(quintic_basis, bad, prec_bits=128)
+
+
+class TestFdotRoute:
+    """The integer dot kernel against mp.fdot, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["quintic", "sextic"])
+    def family_frame(self, request):
+        fam = shipped_family(request.param)
+        basis = cw.frobenius_solve(fam.pf, 48)
+        frame = cw.solve_symplectic_frame(
+            basis, cw.yukawa_theta(fam).series(basis.order),
+            fam.triple_intersection)
+        return fam, frame
+
+    @pytest.mark.parametrize("order", [48, 83, 300])
+    def test_towers_bitwise(self, family_frame, order):
+        fam, frame = family_frame
+        basis = cw.frobenius_solve(fam.pf, order)
+        radius = fam.pf.singular_radius
+        for prec_bits in (128, 256, 2048):
+            ev = cw.HodgeEvaluator(basis, frame, prec_bits)
+            with mp.workprec(prec_bits + 24):
+                vecs = fdot_vectors(basis)
+                rad = mp.mpf(radius.numerator) / radius.denominator
+                points = (
+                    mp.mpc(rad / 3),                       # real axis
+                    mp.mpc("1e-300"),
+                    mp.mpc("1e-300", "-2e-300"),
+                    rad * mp.mpf("0.999") * mp.expj(mp.mpf("0.3")),
+                    rad / 2 * mp.expj(mp.pi - mp.mpf("1e-9")),  # by the cut
+                )
+                for z0 in points:
+                    log_z = ev._log(z0, 0)
+                    ref = fdot_towers(vecs, z0, log_z)
+                    got = ev._towers(z0, log_z)
+                    assert [[x._mpc_ for x in row] for row in got] == \
+                        [[x._mpc_ for x in row] for row in ref]
 
 
 class TestSignSuite:

@@ -99,13 +99,17 @@ def _format_complex(x):
 
 
 def _uniform_step(nodes, axis: str):
+    """The node spacing, uniform up to 1e-30 of it or, where larger, up
+    to the rounding of finite nodes: 8 eps of the largest |node|."""
     if len(nodes) < 2:
         raise NonUniformGrid(f"{axis} axis needs at least 2 nodes")
     step = nodes[1] - nodes[0]
     if step == 0:
         raise NonUniformGrid(f"{axis} axis has coincident nodes")
+    ulps = 8 * mp.eps * max(abs(x) for x in nodes)
+    tol = max(abs(step) * mp.mpf("1e-30"), ulps if mp.isfinite(ulps) else 0)
     for a, b in zip(nodes, nodes[1:]):
-        if abs((b - a) - step) > abs(step) * mp.mpf("1e-30"):
+        if abs((b - a) - step) > tol:
             raise NonUniformGrid(f"{axis} axis spacing is not uniform")
     return step
 
@@ -436,10 +440,6 @@ class PropagatorSpec:
             raise PropagatorMismatch(
                 f"dbar S deviates from C by {mp.nstr(mismatch, 6)}")
         return mismatch
-
-    def to_json(self) -> dict:
-        return {"S": [[_format_complex(v) for v in row]
-                      for row in self.values]}
 
     @classmethod
     def from_json(cls, obj) -> "PropagatorSpec":

@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from mpmath import mp
@@ -25,11 +26,9 @@ from mpmath import mp
 from .anomaly import (AnomalyGrid, PropagatorSpec, ehae_residual,
                       genus2_integrate, hae_residual)
 from .errors import ConfigError, WorkbenchError
-from .frames import solve_symplectic_frame
-from .genus0 import yukawa_theta
-from .picard_fuchs import frobenius_solve
-from .pipeline import (WorkbenchConfig, config_hash, hodge_stage,
-                       load_manifest, report, run_pipeline)
+from .pipeline import (WorkbenchConfig, config_hash, coupling_and_frame,
+                       hodge_stage, load_manifest, report, run_pipeline,
+                       solve_periods, write_json)
 
 
 def _load_json(path) -> dict:
@@ -55,14 +54,11 @@ def _resolve_out(args, cfg: WorkbenchConfig | None = None) -> str | None:
 
 def _load_config(args) -> WorkbenchConfig:
     cfg = WorkbenchConfig.from_json(_load_json(args.config))
-    for flag, field in (("order", "truncation_order"),
-                        ("precision_bits", "precision_bits"),
-                        ("samples", "sample_count"),
-                        ("radius_fraction", "radius_fraction")):
-        if getattr(args, flag, None) is not None:  # 0 is an override too
-            setattr(cfg, field, getattr(args, flag))
-    cfg.__post_init__()  # revalidate overrides
-    return cfg
+    overrides = {field: getattr(args, flag) for flag, field in (
+        ("order", "truncation_order"), ("precision_bits", "precision_bits"),
+        ("samples", "sample_count"), ("radius_fraction", "radius_fraction"))
+        if getattr(args, flag, None) is not None}  # 0 is an override too
+    return replace(cfg, **overrides)  # replace() revalidates them
 
 
 def _cmd_run(args) -> int:
@@ -108,24 +104,19 @@ def _cmd_genus2(args) -> int:
     if out:
         outdir = Path(out)
         outdir.mkdir(parents=True, exist_ok=True)
-        doc = grid.with_field("F2", f2).to_json()
-        (outdir / "genus2.json").write_text(
-            json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        write_json(outdir / "genus2.json", grid.with_field("F2", f2).to_json())
         print(f"wrote {outdir / 'genus2.json'}")
     return 0
 
 
 def _cmd_hodge_report(args) -> int:
     cfg = _load_config(args)
-    basis = frobenius_solve(cfg.family.pf, cfg.truncation_order)
-    frame = solve_symplectic_frame(
-        basis, yukawa_theta(cfg.family).series(basis.order),
-        cfg.family.triple_intersection)
-    doc = hodge_stage(cfg, basis, frame, config_hash(cfg))
+    basis, hodge_basis = solve_periods(cfg)
+    _, frame = coupling_and_frame(cfg, basis)
+    doc = hodge_stage(cfg, hodge_basis, frame, config_hash(cfg))
     outdir = Path(_resolve_out(args, cfg))
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "hodge.json").write_text(
-        json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_json(outdir / "hodge.json", doc)
     ok = all(p["chern_form_positive"] for p in doc["points"])
     print(f"hodge report: {len(doc['points'])} points, signs_ok={ok} "
           f"-> {outdir / 'hodge.json'}")

@@ -25,7 +25,8 @@ def malformed_input(what: str):
     """Re-raise a parse error in the block as a one-line ConfigError."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError,
+            ArithmeticError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
         raise ConfigError(f"malformed {what}: {detail}") from exc
 

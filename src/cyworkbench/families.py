@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import malformed_input
+from .errors import DomainError, malformed_input
 from .genus0 import CYFamilyConfig
 from .picard_fuchs import PFOperator
 
@@ -31,7 +31,7 @@ def constant_coupling_family(triple_intersection: int = 1,
 def family_to_json(config: CYFamilyConfig) -> dict:
     return {
         "name": config.name,
-        "kappa": config.kappa,
+        "kappa": 1,
         "triple_intersection": config.triple_intersection,
         "c2_H": config.c2_H,
         "euler": config.euler,
@@ -42,11 +42,12 @@ def family_to_json(config: CYFamilyConfig) -> dict:
 def family_from_json(obj) -> CYFamilyConfig:
     with malformed_input("family config"):
         op = PFOperator.from_json(obj["operator"])
+        if int(obj.get("kappa", 1)) != 1:
+            raise DomainError("only one-parameter families are supported")
         return CYFamilyConfig(
             name=str(obj["name"]),
             pf=op,
             triple_intersection=int(obj["triple_intersection"]),
             c2_H=int(obj["c2_H"]),
             euler=int(obj["euler"]),
-            kappa=int(obj.get("kappa", 1)),
         )

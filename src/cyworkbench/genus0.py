@@ -39,11 +39,8 @@ class CYFamilyConfig:
     triple_intersection: int  # integral of H^3
     c2_H: int                 # integral of c_2 . H
     euler: int                # chi = integral of c_3
-    kappa: int = 1
 
     def __post_init__(self):
-        if self.kappa != 1:
-            raise DomainError("only one-parameter families are supported")
         if self.triple_intersection <= 0:
             raise DomainError("triple intersection number must be positive")
 
@@ -65,14 +62,9 @@ class YukawaCoupling:
     factors: tuple[tuple[Poly, int], ...] = ()
 
     def series(self, order) -> LogSeries:
-        out = LogSeries.constant(self.scale, order=order)
-        for coeffs, power in self.factors:
-            f = LogSeries.from_coefficients(coeffs, order=order)
-            if power >= 0:
-                out = out * f ** power
-            else:
-                out = out * f.invert() ** (-power)
-        return out
+        num, den = (LogSeries.from_coefficients(p, order=order)
+                    for p in self.numerator_denominator())
+        return num * den.invert()
 
     def numerator_denominator(self) -> tuple[Poly, Poly]:
         """Polynomial pair, normalized so the denominator starts at 1."""

@@ -25,13 +25,15 @@ from operator import add, lshift, mul
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpc_mul, mpc_one, round_nearest
 
+from .anomaly import _GUARD_BITS, _format_complex
 from .errors import (DomainError, NormalizationMissing, OutsideDisk,
                      PrecisionLoss, SignViolation)
 from .frames import SymplecticFrame
 from .picard_fuchs import PeriodBasis
 from .series import LogSeries
 
-_GUARD_BITS = 24
+# binary precision of the sample grid
+_SAMPLE_PREC = 64
 # relative bound in point() on the imaginary parts of the sign-law
 # pairings and on |(Omega, Omega)|
 _SIGN_TOL = 1e-18
@@ -180,31 +182,34 @@ class HodgeEvaluator:
             raise DomainError("z0 = 0 is the MUM point, where log z0 diverges")
         return abs_z
 
+    def _omega(self, z0, branch: int, rows: int):
+        """z0, |z0|, L, the towers and u_0 = Omega twisted, with
+        g00 = (Omega, bar Omega) checked positive; at working precision."""
+        z0 = mp.mpc(z0)
+        abs_z = self._check_inside(z0)
+        log_z = self._log(z0, branch)
+        towers = self._towers(z0, log_z, rows)
+        u0 = self._twisted(towers[0])
+        g00 = self.sign_adjust * self._pair_conj(u0, u0)
+        if not g00.real > 0:
+            raise SignViolation(
+                f"(Omega, bar Omega) = {mp.nstr(g00, 8)} not positive at "
+                f"{mp.nstr(z0, 8)}")
+        return z0, abs_z, log_z, towers, u0, g00
+
     def kahler(self, z0, branch: int = 0):
         """K = -log (Omega, bar Omega) at z0."""
         with mp.workprec(self.prec_bits + _GUARD_BITS):
-            z0 = mp.mpc(z0)
-            self._check_inside(z0)
-            u0 = self._twisted(self._towers(z0, self._log(z0, branch), 1)[0])
-            g00 = self.sign_adjust * self._pair_conj(u0, u0)
-            if not g00.real > 0:
-                raise SignViolation(
-                    f"(Omega, bar Omega) = {mp.nstr(g00, 8)} not positive at "
-                    f"{mp.nstr(z0, 8)}")
+            g00 = self._omega(z0, branch, 1)[-1]
             return -mp.log(g00.real)
 
     def point(self, z0, branch: int = 0) -> HodgePointReport:
         with mp.workprec(self.prec_bits + _GUARD_BITS):
-            z0 = mp.mpc(z0)
-            abs_z = self._check_inside(z0)
-            log_z = self._log(z0, branch)
-            towers = self._towers(z0, log_z)
-            u0 = self._twisted(towers[0])
+            z0, abs_z, log_z, towers, u0, g00 = self._omega(z0, branch, 4)
             u1 = self._twisted(towers[1])
             adj = self.sign_adjust
-            g00 = adj * self._pair_conj(u0, u0)
             self_abs = abs(mp.mpc(0, 1) * self._pair(u0, u0))
-            if not (g00.real > 0 and abs(g00.imag) <= _SIGN_TOL * g00.real):
+            if not abs(g00.imag) <= _SIGN_TOL * g00.real:
                 raise SignViolation(
                     f"(Omega, bar Omega) = {mp.nstr(g00, 8)} fails the "
                     f"positivity law at {mp.nstr(z0, 8)}")
@@ -281,7 +286,7 @@ def griffiths_residuals(basis: PeriodBasis,
     return (frame.pairing_series(basis, 1), frame.pairing_series(basis, 2))
 
 
-def sample_points(radius, fraction: float, count: int, prec_bits: int = 64):
+def sample_points(radius, fraction: float, count: int):
     """Deterministic sample grid on the slit disk, |z| <= fraction*radius.
 
     Points sit on concentric circles at arguments bounded away from the
@@ -290,7 +295,7 @@ def sample_points(radius, fraction: float, count: int, prec_bits: int = 64):
     if not 0 < fraction < 1:
         raise ValueError("radius fraction must lie in (0, 1)")
     angles = ("0", "0.9", "-0.9", "1.8", "-1.8", "2.6")
-    with mp.workprec(prec_bits):
+    with mp.workprec(_SAMPLE_PREC):
         if isinstance(radius, Fraction):
             rad = mp.mpf(radius.numerator) / radius.denominator
         else:
@@ -308,11 +313,7 @@ def sample_points(radius, fraction: float, count: int, prec_bits: int = 64):
 
 def hodge_report_json(reports, config_hash: str | None = None) -> dict:
     """Serialize point reports with floats as decimal strings."""
-
-    def c(x):
-        # nstr formats without re-rounding to the ambient precision
-        return [mp.nstr(getattr(x, "real", x), 40),
-                mp.nstr(getattr(x, "imag", 0), 40)]
+    c = _format_complex
 
     def f(x):
         return mp.nstr(x, 40)

@@ -121,9 +121,10 @@ class PeriodBasis:
         """Log-free correction in omega_1 = omega_0 log z + sigma_1.
 
         This is the series entering the mirror map z exp(sigma1/omega0);
-        it has no constant term by the basis normalization.
+        it has no constant term by the basis normalization.  It is the
+        log-free row of omega_1.
         """
-        return self.omegas[1] - self.omegas[0] * LogSeries.log_z()
+        return LogSeries.from_rows(self.omegas[1].rows()[:1], self.order)
 
 
 def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:

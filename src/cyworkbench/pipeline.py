@@ -18,6 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -30,7 +31,7 @@ from .genus0 import (CYFamilyConfig, assemble_genus0, build_mirror_map,
                      coupling_from_potential, extract_instantons, flat_yukawa,
                      genus0_export, yukawa_theta)
 from .hodge import HodgeEvaluator, hodge_report_json, sample_points
-from .picard_fuchs import frobenius_solve
+from .picard_fuchs import PeriodBasis, frobenius_solve
 from .series import format_rational
 
 DEFAULT_TOLERANCES = {
@@ -102,7 +103,8 @@ def config_hash(config: WorkbenchConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_json(path: Path, doc) -> str:
+def write_json(path: Path, doc) -> str:
+    """Write an artifact (indent 1, sorted keys); its sha256."""
     payload = json.dumps(doc, indent=1, sort_keys=True) + "\n"
     path.write_text(payload)
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -116,17 +118,38 @@ def default_hodge_order(radius_fraction: float) -> int:
     return max(48, base + 16)
 
 
+def solve_periods(config: WorkbenchConfig) -> tuple[PeriodBasis, PeriodBasis]:
+    """The basis at the truncation order N and the one the Hodge stage reads.
+
+    One recurrence runs to max(N, Hodge order).  It is prefix-stable, so
+    the order-N basis is the truncation of that solve, with the same
+    coefficients a solve at N gives.
+    """
+    n = config.truncation_order
+    hodge_order = (config.hodge_order
+                   or default_hodge_order(config.radius_fraction))
+    full = frobenius_solve(config.family.pf, max(n, hodge_order))
+    if hodge_order <= n:
+        return full, full
+    basis = PeriodBasis(tuple(w.truncate(n) for w in full.omegas),
+                        full.operator, Fraction(n))
+    return basis, full
+
+
+def coupling_and_frame(config: WorkbenchConfig, basis: PeriodBasis):
+    """The theta-coordinate coupling Y and the symplectic frame it fixes."""
+    coupling = yukawa_theta(config.family)
+    frame = solve_symplectic_frame(basis, coupling.series(basis.order),
+                                   config.family.triple_intersection)
+    return coupling, frame
+
+
 def hodge_stage(config: WorkbenchConfig, basis, frame, chash: str) -> dict:
     """The hodge.json document: point reports on the sample disk.
 
-    ``basis`` and ``frame`` are solved at the truncation order; the
-    basis is solved again at the Hodge order when that is higher.
+    ``basis`` is the Hodge-order basis of ``solve_periods``.
     """
-    order = config.hodge_order or default_hodge_order(config.radius_fraction)
-    hodge_basis = (basis if order <= config.truncation_order
-                   else frobenius_solve(config.family.pf, order))
-    evaluator = HodgeEvaluator(hodge_basis, frame,
-                               prec_bits=config.precision_bits)
+    evaluator = HodgeEvaluator(basis, frame, prec_bits=config.precision_bits)
     points = sample_points(config.family.pf.singular_radius,
                            config.radius_fraction, config.sample_count)
     return hodge_report_json([evaluator.point(z0) for z0 in points], chash)
@@ -137,30 +160,30 @@ def run_pipeline(config: WorkbenchConfig, out_dir) -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(config)
+    entry = {"tool_version": __version__, "config_hash": chash,
+             "config": config.to_json()}
     stages = []
     artifacts = []
-    current_stage = "setup"
 
     def stage(name):
-        nonlocal current_stage
-        current_stage = name
         stages.append({"name": name, "start": time.perf_counter()})
 
     def finish_stage():
         rec = stages[-1]
         rec["seconds"] = round(time.perf_counter() - rec.pop("start"), 6)
 
+    def artifact(path, doc):
+        artifacts.append({"path": path, "sha256": write_json(out / path, doc)})
+
     try:
         stage("periods")
-        basis = frobenius_solve(config.family.pf, config.truncation_order)
-        periods_doc = {
+        basis, hodge_basis = solve_periods(config)
+        artifact("periods.json", {
             "config_hash": chash,
             "family": config.family.name,
             "order": format_rational(basis.order),
             "omegas": [w.to_json() for w in basis.omegas],
-        }
-        digest = _write_json(out / "periods.json", periods_doc)
-        artifacts.append({"path": "periods.json", "sha256": digest})
+        })
         finish_stage()
 
         stage("mirror_map")
@@ -168,11 +191,8 @@ def run_pipeline(config: WorkbenchConfig, out_dir) -> dict:
         finish_stage()
 
         stage("yukawa")
-        coupling = yukawa_theta(config.family)
+        coupling, frame = coupling_and_frame(config, basis)
         c_ttt = flat_yukawa(coupling, basis, mm)
-        frame = solve_symplectic_frame(
-            basis, coupling.series(basis.order),
-            config.family.triple_intersection)
         finish_stage()
 
         stage("instantons")
@@ -186,35 +206,19 @@ def run_pipeline(config: WorkbenchConfig, out_dir) -> dict:
         doc["config_hash"] = chash
         doc["yukawa_theta"] = {"string": str(coupling),
                                **coupling.to_json()}
-        digest = _write_json(out / "instantons.json", doc)
-        artifacts.append({"path": "instantons.json", "sha256": digest})
+        artifact("instantons.json", doc)
         finish_stage()
 
         stage("hodge_report")
-        digest = _write_json(out / "hodge.json",
-                             hodge_stage(config, basis, frame, chash))
-        artifacts.append({"path": "hodge.json", "sha256": digest})
+        artifact("hodge.json", hodge_stage(config, hodge_basis, frame, chash))
         finish_stage()
     except WorkbenchError as exc:
-        entry = {
-            "tool_version": __version__,
-            "config_hash": chash,
-            "config": config.to_json(),
-            "status": "error",
-            "failed_stage": current_stage,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        _append_manifest(out, entry)
+        _append_manifest(out, {**entry, "status": "error",
+                               "failed_stage": stages[-1]["name"],
+                               "error": f"{type(exc).__name__}: {exc}"})
         raise
 
-    entry = {
-        "tool_version": __version__,
-        "config_hash": chash,
-        "config": config.to_json(),
-        "status": "ok",
-        "stages": stages,
-        "artifacts": artifacts,
-    }
+    entry.update(status="ok", stages=stages, artifacts=artifacts)
     _append_manifest(out, entry)
     return entry
 
@@ -234,8 +238,9 @@ def load_manifest(path) -> dict:
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines:
         raise MissingArtifact(f"manifest {path} is empty")
-    entry = json.loads(lines[-1])
-    entry["_dir"] = str(path.parent)
+    with malformed_input(f"manifest {path}"):
+        entry = json.loads(lines[-1])
+        entry["_dir"] = str(path.parent)
     return entry
 
 
@@ -251,35 +256,35 @@ def report(manifest_entry: dict) -> str:
     for p in (inst_path, hodge_path):
         if not p.exists():
             raise MissingArtifact(f"artifact {p} is missing")
-    inst = json.loads(inst_path.read_text())
-    hodge = json.loads(hodge_path.read_text())
-    family = family_from_json(manifest_entry["config"]["family"])
-
-    lines = []
-    lines.append(f"family: {inst['family']}")
-    lines.append(f"config: {manifest_entry['config_hash'][:16]}")
-    lines.append("")
-    lines.append("instanton numbers")
-    n_table = {int(d): v for d, v in inst["n"].items()}
-    if all(v == "0" for v in inst["n"].values()):
-        lines.append("  no quantum corrections")
-    else:
-        for d in sorted(n_table):
-            lines.append(f"  d={d} | n_d={n_table[d]} "
-                         f"| N0_d={inst['N0'][str(d)]}")
-    lines.append("")
-    lines.append(f"constant-map contributions (chi = {family.euler})")
-    for g in range(2, 7):
-        value = constant_map_contribution(g, family.euler)
-        if g == 2:
-            lines.append(f"  g=2 | chi/5760 = {format_rational(value)}")
+    with malformed_input(f"run record in {base}"):
+        inst = json.loads(inst_path.read_text())
+        hodge = json.loads(hodge_path.read_text())
+        family = family_from_json(manifest_entry["config"]["family"])
+        lines = []
+        lines.append(f"family: {inst['family']}")
+        lines.append(f"config: {manifest_entry['config_hash'][:16]}")
+        lines.append("")
+        lines.append("instanton numbers")
+        n_table = {int(d): v for d, v in inst["n"].items()}
+        if all(v == "0" for v in inst["n"].values()):
+            lines.append("  no quantum corrections")
         else:
-            lines.append(f"  g={g} | {format_rational(value)}")
-    lines.append("")
-    lines.append("hodge sign checks")
-    pts = hodge["points"]
-    all_pos = all(p["chern_form_positive"] for p in pts)
-    min_g = min(float(p["G_wp"]) for p in pts) if pts else float("nan")
-    lines.append(f"  samples: {len(pts)} | signs_ok: {all_pos} "
-                 f"| min G_wp: {min_g:.6g}")
+            for d in sorted(n_table):
+                lines.append(f"  d={d} | n_d={n_table[d]} "
+                             f"| N0_d={inst['N0'][str(d)]}")
+        lines.append("")
+        lines.append(f"constant-map contributions (chi = {family.euler})")
+        for g in range(2, 7):
+            value = constant_map_contribution(g, family.euler)
+            if g == 2:
+                lines.append(f"  g=2 | chi/5760 = {format_rational(value)}")
+            else:
+                lines.append(f"  g={g} | {format_rational(value)}")
+        lines.append("")
+        lines.append("hodge sign checks")
+        pts = hodge["points"]
+        all_pos = all(p["chern_form_positive"] for p in pts)
+        min_g = min(float(p["G_wp"]) for p in pts) if pts else float("nan")
+        lines.append(f"  samples: {len(pts)} | signs_ok: {all_pos} "
+                     f"| min G_wp: {min_g:.6g}")
     return "\n".join(lines) + "\n"

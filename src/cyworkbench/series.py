@@ -510,16 +510,3 @@ class LogSeries:
             "order": None if self.order is None else format_rational(self.order),
             "terms": terms,
         }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "LogSeries":
-        terms = {}
-        for t in obj.get("terms", []):
-            e = parse_rational(t["exp"])
-            k = int(t["log"])
-            c = Fraction(int(t["num"]), int(t["den"]))
-            terms[(e, k)] = terms.get((e, k), Fraction(0)) + c
-        order = obj.get("order")
-        return cls(terms,
-                   order=None if order is None else parse_rational(order),
-                   ramification=int(obj.get("ramification", 1)))

@@ -221,6 +221,25 @@ class TestGridBasics:
             with pytest.raises(NonUniformGrid):
                 AnomalyGrid(nodes, [mp.mpf(0), mp.mpf(1)], {})
 
+    @staticmethod
+    def decimal_grid(z, prec):
+        return AnomalyGrid.from_json({
+            "grid": {"z": [[x, "0"] for x in z], "zbar": [["0", "0"],
+                                                         ["1", "0"]]},
+            "prec_bits": prec})
+
+    @pytest.mark.parametrize("z, prec", [(["0.1", "0.2", "0.3"], 64),
+                                         (["0.3", "0.301", "0.302"], 53)])
+    def test_uniform_decimal_nodes_at_low_precision(self, z, prec):
+        """The spacing bound is never tighter than the node rounding."""
+        step = self.decimal_grid(z, prec).step_z
+        assert mp.almosteq(step, mp.mpf(z[1]) - mp.mpf(z[0]), 1e-12)
+
+    @pytest.mark.parametrize("prec", [64, 256])
+    def test_node_off_by_one_percent_rejected(self, prec):
+        with pytest.raises(NonUniformGrid):
+            self.decimal_grid(["0.1", "0.2", "0.301"], prec)
+
     def test_missing_field(self):
         grid = build_grid({}, nz=3, nw=3)
         with pytest.raises(MissingField):

@@ -7,6 +7,8 @@ import pytest
 import sympy
 from mpmath import mp
 
+import cyworkbench.cli
+import cyworkbench.pipeline
 from cyworkbench.anomaly import AnomalyGrid
 from cyworkbench.cli import main
 
@@ -188,6 +190,14 @@ class TestExitCodes:
     def test_report_without_run(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
 
+    def test_kappa_other_than_one(self, tmp_path, capsys):
+        doc = json.loads(trivial_config(tmp_path).read_text())
+        doc["family"]["kappa"] = 2
+        cfg = tmp_path / "kappa2.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error (DomainError): ")
+
     def test_failed_run_recorded_in_manifest(self, tmp_path):
         doc = json.loads(fast_quintic_config(tmp_path).read_text())
         doc["family"]["operator"]["coefficients"] = \
@@ -217,6 +227,8 @@ class TestMalformedInput:
         lambda d: d.update(truncation_order="abc"),
         lambda d: d["family"].update(triple_intersection="x"),
         lambda d: d.update(samples=3),
+        lambda d: d["family"]["operator"]["coefficients"][3].append("1/0"),
+        lambda d: d["family"]["operator"].update(singular_radius="1/0"),
     ])
     def test_config_values(self, tmp_path, capsys, edit):
         doc = json.loads(fast_quintic_config(tmp_path).read_text())
@@ -232,6 +244,27 @@ class TestMalformedInput:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(doc))
         self.assert_config_error(capsys, ["hae-check", str(path)])
+
+    def test_grid_node_without_imaginary_part(self, tmp_path, capsys):
+        doc, _ = synthetic_grid_doc()
+        doc["grid"]["z"][0] = ["0.1"]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        self.assert_config_error(capsys, ["hae-check", str(path)])
+
+    @pytest.mark.parametrize("name, text", [
+        ("manifest.jsonl", "{cut"), ("manifest.jsonl", "[1, 2]"),
+        ("instantons.json", "{}"), ("hodge.json", "not json")])
+    def test_damaged_run_directory(self, tmp_path, capsys, name, text):
+        out = tmp_path / "o"
+        assert main(["run", str(trivial_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        path = out / name
+        if name == "manifest.jsonl":  # a damaged last line
+            text = path.read_text() + text + "\n"
+        path.write_text(text)
+        capsys.readouterr()
+        self.assert_config_error(capsys, ["report", str(out)])
 
     def test_propagator_without_s(self, tmp_path, capsys):
         grid_doc, _ = synthetic_grid_doc()
@@ -400,6 +433,27 @@ class TestGridCommands:
 
 
 class TestHodgeReportCommand:
+    @pytest.mark.parametrize("command, flags, order", [
+        ("run", [], 24), ("hodge-report", [], 24),
+        ("run", ["--order", "30"], 30)])
+    def test_one_period_solve(self, tmp_path, monkeypatch, command, flags,
+                              order):
+        """One solve at max(N, Hodge order 24) serves every stage."""
+        solve = cyworkbench.pipeline.frobenius_solve
+        orders = []
+
+        def counted(op, order):
+            orders.append(order)
+            return solve(op, order)
+
+        # cli must not bind a solver of its own; a stale one is counted too
+        for module in (cyworkbench.pipeline, cyworkbench.cli):
+            monkeypatch.setattr(module, "frobenius_solve", counted,
+                                raising=False)
+        assert main([command, str(trivial_config(tmp_path)),
+                     "--out", str(tmp_path / "o"), *flags]) == 0
+        assert orders == [order]
+
     def test_writes_report(self, tmp_path, capsys):
         cfg = fast_quintic_config(tmp_path)
         out = tmp_path / "hr"

@@ -14,8 +14,6 @@ from .anomaly import (AnomalyGrid, GridField, PropagatorSpec, ResidualReport,
                       covariant_derivative, ehae_residual, genus2_integrate,
                       hae_residual)
 from .errors import WorkbenchError
-from .families import constant_coupling_family, family_from_json, \
-    family_to_json
 from .frames import SymplecticFrame, solve_symplectic_frame
 from .genus0 import (CYFamilyConfig, GWPotential, InstantonResult, MirrorMap,
                      YukawaCoupling, assemble_genus0, build_mirror_map,
@@ -35,9 +33,8 @@ __all__ = [
     "PropagatorSpec", "Rational", "ResidualReport", "SymplecticFrame",
     "WorkbenchConfig", "WorkbenchError", "YukawaCoupling",
     "assemble_genus0", "bernoulli", "build_mirror_map", "config_hash",
-    "constant_coupling_family", "constant_map_contribution",
-    "coupling_from_potential", "covariant_derivative", "ehae_residual",
-    "extract_instantons", "family_from_json", "family_to_json",
+    "constant_map_contribution", "coupling_from_potential",
+    "covariant_derivative", "ehae_residual", "extract_instantons",
     "fd_curvature_check", "flat_yukawa", "frobenius_solve",
     "genus0_export", "genus2_integrate", "griffiths_residuals",
     "hae_residual", "hodge_report_json",

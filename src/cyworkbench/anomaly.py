@@ -38,11 +38,18 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .errors import (BoundaryPoint, DomainError, MissingField, NonUniformGrid,
-                     PropagatorMismatch, ResidualToleranceError,
-                     UnstableRange, malformed_input)
+from .errors import (BoundaryPoint, ConfigError, DomainError, MissingField,
+                     NonUniformGrid, PropagatorMismatch,
+                     ResidualToleranceError, UnstableRange, malformed_input)
 
 _GUARD_BITS = 24
+# bound on a recursion residual, and on dbar S - C relative to max |C|
+RESIDUAL_TOLERANCE = 1e-8
+# the conventions every grid is computed in; a document may restate them
+GRID_CONVENTIONS = {
+    "frame_weight": "power of the canonical line = 2 - 2g - h",
+    "limit_convention": "zbar index increases toward the large-radius regime",
+}
 
 
 # ----------------------------------------------------------------------
@@ -100,14 +107,16 @@ def _format_complex(x):
 
 def _uniform_step(nodes, axis: str):
     """The node spacing, uniform up to 1e-30 of it or, where larger, up
-    to the rounding of finite nodes: 8 eps of the largest |node|."""
+    to the rounding of the nodes: 8 eps of the largest |node|."""
     if len(nodes) < 2:
         raise NonUniformGrid(f"{axis} axis needs at least 2 nodes")
+    if not all(mp.isfinite(x) for x in nodes):
+        raise NonUniformGrid(f"{axis} axis has a non-finite node")
     step = nodes[1] - nodes[0]
     if step == 0:
         raise NonUniformGrid(f"{axis} axis has coincident nodes")
-    ulps = 8 * mp.eps * max(abs(x) for x in nodes)
-    tol = max(abs(step) * mp.mpf("1e-30"), ulps if mp.isfinite(ulps) else 0)
+    tol = max(abs(step) * mp.mpf("1e-30"),
+              8 * mp.eps * max(abs(x) for x in nodes))
     for a, b in zip(nodes, nodes[1:]):
         if abs((b - a) - step) > tol:
             raise NonUniformGrid(f"{axis} axis spacing is not uniform")
@@ -174,17 +183,17 @@ class AnomalyGrid:
     """Rectangular sample grid with named fields, shape [i_z][j_zbar].
 
     The zbar axis is oriented so that increasing index approaches the
-    holomorphic-limit regime; the convention string records this.
+    holomorphic-limit regime; ``GRID_CONVENTIONS`` records this.
     """
 
     z_nodes: tuple
     zbar_nodes: tuple
     fields: dict = field(default_factory=dict)
     prec_bits: int = 256
-    frame_weight: str = "power of the canonical line = 2 - 2g - h"
-    limit_convention: str = "zbar index increases toward the large-radius regime"
 
     def __post_init__(self):
+        if self.prec_bits <= 0:
+            raise ConfigError("grid prec_bits must be positive")
         object.__setattr__(self, "z_nodes", tuple(self.z_nodes))
         object.__setattr__(self, "zbar_nodes", tuple(self.zbar_nodes))
         with mp.workprec(self.prec_bits + _GUARD_BITS):
@@ -243,14 +252,16 @@ class AnomalyGrid:
                 for name, rows in sorted(self.fields.items())
             },
             "prec_bits": self.prec_bits,
-            "frame_weight": self.frame_weight,
-            "limit_convention": self.limit_convention,
+            **GRID_CONVENTIONS,
         }
 
     @classmethod
     def from_json(cls, obj) -> "AnomalyGrid":
         with malformed_input("grid JSON"):
-            prec = int(obj.get("prec_bits", 256))
+            for key, value in GRID_CONVENTIONS.items():
+                if obj.get(key, value) != value:
+                    raise ConfigError(f"grid {key} must be {value!r}")
+            prec = int(obj.get("prec_bits", cls.prec_bits))
             with mp.workprec(prec + _GUARD_BITS):
                 grid = obj["grid"]
                 z_nodes = tuple(_parse_complex(p) for p in grid["z"])
@@ -260,12 +271,7 @@ class AnomalyGrid:
                                 for row in rows)
                     for name, rows in obj.get("fields", {}).items()
                 }
-            kwargs = {}
-            if "frame_weight" in obj:
-                kwargs["frame_weight"] = obj["frame_weight"]
-            if "limit_convention" in obj:
-                kwargs["limit_convention"] = obj["limit_convention"]
-            return cls(z_nodes, zbar_nodes, fields, prec_bits=prec, **kwargs)
+            return cls(z_nodes, zbar_nodes, fields, prec_bits=prec)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +434,8 @@ class PropagatorSpec:
     def as_field(self) -> GridField:
         return GridField(tuple(tuple(row) for row in self.values))
 
-    def verify(self, grid: AnomalyGrid, tolerance: float = 1e-8):
+    def verify(self, grid: AnomalyGrid,
+               tolerance: float = RESIDUAL_TOLERANCE):
         """Max deviation of dbar S from the grid C-tensor."""
         _check_shape(self.values, grid.z_nodes, grid.zbar_nodes,
                      "propagator S")
@@ -443,14 +450,17 @@ class PropagatorSpec:
 
     @classmethod
     def from_json(cls, obj) -> "PropagatorSpec":
-        with malformed_input("propagator JSON"), \
-                mp.workprec(int(obj.get("prec_bits", 256)) + _GUARD_BITS):
-            return cls(tuple(tuple(_parse_complex(v) for v in row)
-                             for row in obj["S"]))
+        with malformed_input("propagator JSON"):
+            prec = int(obj.get("prec_bits", AnomalyGrid.prec_bits))
+            if prec <= 0:
+                raise ConfigError("propagator prec_bits must be positive")
+            with mp.workprec(prec + _GUARD_BITS):
+                return cls(tuple(tuple(_parse_complex(v) for v in row)
+                                 for row in obj["S"]))
 
 
 def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
-                     ambiguity=None, tolerance: float = 1e-8):
+                     ambiguity=None, tolerance: float = RESIDUAL_TOLERANCE):
     """Integrate the genus-2 recursion with a declared propagator.
 
     F_2 = (1/2) S (D D F_1 + (D F_1)^2) + ambiguity(z), with ambiguity a

@@ -18,13 +18,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from mpmath import mp
 
-from .anomaly import (AnomalyGrid, PropagatorSpec, ehae_residual,
-                      genus2_integrate, hae_residual)
+from .anomaly import (RESIDUAL_TOLERANCE, AnomalyGrid, PropagatorSpec,
+                      ehae_residual, genus2_integrate, hae_residual)
 from .errors import ConfigError, WorkbenchError
 from .pipeline import (WorkbenchConfig, config_hash, coupling_and_frame,
                        hodge_stage, load_manifest, report, run_pipeline,
@@ -54,10 +54,9 @@ def _resolve_out(args, cfg: WorkbenchConfig | None = None) -> str | None:
 
 def _load_config(args) -> WorkbenchConfig:
     cfg = WorkbenchConfig.from_json(_load_json(args.config))
-    overrides = {field: getattr(args, flag) for flag, field in (
-        ("order", "truncation_order"), ("precision_bits", "precision_bits"),
-        ("samples", "sample_count"), ("radius_fraction", "radius_fraction"))
-        if getattr(args, flag, None) is not None}  # 0 is an override too
+    names = {f.name for f in fields(WorkbenchConfig)}
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in names and value is not None}  # 0 overrides too
     return replace(cfg, **overrides)  # replace() revalidates them
 
 
@@ -96,8 +95,7 @@ def _cmd_residual_check(args) -> int:
 def _cmd_genus2(args) -> int:
     grid = AnomalyGrid.from_json(_load_json(args.grid))
     prop = PropagatorSpec.from_json(_load_json(args.propagator))
-    tol = 1e-8 if args.tolerance is None else args.tolerance
-    f2, rep = genus2_integrate(grid, prop, tolerance=tol)
+    f2, rep = genus2_integrate(grid, prop, tolerance=args.tolerance)
     print(f"genus-2 integration: residual max {mp.nstr(rep.max_abs, 8)} "
           f"mean {mp.nstr(rep.mean_abs, 8)}")
     out = _resolve_out(args)
@@ -129,13 +127,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact B-model workbench for one-parameter families")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run the full pipeline on a family config")
-    p.add_argument("config")
-    p.add_argument("--out")
-    p.add_argument("--order", type=int)
-    p.add_argument("--precision-bits", type=int, dest="precision_bits")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--radius-fraction", type=float, dest="radius_fraction")
+    # a config and its overrides; each dest is a WorkbenchConfig field
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("config")
+    config.add_argument("--out")
+    config.add_argument("--order", type=int, dest="truncation_order")
+    config.add_argument("--precision-bits", type=int)
+    config.add_argument("--samples", type=int, dest="sample_count")
+    config.add_argument("--radius-fraction", type=float)
+
+    p = sub.add_parser("run", parents=[config],
+                       help="run the full pipeline on a family config")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="format tables from a run manifest")
@@ -158,17 +160,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genus2", help="integrate genus 2 with a propagator")
     p.add_argument("grid")
     p.add_argument("--propagator", required=True)
-    p.add_argument("--tolerance", type=float)
+    p.add_argument("--tolerance", type=float, default=RESIDUAL_TOLERANCE)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_genus2)
 
-    p = sub.add_parser("hodge-report", help="point reports on a sample disk")
-    p.add_argument("config")
-    p.add_argument("--out")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--radius-fraction", type=float, dest="radius_fraction")
-    p.add_argument("--precision-bits", type=int, dest="precision_bits")
-    p.add_argument("--order", type=int)
+    p = sub.add_parser("hodge-report", parents=[config],
+                       help="point reports on a sample disk")
     p.set_defaults(func=_cmd_hodge_report)
     return parser
 

@@ -1,4 +1,4 @@
-"""Flat coordinates, triple coupling, and genus-zero invariants.
+"""Family data, flat coordinates, triple coupling, genus-zero invariants.
 
 Pipeline, all in exact rational arithmetic:
 
@@ -25,7 +25,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DomainError, IntegralityViolation, NonMeromorphic
+from .errors import (DomainError, IntegralityViolation, NonMeromorphic,
+                     malformed_input)
 from .picard_fuchs import PeriodBasis, PFOperator, Poly
 from .series import LogSeries, _mul_trunc, format_rational
 
@@ -43,6 +44,30 @@ class CYFamilyConfig:
     def __post_init__(self):
         if self.triple_intersection <= 0:
             raise DomainError("triple intersection number must be positive")
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "kappa": 1,  # moduli count; from_json refuses any other
+            "triple_intersection": self.triple_intersection,
+            "c2_H": self.c2_H,
+            "euler": self.euler,
+            "operator": self.pf.to_json(),
+        }
+
+    @classmethod
+    def from_json(cls, obj) -> "CYFamilyConfig":
+        with malformed_input("family config"):
+            op = PFOperator.from_json(obj["operator"])
+            if int(obj.get("kappa", 1)) != 1:
+                raise DomainError("only one-parameter families are supported")
+            return cls(
+                name=str(obj["name"]),
+                pf=op,
+                triple_intersection=int(obj["triple_intersection"]),
+                c2_H=int(obj["c2_H"]),
+                euler=int(obj["euler"]),
+            )
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ _SAMPLE_PREC = 64
 # relative bound in point() on the imaginary parts of the sign-law
 # pairings and on |(Omega, Omega)|
 _SIGN_TOL = 1e-18
+# relative bound on the finite-difference curvature check
+FD_TOLERANCE = 1e-6
 
 
 def _split(raw):
@@ -251,7 +253,8 @@ class HodgeEvaluator:
 
 
 def fd_curvature_check(evaluator: HodgeEvaluator, z0, h,
-                       tolerance: float | None = 1e-6) -> CurvatureCheck:
+                       tolerance: float | None = FD_TOLERANCE
+                       ) -> CurvatureCheck:
     """Compare algebraic curvature with a central difference of K.
 
     F_{z zbar} = d^2 K / dz dzbar is approximated by the five-point

@@ -22,21 +22,21 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .anomaly import constant_map_contribution
+from .anomaly import RESIDUAL_TOLERANCE, constant_map_contribution
 from .errors import (ConfigError, MissingArtifact, WorkbenchError,
                      malformed_input)
-from .families import family_from_json, family_to_json
 from .frames import solve_symplectic_frame
 from .genus0 import (CYFamilyConfig, assemble_genus0, build_mirror_map,
                      coupling_from_potential, extract_instantons, flat_yukawa,
                      genus0_export, yukawa_theta)
-from .hodge import HodgeEvaluator, hodge_report_json, sample_points
+from .hodge import (FD_TOLERANCE, HodgeEvaluator, hodge_report_json,
+                    sample_points)
 from .picard_fuchs import PeriodBasis, frobenius_solve
 from .series import format_rational
 
 DEFAULT_TOLERANCES = {
-    "fd_curvature": 1e-6,
-    "residual": 1e-8,
+    "fd_curvature": FD_TOLERANCE,
+    "residual": RESIDUAL_TOLERANCE,
 }
 
 
@@ -62,6 +62,8 @@ class WorkbenchConfig:
             raise ConfigError("radius fraction must lie in (0, 1)")
         if self.sample_count < 1:
             raise ConfigError("sample count must be positive")
+        if self.hodge_order is not None and self.hodge_order < 1:
+            raise ConfigError("hodge order must be at least 1")
 
     @classmethod
     def from_json(cls, obj) -> "WorkbenchConfig":
@@ -72,11 +74,14 @@ class WorkbenchConfig:
             tolerances = dict(DEFAULT_TOLERANCES)
             tolerances.update(obj.get("tolerances", {}))
             return cls(
-                family=family_from_json(obj["family"]),
-                truncation_order=int(obj.get("truncation_order", 20)),
-                precision_bits=int(obj.get("precision_bits", 256)),
-                sample_count=int(samples.get("count", 24)),
-                radius_fraction=float(samples.get("radius_fraction", 0.5)),
+                family=CYFamilyConfig.from_json(obj["family"]),
+                truncation_order=int(obj.get("truncation_order",
+                                             cls.truncation_order)),
+                precision_bits=int(obj.get("precision_bits",
+                                           cls.precision_bits)),
+                sample_count=int(samples.get("count", cls.sample_count)),
+                radius_fraction=float(samples.get("radius_fraction",
+                                                  cls.radius_fraction)),
                 hodge_order=(int(obj["hodge_order"])
                              if "hodge_order" in obj else None),
                 tolerances=tolerances,
@@ -85,7 +90,7 @@ class WorkbenchConfig:
 
     def to_json(self) -> dict:
         doc = {
-            "family": family_to_json(self.family),
+            "family": self.family.to_json(),
             "truncation_order": self.truncation_order,
             "precision_bits": self.precision_bits,
             "samples": {"count": self.sample_count,
@@ -112,8 +117,6 @@ def write_json(path: Path, doc) -> str:
 
 def default_hodge_order(radius_fraction: float) -> int:
     """Truncation making the series tail < 1e-20 of the leading term."""
-    if radius_fraction >= 1:
-        raise ConfigError("radius fraction must lie in (0, 1)")
     base = math.ceil(20 * math.log(10) / -math.log(radius_fraction))
     return max(48, base + 16)
 
@@ -126,8 +129,8 @@ def solve_periods(config: WorkbenchConfig) -> tuple[PeriodBasis, PeriodBasis]:
     coefficients a solve at N gives.
     """
     n = config.truncation_order
-    hodge_order = (config.hodge_order
-                   or default_hodge_order(config.radius_fraction))
+    hodge_order = (default_hodge_order(config.radius_fraction)
+                   if config.hodge_order is None else config.hodge_order)
     full = frobenius_solve(config.family.pf, max(n, hodge_order))
     if hodge_order <= n:
         return full, full
@@ -259,7 +262,7 @@ def report(manifest_entry: dict) -> str:
     with malformed_input(f"run record in {base}"):
         inst = json.loads(inst_path.read_text())
         hodge = json.loads(hodge_path.read_text())
-        family = family_from_json(manifest_entry["config"]["family"])
+        family = CYFamilyConfig.from_json(manifest_entry["config"]["family"])
         lines = []
         lines.append(f"family: {inst['family']}")
         lines.append(f"config: {manifest_entry['config_hash'][:16]}")

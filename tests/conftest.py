@@ -16,7 +16,15 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def shipped_family(name):
     """The family of the shipped config ``configs/<name>.json``."""
     doc = json.loads((CONFIGS / f"{name}.json").read_text())
-    return cw.family_from_json(doc["family"])
+    return cw.CYFamilyConfig.from_json(doc["family"])
+
+
+def constant_coupling_family(triple_intersection=1, name="theta4"):
+    """Degenerate family with operator theta^4 (no quantum part)."""
+    op = cw.PFOperator(((), (), (), (), (F(1),)), F(1))
+    return cw.CYFamilyConfig(name=name, pf=op,
+                             triple_intersection=triple_intersection,
+                             c2_H=0, euler=0)
 
 
 def random_mum_operator(seed, degree=2):

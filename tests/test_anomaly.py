@@ -257,6 +257,14 @@ class TestGridBasics:
                 for x, y in zip(ra, rb):
                     assert abs(x - y) < mp.mpf("1e-35")
 
+    def test_conventions_omitted_then_written(self):
+        doc = build_grid({}, nz=3, nw=3).to_json()
+        for key in anomaly.GRID_CONVENTIONS:
+            del doc[key]
+        back = AnomalyGrid.from_json(doc).to_json()
+        assert {key: back[key] for key in anomaly.GRID_CONVENTIONS} \
+            == anomaly.GRID_CONVENTIONS
+
     def test_max_abs_propagates_nan(self):
         """One NaN entry anywhere makes both norms NaN, not the finite max."""
         nan = mp.mpc("nan", 0)

@@ -190,6 +190,13 @@ class TestExitCodes:
     def test_report_without_run(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("hodge_order", [0, -5])
+    def test_hodge_order_below_one(self, tmp_path, capsys, hodge_order):
+        cfg = fast_quintic_config(tmp_path, hodge_order=hodge_order)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error (ConfigError): hodge order must be at least 1\n"
+
     def test_kappa_other_than_one(self, tmp_path, capsys):
         doc = json.loads(trivial_config(tmp_path).read_text())
         doc["family"]["kappa"] = 2
@@ -244,6 +251,42 @@ class TestMalformedInput:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(doc))
         self.assert_config_error(capsys, ["hae-check", str(path)])
+
+    @pytest.mark.parametrize("edit, start", [
+        (lambda d: d["grid"]["z"][3].__setitem__(0, "nan"),
+         "error (NonUniformGrid): z axis has a non-finite node"),
+        (lambda d: d["grid"]["zbar"][0].__setitem__(1, "-inf"),
+         "error (NonUniformGrid): zbar axis has a non-finite node"),
+        (lambda d: d.update(prec_bits=0),
+         "error (ConfigError): grid prec_bits must be positive"),
+        (lambda d: d.update(prec_bits=-100),
+         "error (ConfigError): grid prec_bits must be positive"),
+        (lambda d: d.update(frame_weight="power of the canonical line = 1"),
+         "error (ConfigError): grid frame_weight "),
+        (lambda d: d.update(limit_convention=None),
+         "error (ConfigError): grid limit_convention "),
+    ], ids=["nan-z", "inf-zbar", "prec-0", "prec-neg", "frame-weight",
+            "limit-null"])
+    def test_grid_values_rejected(self, tmp_path, capsys, edit, start):
+        """Nodes, precision and conventions the program cannot honour."""
+        doc, _ = synthetic_grid_doc()
+        edit(doc)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert main(["hae-check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(start)
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("prec_bits", [0, -100])
+    def test_propagator_prec_bits_rejected(self, tmp_path, capsys, prec_bits):
+        grid_doc, prop = synthetic_grid_doc()
+        gpath, ppath = tmp_path / "grid.json", tmp_path / "prop.json"
+        gpath.write_text(json.dumps(grid_doc))
+        ppath.write_text(json.dumps({**prop, "prec_bits": prec_bits}))
+        assert main(["genus2", str(gpath), "--propagator", str(ppath)]) == 1
+        assert capsys.readouterr().err == (
+            "error (ConfigError): propagator prec_bits must be positive\n")
 
     def test_grid_node_without_imaginary_part(self, tmp_path, capsys):
         doc, _ = synthetic_grid_doc()

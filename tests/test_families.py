@@ -6,6 +6,7 @@ The sextic is loaded from the shipped ``configs/sextic.json``.
 import math
 from fractions import Fraction as F
 
+import pytest
 from mpmath import mp
 
 import cyworkbench as cw
@@ -67,4 +68,10 @@ class TestSextic:
 
     def test_config_round_trip(self):
         fam = shipped_family("sextic")
-        assert cw.family_from_json(cw.family_to_json(fam)) == fam
+        assert cw.CYFamilyConfig.from_json(fam.to_json()) == fam
+
+
+@pytest.mark.parametrize("name", ["quintic", "sextic"])
+def test_family_json_round_trip(name):
+    fam = shipped_family(name)
+    assert cw.CYFamilyConfig.from_json(fam.to_json()) == fam

@@ -15,7 +15,8 @@ from cyworkbench.frames import SymplecticFrame
 from cyworkbench.picard_fuchs import PFOperator, PeriodBasis
 from cyworkbench.series import LogSeries
 
-from conftest import random_mum_operator, shipped_family
+from conftest import (constant_coupling_family, random_mum_operator,
+                      shipped_family)
 
 
 Z = sympy.Symbol("z")
@@ -42,7 +43,7 @@ def factored_family(factors, kappa=5):
 
 
 def trivial_basis(order=8, kappa=1):
-    fam = cw.constant_coupling_family(kappa)
+    fam = constant_coupling_family(kappa)
     return fam, cw.frobenius_solve(fam.pf, order)
 
 
@@ -205,7 +206,7 @@ class TestYukawaTheta:
         assert y.factors == (((F(1), F(-6250)), -1),)
 
     def test_constant_coupling(self):
-        fam = cw.constant_coupling_family(7)
+        fam = constant_coupling_family(7)
         y = cw.yukawa_theta(fam)
         assert y.scale == 7 and y.factors == ()
 
@@ -318,7 +319,7 @@ class TestInstantons:
             assert res.n[d].denominator == 1
 
     def test_zero_quantum_part(self):
-        fam = cw.constant_coupling_family(5)
+        fam = constant_coupling_family(5)
         c = LogSeries.constant(5, order=9)
         res = cw.extract_instantons(c, fam)
         assert all(v == 0 for v in res.n.values())
@@ -403,7 +404,7 @@ class TestSymplecticFrame:
     def test_wronskians_match_reference(self, family, derivative):
         op = {"quintic": lambda: shipped_family("quintic").pf,
               "sextic": lambda: shipped_family("sextic").pf,
-              "theta4": lambda: cw.constant_coupling_family(1).pf,
+              "theta4": lambda: constant_coupling_family(1).pf,
               "random": lambda: random_mum_operator(23)}[family]()
         basis = cw.frobenius_solve(op, 12)
         ref = reference_wronskians(basis, derivative)
@@ -422,7 +423,7 @@ class TestSymplecticFrame:
 
     @pytest.mark.parametrize("family", [
         lambda: shipped_family("quintic"), lambda: shipped_family("sextic"),
-        lambda: cw.constant_coupling_family(3),
+        lambda: constant_coupling_family(3),
         lambda: random_hypergeometric_family(5),
         lambda: random_hypergeometric_family(6)],
         ids=["quintic", "sextic", "theta4", "hypergeometric-5",

@@ -11,7 +11,7 @@ from cyworkbench.errors import (DomainError, NormalizationMissing,
                                OutsideDisk, PrecisionLoss, SignViolation)
 from cyworkbench.frames import SymplecticFrame
 
-from conftest import shipped_family
+from conftest import constant_coupling_family, shipped_family
 
 
 def _compile(series):
@@ -324,7 +324,7 @@ class TestCurvature:
         assert info.value.suggested_h is not None
 
     def test_theta4_family_consistency(self):
-        fam = cw.constant_coupling_family(1)
+        fam = constant_coupling_family(1)
         basis = cw.frobenius_solve(fam.pf, 8)
         frame = cw.solve_symplectic_frame(
             basis, cw.yukawa_theta(fam).series(basis.order), 1)

@@ -427,9 +427,13 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
 
 @dataclass(frozen=True)
 class PropagatorSpec:
-    """Auxiliary field S with dbar S = C on the grid (checked, not assumed)."""
+    """Auxiliary field S with dbar S = C on the grid (checked, not assumed).
+
+    ``prec_bits`` is the precision S was read at; it must be the grid's.
+    """
 
     values: tuple
+    prec_bits: int = AnomalyGrid.prec_bits
 
     def as_field(self) -> GridField:
         return GridField(tuple(tuple(row) for row in self.values))
@@ -437,6 +441,10 @@ class PropagatorSpec:
     def verify(self, grid: AnomalyGrid,
                tolerance: float = RESIDUAL_TOLERANCE):
         """Max deviation of dbar S from the grid C-tensor."""
+        if self.prec_bits != grid.prec_bits:
+            raise ConfigError(
+                f"propagator prec_bits {self.prec_bits} differs from grid "
+                f"prec_bits {grid.prec_bits}")
         _check_shape(self.values, grid.z_nodes, grid.zbar_nodes,
                      "propagator S")
         target = grid.field("C")
@@ -456,7 +464,7 @@ class PropagatorSpec:
                 raise ConfigError("propagator prec_bits must be positive")
             with mp.workprec(prec + _GUARD_BITS):
                 return cls(tuple(tuple(_parse_complex(v) for v in row)
-                                 for row in obj["S"]))
+                                 for row in obj["S"]), prec)
 
 
 def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,

@@ -314,7 +314,7 @@ def sample_points(radius, fraction: float, count: int):
     return pts
 
 
-def hodge_report_json(reports, config_hash: str | None = None) -> dict:
+def hodge_report_json(reports, config_hash: str) -> dict:
     """Serialize point reports with floats as decimal strings."""
     c = _format_complex
 
@@ -342,7 +342,4 @@ def hodge_report_json(reports, config_hash: str | None = None) -> dict:
             "tail_bound_rel": f(r.tail_bound_rel),
             "sign_adjust": r.sign_adjust,
         })
-    doc = {"points": points}
-    if config_hash is not None:
-        doc["config_hash"] = config_hash
-    return doc
+    return {"points": points, "config_hash": config_hash}

@@ -15,9 +15,7 @@ through ``rows()`` and ``from_rows`` alone.
 Series are truncated: a series with ``order = N`` is known modulo z^N,
 and its rows are ceil(N r) long.  Every operation propagates the
 weakest truncation order of its operands, so precision loss is always
-explicit in the result.  An ``order`` of ``None`` marks an exact finite
-expression (a polynomial in z^(1/r) and log z); its rows end at the top
-nonzero coefficient.
+explicit in the result.
 
 Coefficients stay in ``fractions.Fraction`` end to end.
 
@@ -68,14 +66,6 @@ def _mul_trunc(a: list, b: list, n: int) -> list:
     return out if da * db == 1 else [Fraction(v, da * db) for v in out]
 
 
-def _min_order(a: Fraction | None, b: Fraction | None) -> Fraction | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 class LogSeries:
     """Truncated ramified series with log coefficients over Q."""
 
@@ -83,12 +73,12 @@ class LogSeries:
 
     def __init__(
         self,
-        terms: Mapping[tuple[Fraction | int, int], Fraction | int] | None = None,
-        order: Fraction | int | None = None,
+        terms: Mapping[tuple[Fraction | int, int], Fraction | int],
+        order: Fraction | int,
         ramification: int = 1,
     ):
         cells: dict[tuple[int, int], Fraction] = {}
-        for (e, k), c in (terms or {}).items():
+        for (e, k), c in terms.items():
             e, c = Fraction(e), Fraction(c)
             if c == 0:
                 continue
@@ -100,7 +90,7 @@ class LogSeries:
             if not 0 <= k <= MAX_LOG_DEGREE:
                 raise LogDegreeOverflow(
                     f"log degree {k} exceeds cap {MAX_LOG_DEGREE}")
-            if order is not None and e >= order:
+            if e >= order:
                 continue  # beyond the known window
             cells[(int(e * ramification), k)] = c
         n = max((i + 1 for i, _ in cells), default=0)
@@ -110,17 +100,12 @@ class LogSeries:
     def _store(self, rows, order, ramification: int) -> None:
         if ramification < 1:
             raise DomainError("ramification must be a positive integer")
-        if order is not None:
-            order = Fraction(order)
-            if order <= 0:
-                raise DomainError("truncation order must be positive")
+        order = Fraction(order)
+        if order <= 0:
+            raise DomainError("truncation order must be positive")
         rows = [[c if type(c) is Fraction else Fraction(c) for c in row]
                 for row in rows]
-        if order is None:
-            n = max((i + 1 for row in rows for i, c in enumerate(row) if c),
-                    default=1)
-        else:
-            n = math.ceil(order * ramification)
+        n = math.ceil(order * ramification)
         if any(any(row[:n]) for row in rows[MAX_LOG_DEGREE + 1:]):
             raise LogDegreeOverflow(f"log degree exceeds cap {MAX_LOG_DEGREE}")
         object.__setattr__(self, "_rows", tuple(
@@ -136,11 +121,10 @@ class LogSeries:
     # constructors
 
     @classmethod
-    def from_rows(cls, rows, order=None, ramification: int = 1) -> "LogSeries":
+    def from_rows(cls, rows, order, ramification: int = 1) -> "LogSeries":
         """Series with coefficient ``rows[k][i]`` at z^(i/r) log^k z.
 
-        The rows are cut or zero-padded to the window ceil(order * r),
-        or trimmed after the top nonzero entry when ``order`` is None.
+        The rows are cut or zero-padded to the window ceil(order * r).
         Rows past log degree 3 may be given but must vanish there.
         """
         self = object.__new__(cls)
@@ -148,33 +132,33 @@ class LogSeries:
         return self
 
     @classmethod
-    def zero(cls, order=None, ramification: int = 1) -> "LogSeries":
+    def zero(cls, order, ramification: int = 1) -> "LogSeries":
         return cls.from_rows((), order, ramification)
 
     @classmethod
-    def constant(cls, c, order=None) -> "LogSeries":
+    def constant(cls, c, order) -> "LogSeries":
         return cls.from_rows([[c]], order)
 
     @classmethod
-    def monomial(cls, coeff, exponent, log_degree: int = 0,
-                 order=None, ramification: int | None = None) -> "LogSeries":
+    def monomial(cls, coeff, exponent, log_degree: int = 0, *, order,
+                 ramification: int | None = None) -> "LogSeries":
         e = Fraction(exponent)
         r = ramification if ramification is not None else e.denominator
         return cls({(e, log_degree): Fraction(coeff)}, order=order,
                    ramification=r)
 
     @classmethod
-    def variable(cls, order=None) -> "LogSeries":
+    def variable(cls, order) -> "LogSeries":
         """The series ``z``."""
         return cls.monomial(1, 1, order=order)
 
     @classmethod
-    def log_z(cls, order=None) -> "LogSeries":
+    def log_z(cls, order) -> "LogSeries":
         """The series ``log z``."""
         return cls.from_rows([[0], [1]], order)
 
     @classmethod
-    def from_coefficients(cls, coeffs: Iterable, order=None) -> "LogSeries":
+    def from_coefficients(cls, coeffs: Iterable, order) -> "LogSeries":
         """Plain power series from ascending z-coefficients."""
         return cls.from_rows([list(coeffs)], order)
 
@@ -248,17 +232,10 @@ class LogSeries:
             if len(terms) > 8:
                 parts.append("...")
             body = " + ".join(parts)
-        tail = f" + O(z^{format_rational(self.order)})" if self.order is not None else ""
-        return f"LogSeries({body}{tail})"
+        return f"LogSeries({body} + O(z^{format_rational(self.order)}))"
 
     # ------------------------------------------------------------------
     # ring structure, on rows over a common 1/r lattice
-
-    def _width(self, r: int) -> int:
-        """Window length on the 1/r lattice, r a multiple of ours."""
-        if self.order is not None:
-            return math.ceil(self.order * r)
-        return (len(self._rows[0]) - 1) * (r // self.ramification) + 1
 
     def _rows_on(self, r: int, n: int) -> list[list[Fraction]]:
         """The rows spread onto the 1/r lattice, cut or padded to n."""
@@ -271,16 +248,16 @@ class LogSeries:
             out.append(wide)
         return out
 
-    def _join(self, other: "LogSeries") -> tuple[int, Fraction | None]:
-        return (math.lcm(self.ramification, other.ramification),
-                _min_order(self.order, other.order))
+    def _join(self, other: "LogSeries") -> tuple[int, Fraction, int]:
+        """Common lattice 1/r, weakest order, and window length on it."""
+        r = math.lcm(self.ramification, other.ramification)
+        order = min(self.order, other.order)
+        return r, order, math.ceil(order * r)
 
     def __add__(self, other) -> "LogSeries":
         if not isinstance(other, LogSeries):
-            other = LogSeries.constant(other)
-        r, order = self._join(other)
-        n = (math.ceil(order * r) if order is not None
-             else max(self._width(r), other._width(r)))
+            other = LogSeries.constant(other, self.order)
+        r, order, n = self._join(other)
         rows = [[x + y for x, y in zip(a, b)] for a, b in
                 zip(self._rows_on(r, n), other._rows_on(r, n))]
         return LogSeries.from_rows(rows, order, r)
@@ -292,8 +269,6 @@ class LogSeries:
         return self * -1
 
     def __sub__(self, other) -> "LogSeries":
-        if not isinstance(other, LogSeries):
-            other = LogSeries.constant(other)
         return self + (-other)
 
     def __rsub__(self, other) -> "LogSeries":
@@ -304,9 +279,7 @@ class LogSeries:
             c = Fraction(other)
             return LogSeries.from_rows([[c * x for x in row] for row in self._rows],
                                        self.order, self.ramification)
-        r, order = self._join(other)
-        n = (math.ceil(order * r) if order is not None
-             else self._width(r) + other._width(r) - 1)
+        r, order, n = self._join(other)
         rows = [[0] * n for _ in range(MAX_LOG_DEGREE + 1)]
         right = other._rows_on(r, n)
         for k1, a in enumerate(self._rows_on(r, n)):
@@ -342,7 +315,7 @@ class LogSeries:
     def truncate(self, order) -> "LogSeries":
         """Forget terms at or above ``order`` (must weaken, not sharpen)."""
         order = Fraction(order)
-        if self.order is not None and order > self.order:
+        if order > self.order:
             raise DomainError("cannot truncate to a higher order than known")
         return LogSeries.from_rows(self._rows, order, self.ramification)
 
@@ -351,11 +324,11 @@ class LogSeries:
         delta = Fraction(delta)
         if delta < 0:
             raise DomainError("shift exponent must be nonnegative")
-        order = None if self.order is None else self.order + delta
         r = math.lcm(self.ramification, delta.denominator)
         pad = [_ZERO] * int(delta * r)
-        return LogSeries.from_rows(
-            [pad + row for row in self._rows_on(r, self._width(r))], order, r)
+        rows = self._rows_on(r, math.ceil(self.order * r))
+        return LogSeries.from_rows([pad + row for row in rows],
+                                   self.order + delta, r)
 
     # ------------------------------------------------------------------
     # calculus
@@ -396,8 +369,7 @@ class LogSeries:
             e = [-c for c in _mul_trunc(a, b, m)]
             e[0] += 2
             b = _mul_trunc(b, e, m)
-        order = self.order if self.order is not None else Fraction(n, self.ramification)
-        return LogSeries.from_rows([b], order, self.ramification)
+        return LogSeries.from_rows([b], self.order, self.ramification)
 
     def exp(self) -> "LogSeries":
         """Formal exponential; needs zero constant term and no logs."""
@@ -419,8 +391,7 @@ class LogSeries:
                 if a[k] != 0:
                     acc += Fraction(k) * a[k] * b[m - k]
             b[m] = acc / m
-        order = self.order if self.order is not None else Fraction(n, self.ramification)
-        return LogSeries.from_rows([b], order, self.ramification)
+        return LogSeries.from_rows([b], self.order, self.ramification)
 
     def log(self) -> "LogSeries":
         """Formal logarithm; needs constant term 1 and no logs.
@@ -437,8 +408,7 @@ class LogSeries:
         d = _mul_trunc([i * c for i, c in enumerate(a)],
                        self.invert()._rows[0], n)
         b = [_ZERO] + [Fraction(c, i) for i, c in enumerate(d) if i]
-        order = self.order if self.order is not None else Fraction(n, self.ramification)
-        return LogSeries.from_rows([b], order, self.ramification)
+        return LogSeries.from_rows([b], self.order, self.ramification)
 
     def compose(self, inner: "LogSeries") -> "LogSeries":
         """Substitute ``inner`` (zero constant term) for the variable.
@@ -454,11 +424,9 @@ class LogSeries:
             raise DomainError("composition requires log-free series")
         if inner.constant_term != 0:
             raise DomainError("inner series must have zero constant term")
-        order = _min_order(self.order, inner.order)
+        order = min(self.order, inner.order)
         a = self._rows[0]
         n = len(a)
-        if order is None:
-            order = Fraction(n)
         nn = math.ceil(order)
         b = inner.truncate(order)._rows[0]
         acc = []
@@ -482,15 +450,14 @@ class LogSeries:
         if c1 == 0:
             raise DomainError("reversion requires a nonzero linear coefficient")
         a = self._rows[0]
-        order = self.order if self.order is not None else Fraction(len(a))
-        nn = math.ceil(order)
+        nn = math.ceil(self.order)
         g = LogSeries.from_coefficients(a[1:nn], order=nn - 1)
         h = g.invert()._rows[0]
         b, power = [0], [1]
         for m in range(1, nn):
             power = _mul_trunc(power, h, nn - 1)
             b.append(Fraction(power[m - 1], m))
-        return LogSeries.from_coefficients(b, order=order)
+        return LogSeries.from_coefficients(b, order=self.order)
 
     # ------------------------------------------------------------------
     # serialization
@@ -507,6 +474,6 @@ class LogSeries:
             })
         return {
             "ramification": self.ramification,
-            "order": None if self.order is None else format_rational(self.order),
+            "order": format_rational(self.order),
             "terms": terms,
         }

@@ -278,15 +278,20 @@ class TestMalformedInput:
         assert err.startswith(start)
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("prec_bits", [0, -100])
-    def test_propagator_prec_bits_rejected(self, tmp_path, capsys, prec_bits):
+    @pytest.mark.parametrize("prec_bits, message", [
+        (0, "propagator prec_bits must be positive"),
+        (-100, "propagator prec_bits must be positive"),
+        (64, "propagator prec_bits 64 differs from grid prec_bits 256"),
+    ], ids=["0", "-100", "64"])
+    def test_propagator_prec_bits_rejected(self, tmp_path, capsys, prec_bits,
+                                           message):
+        """Nonpositive, or other than the 256-bit grid's."""
         grid_doc, prop = synthetic_grid_doc()
         gpath, ppath = tmp_path / "grid.json", tmp_path / "prop.json"
         gpath.write_text(json.dumps(grid_doc))
         ppath.write_text(json.dumps({**prop, "prec_bits": prec_bits}))
         assert main(["genus2", str(gpath), "--propagator", str(ppath)]) == 1
-        assert capsys.readouterr().err == (
-            "error (ConfigError): propagator prec_bits must be positive\n")
+        assert capsys.readouterr().err == f"error (ConfigError): {message}\n"
 
     def test_grid_node_without_imaginary_part(self, tmp_path, capsys):
         doc, _ = synthetic_grid_doc()

@@ -442,13 +442,15 @@ class TestSymplecticFrame:
         with pytest.raises(NormalizationMissing):
             reference_gram(basis, 1)
         with pytest.raises(NormalizationMissing, match="theta Omega"):
-            cw.solve_symplectic_frame(basis, LogSeries.constant(-1), 1)
+            cw.solve_symplectic_frame(
+                basis, LogSeries.constant(-1, basis.order), 1)
 
     def test_wrong_coupling_rejected(self, quintic_basis, quintic_yukawa):
         y = quintic_yukawa.series(quintic_basis.order)
         with pytest.raises(NormalizationMissing, match="triple coupling"):
             cw.solve_symplectic_frame(
-                quintic_basis, y + LogSeries.monomial(1, 3), 5)
+                quintic_basis,
+                y + LogSeries.monomial(1, 3, order=quintic_basis.order), 5)
 
     def test_ramified_basis_rejected(self, quintic_basis):
         half = LogSeries.monomial(1, F(1, 2), order=quintic_basis.order)
@@ -456,7 +458,8 @@ class TestSymplecticFrame:
         basis = PeriodBasis(omegas, quintic_basis.operator,
                             quintic_basis.order)
         with pytest.raises(DomainError, match="unramified"):
-            cw.solve_symplectic_frame(basis, LogSeries.constant(-1), 5)
+            cw.solve_symplectic_frame(
+                basis, LogSeries.constant(-1, basis.order), 5)
 
 
 class TestGriffithsIdentity:

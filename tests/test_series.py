@@ -19,11 +19,8 @@ def geom_quintic(n):
 
 def compose_reference(outer, inner):
     """Dict-keyed power-by-power substitution, the pre-Horner algorithm."""
-    order = outer.order if inner.order is None else (
-        inner.order if outer.order is None else min(outer.order, inner.order))
+    order = min(outer.order, inner.order)
     top = max((e for (e, _), _ in outer.items()), default=F(0))
-    if order is None:
-        order = top + 1
     inner = LogSeries(dict(inner.items()), order=order)
     result = LogSeries.zero(order=order)
     power = LogSeries.constant(1, order=order)
@@ -37,20 +34,18 @@ def compose_reference(outer, inner):
 def revert_reference(f):
     """One composition per coefficient: b_m from [z^m] f(b_<m) = 0."""
     c1 = f.coefficient(1)
-    top = max((e for (e, _), _ in f.items()), default=F(0))
-    order = f.order if f.order is not None else top + 1
-    n = math.ceil(order)
+    n = math.ceil(f.order)
     b = [F(0)] * n
     b[1] = 1 / c1
     for m in range(2, n):
         partial = LogSeries.from_coefficients(b[: m + 1], order=m + 1)
         b[m] = -compose_reference(f, partial).coefficient(m) / c1
-    return LogSeries.from_coefficients(b, order=order)
+    return LogSeries.from_coefficients(b, order=f.order)
 
 
 def random_reversible(rng, order):
     """c1*z + sparse higher terms with a non-monic c1."""
-    n = 7 if order is None else math.ceil(order)
+    n = math.ceil(order)
     coeffs = [F(0), F(rng.choice([-3, -2, 1, 2, 5]), rng.randrange(1, 4))]
     coeffs += [F(rng.randrange(-4, 5), rng.randrange(1, 6))
                if rng.random() < 0.5 else F(0) for _ in range(n - 2)]
@@ -58,9 +53,7 @@ def random_reversible(rng, order):
 
 
 def _joined(a, b):
-    order = a.order if b.order is None else (
-        b.order if a.order is None else min(a.order, b.order))
-    return math.lcm(a.ramification, b.ramification), order
+    return math.lcm(a.ramification, b.ramification), min(a.order, b.order)
 
 
 def add_reference(a, b):
@@ -79,7 +72,7 @@ def mul_reference(a, b):
     for (e1, k1), c1 in a.items():
         for (e2, k2), c2 in b.items():
             e = e1 + e2
-            if order is not None and e >= order:
+            if e >= order:
                 continue
             if k1 + k2 > 3:
                 raise LogDegreeOverflow(f"log(z)^{k1 + k2}")
@@ -100,9 +93,9 @@ def theta_reference(a):
 
 def lattice_series(rng):
     """Sparse series on the 1/r lattice, r in 1..3, log degree up to 3,
-    exact or truncated at an integer or fractional order."""
+    truncated at an integer or fractional order."""
     r = rng.choice([1, 2, 3])
-    order = rng.choice([None, 1, 2, 4, F(1, 2), F(7, 2), F(17, 3)])
+    order = rng.choice([1, 2, 4, F(1, 2), F(7, 2), F(17, 3)])
     terms = {}
     for _ in range(rng.randrange(0, 6)):
         key = (F(rng.randrange(0, 5 * r), r), rng.choice([0, 0, 1, 2, 3]))
@@ -130,8 +123,7 @@ def assert_same(got, ref):
 
 
 def _log_free_result(a, coeffs):
-    order = a.order if a.order is not None else F(len(coeffs), a.ramification)
-    return LogSeries.from_rows([coeffs], order, a.ramification)
+    return LogSeries.from_rows([coeffs], a.order, a.ramification)
 
 
 def invert_reference(a):
@@ -155,9 +147,9 @@ def log_reference(a):
 
 def unit_series(rng, constant):
     """Log-free series on the 1/r lattice, r in 1..3, with the given
-    constant term; exact, one entry long, or truncated."""
+    constant term; one entry long, or truncated further out."""
     r = rng.choice([1, 2, 3])
-    order = rng.choice([None, F(1, r), 1, 3, F(7, 2), 6])
+    order = rng.choice([F(1, r), 1, 3, F(7, 2), 6])
     terms = {(F(0), 0): constant}
     for _ in range(rng.randrange(0, 8)):
         key = (F(rng.randrange(1, 6 * r), r), 0)
@@ -312,9 +304,7 @@ class TestRevert:
     def test_scaling(self):
         assert LogSeries.from_coefficients([0, 2], order=4).revert()[1] == F(1, 2)
 
-    def test_exact_and_fractional_orders(self):
-        exact = LogSeries.from_coefficients([0, 1, 1]).revert()
-        assert exact == LogSeries.from_coefficients([0, 1, -1], order=3)
+    def test_fractional_order(self):
         frac = LogSeries.from_coefficients([0, 1, 1], order=F(7, 2)).revert()
         assert frac == LogSeries.from_coefficients([0, 1, -1, 2],
                                                    order=F(7, 2))
@@ -371,7 +361,7 @@ class TestProperties:
             ident = LogSeries.variable(order=6)
             assert a.compose(b) == ident
             assert b.compose(a) == ident
-        for order in [None, 2, 3, 6, 9, F(7, 2), F(17, 3)] * 4:
+        for order in [2, 3, 6, 9, F(7, 2), F(17, 3)] * 4:
             a = random_reversible(rng, order)
             b = a.revert()
             assert b == revert_reference(a)
@@ -384,11 +374,12 @@ class TestProperties:
         for _ in range(40):
             outer = random_series(rng, order=rng.choice([3, 6, 9]))
             if rng.random() < 0.3:
-                outer = LogSeries(dict(outer.items()))
-            inner = random_reversible(
-                rng, rng.choice([None, 2, 4, 8, F(11, 2)]))
+                # known past every inner order
+                outer = LogSeries(dict(outer.items()), order=12)
+            inner = random_reversible(rng, rng.choice([2, 4, 8, F(11, 2)]))
             if rng.random() < 0.3:
-                inner = inner - LogSeries.monomial(inner.coefficient(1), 1)
+                inner = inner - LogSeries.monomial(inner.coefficient(1), 1,
+                                                   order=inner.order)
             assert outer.compose(inner) == compose_reference(outer, inner)
 
     def test_log_exp_identity(self):
@@ -415,6 +406,13 @@ class TestRowsMatchDictReference:
             a, b = lattice_series(rng), lattice_series(rng)
             assert_same(a + b, add_reference(a, b))
             assert_same(a - b, add_reference(a, -1 * b))
+            # a scalar joins at the series' own order and lattice
+            for got, s, c in ((a + 1, a, 1), (a - F(2, 3), a, F(-2, 3)),
+                              (1 - a, -1 * a, 1)):
+                assert (got.order, got.ramification) == (a.order,
+                                                         a.ramification)
+                assert_same(got, add_reference(
+                    s, LogSeries.constant(c, a.order)))
 
     def test_mul(self):
         rng = random.Random(41)
@@ -446,7 +444,7 @@ class TestRowsMatchDictReference:
         assert_same(outcome(a.__mul__, b), outcome(mul_reference, a, b))
         assert outcome(a.__mul__, b) is LogDegreeOverflow
         with pytest.raises(LogDegreeOverflow):
-            LogSeries({(F(0), 4): F(1)})
+            LogSeries({(F(0), 4): F(1)}, order=1)
         with pytest.raises(LogDegreeOverflow):
             LogSeries.from_rows([[], [], [], [], [0, 1]], order=3)
         assert LogSeries.from_rows([[], [], [], [], [0, 0, 0, 1]],
@@ -458,7 +456,7 @@ class TestRowsMatchDictReference:
         assert whole == LogSeries({(F(1), 0): F(2)}, order=3, ramification=3)
         assert whole != LogSeries({(F(1), 0): F(2), (F(1, 2), 0): F(1)},
                                   order=3, ramification=2)
-        assert whole != LogSeries({(F(1), 0): F(2)}, ramification=2)
+        assert whole != LogSeries({(F(1), 0): F(2)}, order=4, ramification=2)
         assert whole + LogSeries.zero(order=3, ramification=2) == whole
 
     def test_rows_round_trip(self):
@@ -466,11 +464,7 @@ class TestRowsMatchDictReference:
         for _ in range(100):
             a = lattice_series(rng)
             assert len(a.rows()) == 4
-            width = len(a.rows()[0])
-            if a.order is not None:
-                assert width == math.ceil(a.order * a.ramification)
-            else:
-                assert width == 1 or any(row[-1] for row in a.rows())
+            assert len(a.rows()[0]) == math.ceil(a.order * a.ramification)
             assert_same(LogSeries.from_rows(a.rows(), a.order,
                                             a.ramification), a)
 
@@ -484,7 +478,7 @@ class TestKernelsMatchRecurrences:
             a = unit_series(rng, F(rng.choice([-3, -1, 1, 2, 5]),
                                    rng.randrange(1, 4)))
             assert_same(a.invert(), invert_reference(a))
-        assert_same(LogSeries.constant(F(-2, 3)).invert(),
+        assert_same(LogSeries.constant(F(-2, 3), order=1).invert(),
                     LogSeries.constant(F(-3, 2), order=1))
 
     def test_log(self):
@@ -492,21 +486,11 @@ class TestKernelsMatchRecurrences:
         for _ in range(120):
             a = unit_series(rng, F(1))
             assert_same(a.log(), log_reference(a))
-        assert_same(LogSeries.constant(1).log(), LogSeries.zero(order=1))
+        assert_same(LogSeries.constant(1, order=1).log(),
+                    LogSeries.zero(order=1))
 
 
 class TestJson:
-    def test_document(self):
-        doc = LogSeries({(0, 0): 1, (2, 1): F(-5, 3), (3, 0): 7},
-                        order=None).to_json()
-        assert doc == {
-            "ramification": 1,
-            "order": None,
-            "terms": [{"exp": "0", "log": 0, "num": "1", "den": "1"},
-                      {"exp": "2", "log": 1, "num": "-5", "den": "3"},
-                      {"exp": "3", "log": 0, "num": "7", "den": "1"}],
-        }
-
     def test_schema(self):
         doc = LogSeries({(F(1, 2), 1): F(-3, 7)}, order=F(5, 2),
                         ramification=2).to_json()

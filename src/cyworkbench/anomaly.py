@@ -168,10 +168,6 @@ def _fmul(a, b):
     return _pointwise(lambda x, y: x * y, a, b)
 
 
-def _fscale(c, a):
-    return _pointwise(lambda x: c * x, a)
-
-
 def _check_shape(rows, z_nodes, zbar_nodes, what: str):
     if len(rows) != len(z_nodes) or any(
             len(r) != len(zbar_nodes) for r in rows):
@@ -190,6 +186,8 @@ class AnomalyGrid:
     zbar_nodes: tuple
     fields: dict = field(default_factory=dict)
     prec_bits: int = 256
+    step_z: object = field(init=False, repr=False, compare=False)
+    step_zbar: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.prec_bits <= 0:
@@ -197,10 +195,10 @@ class AnomalyGrid:
         object.__setattr__(self, "z_nodes", tuple(self.z_nodes))
         object.__setattr__(self, "zbar_nodes", tuple(self.zbar_nodes))
         with mp.workprec(self.prec_bits + _GUARD_BITS):
-            step_z = _uniform_step(self.z_nodes, "z")
-            step_zbar = _uniform_step(self.zbar_nodes, "zbar")
-        object.__setattr__(self, "_step_z", step_z)
-        object.__setattr__(self, "_step_zbar", step_zbar)
+            object.__setattr__(self, "step_z",
+                               _uniform_step(self.z_nodes, "z"))
+            object.__setattr__(self, "step_zbar",
+                               _uniform_step(self.zbar_nodes, "zbar"))
         shaped = {}
         for name, values in self.fields.items():
             rows = tuple(tuple(row) for row in values)
@@ -209,14 +207,6 @@ class AnomalyGrid:
             shaped[name] = rows
         object.__setattr__(self, "fields", shaped)
         object.__setattr__(self, "_memo", {})
-
-    @property
-    def step_z(self):
-        return self._step_z
-
-    @property
-    def step_zbar(self):
-        return self._step_zbar
 
     def field(self, name: str) -> GridField:
         if name not in self.fields:

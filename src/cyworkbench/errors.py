@@ -17,8 +17,6 @@ class WorkbenchError(Exception):
 class ConfigError(WorkbenchError):
     """Malformed configuration, input file, or CLI usage."""
 
-    exit_code = 1
-
 
 @contextmanager
 def malformed_input(what: str):

@@ -22,7 +22,7 @@ under that rescaling, so no choice is recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DomainError, IntegralityViolation, NonMeromorphic,
@@ -130,12 +130,10 @@ class InstantonResult:
 
 @dataclass(frozen=True)
 class GWPotential:
-    """Genus-g potential: classical polynomial part plus q-expansion."""
+    """Genus-zero potential: classical cubic part plus q-expansion."""
 
-    genus: int
     classical_cubic: Fraction
     quantum: LogSeries
-    gw: dict[int, Fraction] = field(default_factory=dict)
     instantons: dict[int, int] | None = None
 
 
@@ -309,7 +307,7 @@ def extract_instantons(c_ttt: LogSeries, config: CYFamilyConfig,
             f"coupling constant term {c_ttt.constant_term} != {kappa}")
     if not c_ttt.is_log_free or c_ttt.ramification != 1:
         raise DomainError("coupling must be an unramified log-free q-series")
-    d_max = math.ceil(c_ttt.order) - 1 if c_ttt.order is not None else 0
+    d_max = math.ceil(c_ttt.order) - 1
     n: dict[int, Fraction] = {}
     gw: dict[int, Fraction] = {}
     for d in range(1, d_max + 1):
@@ -333,10 +331,8 @@ def assemble_genus0(config: CYFamilyConfig, gw: dict[int, Fraction],
     quantum = LogSeries({(Fraction(d), 0): v for d, v in gw.items()},
                         order=order)
     return GWPotential(
-        genus=0,
         classical_cubic=Fraction(config.triple_intersection, 6),
         quantum=quantum,
-        gw=dict(gw),
         instantons=instantons,
     )
 

@@ -264,12 +264,12 @@ def fd_curvature_check(evaluator: HodgeEvaluator, z0, h,
     with mp.workprec(evaluator.prec_bits + _GUARD_BITS):
         z0 = mp.mpc(z0)
         h = mp.mpf(h)
-        center = evaluator.kahler(z0)
+        report = evaluator.point(z0)
         total = mp.mpf(0)
         for dz in (h, -h, mp.mpc(0, 1) * h, -mp.mpc(0, 1) * h):
             total += evaluator.kahler(z0 + dz)
-        fd = (total - 4 * center) / (4 * h * h)
-        algebraic = evaluator.point(z0).weil_petersson
+        fd = (total - 4 * report.kahler_potential) / (4 * h * h)
+        algebraic = report.weil_petersson
         rel = abs(fd - algebraic) / abs(algebraic)
     if tolerance is not None and rel > tolerance:
         raise PrecisionLoss(

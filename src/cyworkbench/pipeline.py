@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -132,8 +133,6 @@ def solve_periods(config: WorkbenchConfig) -> tuple[PeriodBasis, PeriodBasis]:
     hodge_order = (default_hodge_order(config.radius_fraction)
                    if config.hodge_order is None else config.hodge_order)
     full = frobenius_solve(config.family.pf, max(n, hodge_order))
-    if hodge_order <= n:
-        return full, full
     basis = PeriodBasis(tuple(w.truncate(n) for w in full.omegas),
                         full.operator, Fraction(n))
     return basis, full
@@ -168,53 +167,49 @@ def run_pipeline(config: WorkbenchConfig, out_dir) -> dict:
     stages = []
     artifacts = []
 
+    @contextmanager
     def stage(name):
-        stages.append({"name": name, "start": time.perf_counter()})
-
-    def finish_stage():
-        rec = stages[-1]
-        rec["seconds"] = round(time.perf_counter() - rec.pop("start"), 6)
+        stages.append({"name": name})
+        start = time.perf_counter()
+        yield
+        stages[-1]["seconds"] = round(time.perf_counter() - start, 6)
 
     def artifact(path, doc):
         artifacts.append({"path": path, "sha256": write_json(out / path, doc)})
 
     try:
-        stage("periods")
-        basis, hodge_basis = solve_periods(config)
-        artifact("periods.json", {
-            "config_hash": chash,
-            "family": config.family.name,
-            "order": format_rational(basis.order),
-            "omegas": [w.to_json() for w in basis.omegas],
-        })
-        finish_stage()
+        with stage("periods"):
+            basis, hodge_basis = solve_periods(config)
+            artifact("periods.json", {
+                "config_hash": chash,
+                "family": config.family.name,
+                "order": format_rational(basis.order),
+                "omegas": [w.to_json() for w in basis.omegas],
+            })
 
-        stage("mirror_map")
-        mm = build_mirror_map(basis)
-        finish_stage()
+        with stage("mirror_map"):
+            mm = build_mirror_map(basis)
 
-        stage("yukawa")
-        coupling, frame = coupling_and_frame(config, basis)
-        c_ttt = flat_yukawa(coupling, basis, mm)
-        finish_stage()
+        with stage("yukawa"):
+            coupling, frame = coupling_and_frame(config, basis)
+            c_ttt = flat_yukawa(coupling, basis, mm)
 
-        stage("instantons")
-        result = extract_instantons(c_ttt, config.family, strict=True)
-        potential = assemble_genus0(config.family, result.gw, c_ttt.order,
-                                    instantons=result.integers)
-        if coupling_from_potential(potential) != c_ttt:
-            raise WorkbenchError(
-                "internal consistency failure: the two coupling routes differ")
-        doc = genus0_export(config.family, result, mm, c_ttt)
-        doc["config_hash"] = chash
-        doc["yukawa_theta"] = {"string": str(coupling),
-                               **coupling.to_json()}
-        artifact("instantons.json", doc)
-        finish_stage()
+        with stage("instantons"):
+            result = extract_instantons(c_ttt, config.family, strict=True)
+            potential = assemble_genus0(config.family, result.gw, c_ttt.order,
+                                        instantons=result.integers)
+            if coupling_from_potential(potential) != c_ttt:
+                raise WorkbenchError("internal consistency failure: "
+                                     "the two coupling routes differ")
+            doc = genus0_export(config.family, result, mm, c_ttt)
+            doc["config_hash"] = chash
+            doc["yukawa_theta"] = {"string": str(coupling),
+                                   **coupling.to_json()}
+            artifact("instantons.json", doc)
 
-        stage("hodge_report")
-        artifact("hodge.json", hodge_stage(config, hodge_basis, frame, chash))
-        finish_stage()
+        with stage("hodge_report"):
+            artifact("hodge.json",
+                     hodge_stage(config, hodge_basis, frame, chash))
     except WorkbenchError as exc:
         _append_manifest(out, {**entry, "status": "error",
                                "failed_stage": stages[-1]["name"],

@@ -9,8 +9,9 @@ with exact rational coefficients ``c_{i,k}``, a ramification index
 at a maximally unipotent point have log degree <= 3, so the cap is
 structural, not a tuning knob).  The coefficients live in four dense
 rows, ``rows()[k][i] = c_{i,k}``, the only coefficient format: every
-operation works on the rows, and other modules read and build series
-through ``rows()`` and ``from_rows`` alone.
+operation works on the rows.  Other modules read series through
+``rows()`` and build them with ``from_rows`` or the named constructors
+(``zero``, ``constant``, ``log_z``, ``from_coefficients``, a term map).
 
 Series are truncated: a series with ``order = N`` is known modulo z^N,
 and its rows are ceil(N r) long.  Every operation propagates the
@@ -302,14 +303,9 @@ class LogSeries:
     def __pow__(self, n: int) -> "LogSeries":
         if not isinstance(n, int) or n < 0:
             raise DomainError("only nonnegative integer powers")
-        result = LogSeries.constant(1, order=self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        result = self if n else LogSeries.constant(1, order=self.order)
+        for _ in range(n - 1):
+            result = result * self
         return result
 
     def truncate(self, order) -> "LogSeries":
@@ -372,26 +368,25 @@ class LogSeries:
         return LogSeries.from_rows([b], self.order, self.ramification)
 
     def exp(self) -> "LogSeries":
-        """Formal exponential; needs zero constant term and no logs."""
+        """Formal exponential; needs zero constant term and no logs.
+
+        Newton iteration b <- b (1 + a - log b) doubles the known length
+        of b per step (Brent-Kung).
+        """
         if not self.is_log_free:
             raise DomainError("exp requires a log-free argument")
         if self.constant_term != 0:
             raise DomainError("exp requires zero constant term")
-        a = self._rows[0]
+        a, r = self._rows[0], self.ramification
         n = len(a)
-        # exp(f)' = f' exp(f) gives the standard coefficient recurrence;
-        # on the 1/r lattice the derivative weights are m/r.  It stays a
-        # scalar loop: each b_m reads the b_k just found, so no single
-        # product computes it.
-        b = [Fraction(0)] * n
-        b[0] = Fraction(1)
-        for m in range(1, n):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if a[k] != 0:
-                    acc += Fraction(k) * a[k] * b[m - k]
-            b[m] = acc / m
-        return LogSeries.from_rows([b], self.order, self.ramification)
+        b, m = [1], 1
+        while m < n:
+            m = min(2 * m, n)
+            log_b = LogSeries.from_rows([b], Fraction(m, r), r).log()._rows[0]
+            e = [x - y for x, y in zip(a, log_b)]
+            e[0] += 1
+            b = _mul_trunc(b, e, m)
+        return LogSeries.from_rows([b], self.order, r)
 
     def log(self) -> "LogSeries":
         """Formal logarithm; needs constant term 1 and no logs.

@@ -10,7 +10,7 @@ from mpmath import mp
 
 import cyworkbench as cw
 from cyworkbench import anomaly
-from cyworkbench.anomaly import (_central, _fadd, _fmul, _fscale, _fsub,
+from cyworkbench.anomaly import (_central, _fadd, _fmul, _fsub, _pointwise,
                                  AnomalyGrid, GridField, PropagatorSpec)
 from cyworkbench.errors import (BoundaryPoint, DomainError, MissingField,
                                 NonUniformGrid, PropagatorMismatch,
@@ -170,7 +170,9 @@ def hae_reference(grid, g):
                     d_cache[gg] = cw.covariant_derivative(
                         grid, grid.field(f"F{gg}"), 2 - 2 * gg, 0)
             bracket = _fadd(bracket, _fmul(d_cache[g1], d_cache[g - g1]))
-        rhs = _fscale(mp.mpf(1) / 2, _fmul(grid.field("C"), bracket))
+        half = mp.mpf(1) / 2
+        rhs = _pointwise(lambda x: half * x,
+                         _fmul(grid.field("C"), bracket))
         return _fsub(lhs, rhs)
 
 

@@ -1,5 +1,6 @@
 """Point reports, sign laws, and finite-difference curvature."""
 
+import json
 import math
 import random
 
@@ -10,8 +11,9 @@ import cyworkbench as cw
 from cyworkbench.errors import (DomainError, NormalizationMissing,
                                OutsideDisk, PrecisionLoss, SignViolation)
 from cyworkbench.frames import SymplecticFrame
+from cyworkbench.pipeline import solve_periods
 
-from conftest import constant_coupling_family, shipped_family
+from conftest import CONFIGS, constant_coupling_family, shipped_family
 
 
 def _compile(series):
@@ -83,13 +85,19 @@ class TestPointReports:
             assert abs(mp.exp(-rep.kahler_potential) - rep.pairing_value) < \
                 mp.mpf("1e-60") * rep.pairing_value
 
-    @pytest.mark.parametrize("prec_bits", [128, 256])
-    def test_kahler_equals_point_potential(self, quintic_basis,
-                                           quintic_frame, quintic_family,
-                                           prec_bits):
-        ev = cw.HodgeEvaluator(quintic_basis, quintic_frame, prec_bits)
-        for z0 in cw.sample_points(quintic_family.pf.singular_radius, 0.4, 3):
-            assert ev.kahler(z0) == ev.point(z0).kahler_potential
+    @pytest.mark.parametrize("prec_bits", [128, 256, 2048])
+    def test_kahler_equals_point_potential(self, quintic_frame, prec_bits):
+        """Bit for bit on the shipped quintic run's Hodge samples, so
+        fd_curvature_check may read K at z0 off its point() report."""
+        cfg = cw.WorkbenchConfig.from_json(
+            json.loads((CONFIGS / "quintic.json").read_text()))
+        ev = cw.HodgeEvaluator(solve_periods(cfg)[1], quintic_frame,
+                               prec_bits)
+        points = cw.sample_points(cfg.family.pf.singular_radius,
+                                  cfg.radius_fraction, cfg.sample_count)
+        assert len(points) == 24
+        for z0 in points:
+            assert ev.kahler(z0)._mpf_ == ev.point(z0).kahler_potential._mpf_
 
     def test_metric_routes_agree(self, quintic_hodge):
         rep = quintic_hodge.point(mp.mpc("2e-5", "-1e-5"))
@@ -322,6 +330,21 @@ class TestCurvature:
             cw.fd_curvature_check(quintic_hodge, mp.mpc("1e-7"),
                                   mp.mpf("1e-10"), tolerance=1e-8)
         assert info.value.suggested_h is not None
+
+    def test_center_potential_read_from_point(self, quintic_hodge,
+                                              monkeypatch):
+        z0, h = mp.mpc("1e-4", "5e-5"), mp.mpf("1e-10")
+        kahler, calls = quintic_hodge.kahler, []
+        monkeypatch.setattr(quintic_hodge, "kahler",
+                            lambda z: calls.append(z) or kahler(z))
+        chk = cw.fd_curvature_check(quintic_hodge, z0, h)
+        assert len(calls) == 4  # the stencil only
+        with mp.workprec(quintic_hodge.prec_bits + 24):
+            total = mp.mpf(0)
+            for dz in (h, -h, mp.mpc(0, 1) * h, -mp.mpc(0, 1) * h):
+                total += kahler(z0 + dz)
+            fd = (total - 4 * kahler(z0)) / (4 * h * h)
+        assert chk.finite_difference._mpf_ == fd._mpf_
 
     def test_theta4_family_consistency(self):
         fam = constant_coupling_family(1)

@@ -145,6 +145,17 @@ def log_reference(a):
     return _log_free_result(a, b)
 
 
+def exp_reference(a):
+    """The scalar recurrence that Newton iteration replaced: from
+    exp(f)' = f' exp(f), b_m = (1/m) sum_{k<=m} k a_k b_(m-k)."""
+    c = a.rows()[0]
+    b = [F(1)]
+    for m in range(1, len(c)):
+        b.append(sum((k * c[k] * b[m - k] for k in range(1, m + 1)),
+                     F(0)) / m)
+    return _log_free_result(a, b)
+
+
 def unit_series(rng, constant):
     """Log-free series on the 1/r lattice, r in 1..3, with the given
     constant term; one entry long, or truncated further out."""
@@ -222,6 +233,24 @@ class TestMul:
     def test_scalar(self):
         a = LogSeries.from_coefficients([1, 2], order=4)
         assert (3 * a)[1] == 6
+
+    def test_pow_is_repeated_product(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            s = lattice_series(rng)
+            ref = LogSeries.constant(1, order=s.order)
+            for k in range(5):
+                assert_same(outcome(s.__pow__, k), ref)
+                if ref is LogDegreeOverflow:
+                    break
+                assert ref.order == s.order
+                assert k == 0 or ref.ramification == s.ramification
+                ref = outcome(ref.__mul__, s)
+
+    @pytest.mark.parametrize("k", [-1, 1.5])
+    def test_pow_domain(self, k):
+        with pytest.raises(DomainError):
+            LogSeries.variable(order=4) ** k
 
 
 class TestInvert:
@@ -470,7 +499,8 @@ class TestRowsMatchDictReference:
 
 
 class TestKernelsMatchRecurrences:
-    """invert and log on _mul_trunc against the recurrences they replaced."""
+    """invert, exp and log on _mul_trunc against the recurrences they
+    replaced."""
 
     def test_invert(self):
         rng = random.Random(53)
@@ -488,6 +518,14 @@ class TestKernelsMatchRecurrences:
             assert_same(a.log(), log_reference(a))
         assert_same(LogSeries.constant(1, order=1).log(),
                     LogSeries.zero(order=1))
+
+    def test_exp(self):
+        rng = random.Random(67)
+        for _ in range(120):
+            a = unit_series(rng, F(0))
+            assert_same(a.exp(), exp_reference(a))
+        assert_same(LogSeries.zero(order=1).exp(),
+                    LogSeries.constant(1, order=1))
 
 
 class TestJson:

@@ -28,15 +28,24 @@ order).  ``with_field`` keeps the entries that do not read the replaced
 field and drops them all when it replaces G or K.  The public
 ``covariant_derivative`` of an arbitrary field is not memoised; it
 reads the cached connection.
+
+Grid decimals are read and written, and the stencil divides, on mpmath's
+raw ``_mpf_``/``_mpc_`` tuples: each kernel makes the libmp calls that
+``mp.mpf``, ``mp.nstr`` and mpc division make, at the same precision and
+rounding, minus their dispatch, so every value is bit-identical to theirs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import (from_int, mpc_sub, mpf_add, mpf_div, mpf_mul,
+                         mpf_sub, to_str)
 
 from .errors import (BoundaryPoint, ConfigError, DomainError, MissingField,
                      NonUniformGrid, PropagatorMismatch,
@@ -90,19 +99,47 @@ def constant_map_contribution(g: int, euler) -> Fraction:
 # ----------------------------------------------------------------------
 # grids and fields
 
+# a decimal as nstr writes it; any other spelling goes through mp.mpf
+_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]*))?(?:e([-+]?[0-9]+))?")
+
+
+@functools.cache
+def _power_of_ten(k: int):
+    return from_int(10 ** k)
+
+
+def _parse_real(s):
+    """mp.mpf(s)._mpf_: a decimal m 10^e with |e| <= 400 is rounded once
+    to nearest, the same operation libmp.from_str applies to it."""
+    match = _DECIMAL.fullmatch(s) if type(s) is str else None
+    if match:
+        whole, frac, e = match.groups()
+        frac = (frac or "").rstrip("0")
+        man, exp = int(whole + frac), int(e or 0) - len(frac)
+        if 0 <= exp <= 400:
+            return from_int(man * 10 ** exp, *mp._prec_rounding)
+        if -400 <= exp < 0:
+            return mpf_div(from_int(man), _power_of_ten(-exp),
+                           *mp._prec_rounding)
+    return mp.mpf(s)._mpf_
+
+
 def _parse_complex(pair):
     if pair is None:
         return None
-    return mp.mpc(mp.mpf(pair[0]), mp.mpf(pair[1]))
+    return mp.make_mpc((_parse_real(pair[0]), _parse_real(pair[1])))
 
 
 def _format_complex(x):
     if x is None:
         return None
-    # nstr formats without re-rounding, so high-precision values survive
-    re = getattr(x, "real", x)
-    im = getattr(x, "imag", 0)
-    return [mp.nstr(re, 40), mp.nstr(im, 40)]
+    # to_str, nstr's own call, does not re-round; nstr(mp.zero) is "0.0"
+    if hasattr(x, "_mpc_"):
+        return [to_str(x._mpc_[0], 40), to_str(x._mpc_[1], 40)]
+    if hasattr(x, "_mpf_"):
+        return [to_str(x._mpf_, 40), "0.0"]
+    return [mp.nstr(getattr(x, "real", x), 40),
+            mp.nstr(getattr(x, "imag", 0), 40)]
 
 
 def _uniform_step(nodes, axis: str):
@@ -166,6 +203,13 @@ def _fsub(a, b):
 
 def _fmul(a, b):
     return _pointwise(lambda x, y: x * y, a, b)
+
+
+def _read_prec_bits(obj, what: str) -> int:
+    prec = obj.get("prec_bits", AnomalyGrid.prec_bits)
+    if isinstance(prec, bool) or (isinstance(prec, float) and prec % 1):
+        raise ConfigError(f"{what} prec_bits must be an integer")
+    return int(prec)
 
 
 def _check_shape(rows, z_nodes, zbar_nodes, what: str):
@@ -251,7 +295,7 @@ class AnomalyGrid:
             for key, value in GRID_CONVENTIONS.items():
                 if obj.get(key, value) != value:
                     raise ConfigError(f"grid {key} must be {value!r}")
-            prec = int(obj.get("prec_bits", cls.prec_bits))
+            prec = _read_prec_bits(obj, "grid")
             with mp.workprec(prec + _GUARD_BITS):
                 grid = obj["grid"]
                 z_nodes = tuple(_parse_complex(p) for p in grid["z"])
@@ -268,15 +312,31 @@ class AnomalyGrid:
 # finite differences and covariant derivatives
 
 def _central(grid: AnomalyGrid, f: GridField, axis: str) -> GridField:
-    """Central difference (up - down) / (2 step) along the z or zbar axis."""
+    """Central difference (up - down) / (2 step) along the z or zbar axis;
+    with a complex step, mpc entries run libmp.mpc_div's own steps on the
+    raw parts, with |2 step|^2 at prec + 10 computed once per pass."""
     along_z = axis == "z"
     if len(grid.z_nodes if along_z else grid.zbar_nodes) < 3:
         raise BoundaryPoint(f"{axis} axis too short for a central stencil")
     span = 2 * (grid.step_z if along_z else grid.step_zbar)
+    (prec, rnd), mpc = mp._prec_rounding, mp.mpc
+    if type(span) is mpc:
+        (sr, si), wp = span._mpc_, prec + 10
+        mag = mpf_add(mpf_mul(sr, sr), mpf_mul(si, si), wp)
+
+    def quotient(u, v):
+        if type(span) is not mpc or type(u) is not mpc or type(v) is not mpc:
+            return (u - v) / span
+        a, b = mpc_sub(u._mpc_, v._mpc_, prec, rnd)
+        num_re = mpf_add(mpf_mul(a, sr), mpf_mul(b, si), wp)
+        num_im = mpf_sub(mpf_mul(b, sr), mpf_mul(a, si), wp)
+        return mp.make_mpc((mpf_div(num_re, mag, prec, rnd),
+                            mpf_div(num_im, mag, prec, rnd)))
+
     lines = f.values if along_z else tuple(zip(*f.values))
     edge = tuple(None for _ in lines[0])
     out = [edge] + [
-        tuple(None if (u is None or d is None) else (u - d) / span
+        tuple(None if (u is None or d is None) else quotient(u, d)
               for u, d in zip(up, down))
         for down, up in zip(lines, lines[2:])] + [edge]
     return GridField(tuple(out) if along_z else tuple(zip(*out)))
@@ -449,7 +509,7 @@ class PropagatorSpec:
     @classmethod
     def from_json(cls, obj) -> "PropagatorSpec":
         with malformed_input("propagator JSON"):
-            prec = int(obj.get("prec_bits", AnomalyGrid.prec_bits))
+            prec = _read_prec_bits(obj, "propagator")
             if prec <= 0:
                 raise ConfigError("propagator prec_bits must be positive")
             with mp.workprec(prec + _GUARD_BITS):

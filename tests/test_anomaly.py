@@ -176,31 +176,49 @@ def hae_reference(grid, g):
         return _fsub(lhs, rhs)
 
 
-def seeded_grid(seed, nz, nw, names):
-    """Complex nodes with seeded steps and random complex field values,
+def seeded_grid(seed, nz, nw, names, nodes="mpc", values="mpc"):
+    """Seeded nodes and steps, complex (``"mpc"``) or real (``"mpf"``),
+    and random field values, complex, real or a ``"mixed"`` draw of both,
     some entries None as after an earlier stencil."""
     rng = random.Random(seed)
     with mp.workprec(280):
-        def cplx():
+        def number(kind):
+            if kind == "mixed":
+                kind = rng.choice(["mpc", "mpf"])
+            if kind == "mpf":
+                return mp.mpf(rng.uniform(-1, 1))
             return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        z0, w0, hz, hw = cplx(), cplx(), cplx() / 100, cplx() / 100
-        fields = {name: [[None if rng.random() < 0.05 else cplx()
+        z0, w0 = number(nodes), number(nodes)
+        hz, hw = number(nodes) / 100, number(nodes) / 100
+        fields = {name: [[None if rng.random() < 0.05 else number(values)
                           for _ in range(nw)] for _ in range(nz)]
                   for name in names}
         return AnomalyGrid([z0 + k * hz for k in range(nz)],
                            [w0 + k * hw for k in range(nw)], fields)
 
 
+def raw(v):
+    """The type and exact binary parts of an mpmath value."""
+    return type(v), getattr(v, "_mpc_", None) or getattr(v, "_mpf_", None)
+
+
 def assert_identical(a, b):
     assert len(a.values) == len(b.values)
     for ra, rb in zip(a.values, b.values):
         assert ra == rb  # identical floats and None pattern, not just close
+        assert [raw(x) for x in ra] == [raw(x) for x in rb]
 
 
 class TestStencil:
     def test_matches_per_axis_reference(self):
-        for seed, (nz, nw) in enumerate([(16, 16), (7, 5), (3, 9), (9, 3)]):
-            grid = seeded_grid(seed, nz, nw, ["f"])
+        """Complex and real steps; complex, real and mixed field values."""
+        kinds = [(nodes, values) for nodes in ("mpc", "mpf")
+                 for values in ("mpc", "mpf", "mixed")]
+        shapes = [(16, 16), (7, 5), (3, 9), (9, 3)]
+        for seed, ((nodes, values), (nz, nw)) in enumerate(
+                (kind, shape) for kind in kinds for shape in shapes):
+            grid = seeded_grid(seed, nz, nw, ["f"], nodes, values)
+            assert type(grid.step_z) is getattr(mp, nodes)
             f = grid.field("f")
             with mp.workprec(grid.prec_bits + 24):
                 assert_identical(_central(grid, f, "z"),
@@ -214,6 +232,73 @@ class TestStencil:
         with pytest.raises(BoundaryPoint,
                            match=f"^{axis} axis too short for a central"):
             _central(grid, grid.field("f"), axis)
+
+
+def format_reference(x):
+    """The grid value formatter as written before it read raw parts."""
+    return [mp.nstr(getattr(x, "real", x), 40),
+            mp.nstr(getattr(x, "imag", 0), 40)]
+
+
+class TestGridText:
+    """The raw-tuple reader and writer against mp.mpf and mp.nstr."""
+
+    EDGE = [" 0.5 ", "1E3", "+2.5", ".5", "5.", "-0.0", "1_0.5", "1e-401",
+            "1e401", "inf", "-inf", "nan", "1/3", 3, 0.1, "0.0", "-7",
+            "007.50", "-0.000123", "1.0e+45", "12e-399", "1.5e-400",
+            "1e-400", "1e400", "123456789012345678901234567890e370",
+            # past |e| = 400 from_str rounds twice, and these values come
+            # out unlike one rounding at 88, 280 or 2072 bits
+            "1885154106645125422290038005344253424201e-409",
+            "1544497831596315874328292103592181847905e-408",
+            "4056667169390176559211061323554531325726e-403",
+            "7514524422781390628918868661438697012591.0e401",
+            "2462454927243231034172135275466120743671.00e401"]
+
+    @staticmethod
+    def decimals(rng):
+        """nstr output of seeded values from 1e-300 to 1e300, at 40 digits
+        and at the working precision's full digit count."""
+        out = []
+        for _ in range(200):
+            v = mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** rng.randint(-300,
+                                                                      300)
+            out += [mp.nstr(v, 40), mp.nstr(v, mp.dps)]
+        return out
+
+    @pytest.mark.parametrize("prec", [64 + 24, 256 + 24, 2048 + 24])
+    def test_parse_matches_mpf(self, prec):
+        rng = random.Random(prec)
+        with mp.workprec(prec):
+            texts = self.decimals(rng) + self.EDGE
+            for a, b in zip(texts, texts[1:] + texts[:1]):
+                got = anomaly._parse_complex([a, b])
+                assert type(got) is mp.mpc
+                assert got._mpc_ == (mp.mpf(a)._mpf_, mp.mpf(b)._mpf_), (a, b)
+                assert got._mpc_ == mp.mpc(mp.mpf(a), mp.mpf(b))._mpc_
+
+    @pytest.mark.parametrize("text", ["abc", "1e", "", "0x10", "1.2.3",
+                                      "--1"])
+    def test_parse_rejects_like_mpf(self, text):
+        with pytest.raises(ValueError):
+            mp.mpf(text)
+        with pytest.raises(ValueError):
+            anomaly._parse_complex([text, "0"])
+
+    def test_format_matches_nstr(self):
+        rng = random.Random(5)
+        values = [3, -7, 0, 0.1, -2.5e300, float("inf"), float("nan"),
+                  mp.mpf(0), mp.mpc(0), mp.inf, -mp.inf, mp.nan,
+                  mp.mpc(mp.inf, -mp.inf), mp.mpc(mp.nan, 1), mp.pi]
+        for prec in (88, 280, 2072):
+            with mp.workprec(prec):
+                for _ in range(50):
+                    e = rng.randint(-300, 300)
+                    re, im = (mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** e
+                              for _ in range(2))
+                    values += [re, mp.mpc(re, im), mp.mpc(0, im)]
+        for x in values:
+            assert anomaly._format_complex(x) == format_reference(x), x
 
 
 class TestGridBasics:

@@ -261,12 +261,16 @@ class TestMalformedInput:
          "error (ConfigError): grid prec_bits must be positive"),
         (lambda d: d.update(prec_bits=-100),
          "error (ConfigError): grid prec_bits must be positive"),
+        (lambda d: d.update(prec_bits=True),
+         "error (ConfigError): grid prec_bits must be an integer"),
+        (lambda d: d.update(prec_bits=256.5),
+         "error (ConfigError): grid prec_bits must be an integer"),
         (lambda d: d.update(frame_weight="power of the canonical line = 1"),
          "error (ConfigError): grid frame_weight "),
         (lambda d: d.update(limit_convention=None),
          "error (ConfigError): grid limit_convention "),
-    ], ids=["nan-z", "inf-zbar", "prec-0", "prec-neg", "frame-weight",
-            "limit-null"])
+    ], ids=["nan-z", "inf-zbar", "prec-0", "prec-neg", "prec-true",
+            "prec-fraction", "frame-weight", "limit-null"])
     def test_grid_values_rejected(self, tmp_path, capsys, edit, start):
         """Nodes, precision and conventions the program cannot honour."""
         doc, _ = synthetic_grid_doc()
@@ -282,10 +286,12 @@ class TestMalformedInput:
         (0, "propagator prec_bits must be positive"),
         (-100, "propagator prec_bits must be positive"),
         (64, "propagator prec_bits 64 differs from grid prec_bits 256"),
-    ], ids=["0", "-100", "64"])
+        (True, "propagator prec_bits must be an integer"),
+        (256.5, "propagator prec_bits must be an integer"),
+    ], ids=["0", "-100", "64", "true", "256.5"])
     def test_propagator_prec_bits_rejected(self, tmp_path, capsys, prec_bits,
                                            message):
-        """Nonpositive, or other than the 256-bit grid's."""
+        """Nonpositive, not an integer, or other than the grid's 256."""
         grid_doc, prop = synthetic_grid_doc()
         gpath, ppath = tmp_path / "grid.json", tmp_path / "prop.json"
         gpath.write_text(json.dumps(grid_doc))

@@ -13,17 +13,28 @@ antisymmetric, so i Q(Omega, Omega) vanishes identically and
 of it.  Any change to how the periods are summed moves that key, and
 with it the ``hodge.json`` digests, while every other printed digit
 stays put.
+
+The grid path is pinned the same way on the seed-7 10 x 10 grid of the
+benchmark's generator (``perfbench/grids.py``, loaded read-only): the
+bytes of ``genus2.json`` as ``workbench genus2 --out`` writes them, and
+the exact binary parts of the ``hae_residual(g=2)`` and
+``ehae_residual(1, 1)`` fields.
 """
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
+from cyworkbench.anomaly import AnomalyGrid, ehae_residual, hae_residual
+from cyworkbench.cli import main
 from cyworkbench.pipeline import WorkbenchConfig, run_pipeline
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+GRIDS = ROOT / "perfbench" / "grids.py"
 
 GOLDEN = {
     "quintic": {
@@ -54,3 +65,40 @@ def test_artifact_digests(tmp_path, family):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[family]}
     assert digests == GOLDEN[family]
+
+
+GENUS2_SHA256 = ("97675b65c2fa0e3575e2bb188a966acc"
+                 "7d1a2c40b7098c47c7f30e9ffe25171b")
+RESIDUALS_SHA256 = ("ab45aba328f1141637845deca4a076d2"
+                    "704af9e38f30ea339c0a53bcaa0bfcbb")
+
+
+def seed7_grid_texts():
+    spec = importlib.util.spec_from_file_location("_perfbench_grids", GRIDS)
+    grids = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grids)
+    return grids.make_grid_texts(7, 10, 10)
+
+
+def residual_digest(*fields):
+    """sha256 of the exact (sign, man, exp, bc) parts of every entry."""
+    parts = [[[None if v is None else
+               tuple((s, int(m), e, b) for s, m, e, b in v._mpc_)
+               for v in row] for row in f.values] for f in fields]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def test_grid_digests(tmp_path, capsys):
+    grid_text, prop_text = seed7_grid_texts()
+    (tmp_path / "grid.json").write_text(grid_text)
+    (tmp_path / "prop.json").write_text(prop_text)
+    assert main(["genus2", str(tmp_path / "grid.json"), "--propagator",
+                 str(tmp_path / "prop.json"), "--out",
+                 str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "out" / "genus2.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == GENUS2_SHA256
+    grid = AnomalyGrid.from_json(json.loads(grid_text))
+    assert residual_digest(hae_residual(grid, 2).residual,
+                           ehae_residual(grid, 1, 1).residual) \
+        == RESIDUALS_SHA256

@@ -13,6 +13,11 @@ exact: for a Gram matrix with S_12 = -S_03 the leading term of
 i Q(Omega, bar Omega) near z = 0 is -(4/3) S_03 (|log z| / 2 pi)^3, so
 the orientation is -sign(S_03), which is +1 for every validated frame
 (S_03 = -kappa).
+
+The period towers are exact integer dot products against z0^n, each
+rounded once; over a wide spread of the terms a row keeps its top
+terms and checks the rounding against a bound on the rest (Ziv's test,
+ACM TOMS 17(3), 1991), so tiny z0 cost no more than others.
 """
 
 from __future__ import annotations
@@ -20,10 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, lshift, mul
+from itertools import compress, islice, repeat
+from operator import add, gt, lshift, mul
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpc_mul, mpc_one, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_mul,
+                          mpc_mul_int, mpf_add, mpf_div, mpf_sub, mpf_sum,
+                          round_nearest)
 
 from .anomaly import _GUARD_BITS, _format_complex
 from .errors import (DomainError, NormalizationMissing, OutsideDisk,
@@ -34,25 +42,129 @@ from .series import LogSeries
 
 # binary precision of the sample grid
 _SAMPLE_PREC = 64
-# relative bound in point() on the imaginary parts of the sign-law
-# pairings and on |(Omega, Omega)|
+# cap on the relative bound in point() on the imaginary parts of the
+# sign-law pairings and on |(Omega, Omega)|, 2^-(prec_bits/2) below it
 _SIGN_TOL = 1e-18
 # relative bound on the finite-difference curvature check
 FD_TOLERANCE = 1e-6
 
 
-def _split(raw):
-    """Signed mantissas and binary exponents of raw mpf tuples."""
-    return [-m if s else m for s, m, _, _ in raw], [e for _, _, e, _ in raw]
+def _round(u, x, v, y, prec):
+    """u 2^x + v 2^y rounded to nearest (ties to even) at prec bits, as a
+    signed mantissa and exponent; a carry may leave 2^prec."""
+    if x > y:
+        u, x, v, y = v, y, u, x
+    t = u + (v << y - x)
+    n = t.bit_length() - prec
+    if n > 0:
+        return (t + (1 << n - 1) - 1 + (t >> n & 1)) >> n, x + n
+    return t, x
 
 
-def _dot(mans, exps, pmans, pexps, prec):
-    """sum_n mans[n] pmans[n] 2^(exps[n] + pexps[n]) as one exact integer
-    sum, rounded once to nearest: the value mp.fdot gives."""
-    shifts = list(map(add, exps, pexps))
+def _powers(z, count, prec):
+    """Real and imaginary (mantissas, exponents) of z^0..z^(count-1), each
+    the rounded mpc_mul of the one before by z.  An exact zero part takes
+    the other part's exponent, which keeps it in line on a shared grid."""
+    (cs, c, ce, _), (ds, d, de, _) = z
+    c, d, ce, de = -c if cs else c, -d if ds else d, ce if c else de, \
+        de if d else ce
+    a, ea, b, eb = 1, 0, 0, 0
+    out = [(a, ea, b, eb)]
+    for _ in range(1, count):
+        (a, ea), (b, eb) = (_round(a * c, ea + ce, -b * d, eb + de, prec),
+                            _round(a * d, ea + de, b * c, eb + ce, prec))
+        ea, eb = ea if a else eb, eb if b else ea
+        out.append((a, ea, b, eb))
+    a, ea, b, eb = zip(*out)
+    return (a, ea), (b, eb)
+
+
+def _series_grid(f, prec):
+    """(exponents, rows, bit lengths, column tops) of the rows n^e f[n],
+    e < 4: each entry is mp.mpf(n**e * num) / den at prec, and a column
+    is held as integers on its smallest exponent (an all-zero one takes
+    its left neighbour's, or 0), below 2^top."""
+    exps, rows = [], [[], [], [], []]
+    for n, c in enumerate(f):
+        col = [mpf_div(from_int(n ** e * c.numerator, prec, round_nearest),
+                       from_int(c.denominator), prec, round_nearest)
+               for e in range(4)]
+        low = [x[2] for x in col if x[1]]
+        exps.append(min(low) if low else exps[-1] if exps else 0)
+        for row, (s, m, e, _) in zip(rows, col):
+            m = m << e - exps[-1] if m else 0
+            row.append(-m if s else m)
+    bits = [[m.bit_length() if m else -math.inf for m in row]
+            for row in rows]
+    tops = [x + max(map(int.bit_length, col))
+            for x, col in zip(exps, zip(*rows))]
+    return exps, rows, bits, tops
+
+
+def _exact(row, pmans, offsets):
+    """sum_n row[n] pmans[n] 2^offsets[n] as one integer."""
+    return sum(map(lshift, map(mul, row, pmans), offsets))
+
+
+def _windowed(row, bits, pmans, shifts, ptops, prec):
+    """The rounding to nearest at prec of sum_n row[n] pmans[n]
+    2^shifts[n] from the terms within 2 prec + 16 bits of the largest one,
+    when some lie further down: the kept sum is rounded with the dropped
+    terms' bound added and subtracted, and if the two agree, that is the
+    exact sum's rounding (Ziv's test).  None if the whole row is needed."""
+    tops = list(map(add, bits, ptops))
+    top = max(tops)
+    if top == -math.inf:
+        return fzero
+    cut = top - 2 * prec - 16
+    keep = list(compress(range(len(tops)), map(gt, tops, repeat(cut))))
+    a, b = keep[0], keep[-1] + 1
+    dropped = len(tops) - (b - a)
+    if dropped:
+        low = min(shifts[a:b])
+        kept = from_man_exp(_exact(row[a:b], pmans[a:b],
+                                   [s - low for s in shifts[a:b]]), low)
+        # each dropped term is below 2^cut in absolute value
+        tail = from_man_exp(1, cut + dropped.bit_length())
+        value = mpf_add(kept, tail, prec, round_nearest)
+        if value == mpf_sub(kept, tail, prec, round_nearest):
+            return value
+    return None
+
+
+def _dots(grid, half, rows, prec):
+    """theta^e f(z0) for e < rows from one real half (mantissas,
+    exponents) of the powers, each row an exact integer sum rounded once
+    to nearest.  For a point() the full-length powers are shifted once
+    onto the series' exponent grid; the short leading ones (z0^0 = 1 and
+    the first powers of a short z0), which the grid would pad, are
+    multiplied first and shifted per row, as is every power for a single
+    row.  Where the terms spread over more than 3 prec bits and some lie
+    beyond a window of 2 prec + 16 bits, each row is windowed."""
+    exps, srows, bits, tops = grid
+    pmans, srows = half[0], srows[:rows]
+    shifts = list(map(add, exps, half[1]))
     low = min(shifts)
-    total = sum(map(lshift, map(mul, mans, pmans), [e - low for e in shifts]))
-    return from_man_exp(total, low, prec, round_nearest)
+    offsets = [s - low for s in shifts]
+    mags = max(offsets) > 3 * prec and list(
+        map(add, map(add, tops, half[1]), map(int.bit_length, pmans)))
+    if mags and max(mags) - min(mags) > 2 * prec + 16:
+        ptops = [s + m.bit_length() if m else -math.inf
+                 for m, s in zip(pmans, shifts)]
+        sums = [_windowed(row, b, pmans, shifts, ptops, prec)
+                for row, b in zip(srows, bits)]
+        return [x or from_man_exp(_exact(row, pmans, offsets), low, prec,
+                                  round_nearest)
+                for x, row in zip(sums, srows)]
+    head = len(shifts) if rows == 1 else next(
+        (n for n, m in enumerate(pmans) if m.bit_length() >= prec),
+        len(shifts))
+    short = pmans[:head]
+    q = list(map(lshift, islice(pmans, head, None),
+                 islice(offsets, head, None)))
+    return [from_man_exp(_exact(row, short, offsets)
+                         + sum(map(mul, islice(row, head, None), q)),
+                         low, prec, round_nearest) for row in srows]
 
 
 @dataclass(frozen=True)
@@ -98,9 +210,12 @@ class HodgeEvaluator:
                           C(d,m) (theta^(d-m) f_(k-j)) L^(j-m) / (j-m)!,
 
     and theta^e f_i(z0) = sum_n n^e f_i[n] z0^n is one dot product.
-    The vectors n^e f_i[n] are kept as integer mantissas and binary
-    exponents; each dot product is an exact integer sum rounded once,
-    the value mp.fdot gives.
+    The build keeps, per series, the four rows n^e f_i[n] as integers on
+    one binary exponent per n.  A point forms the powers z0^n by a fused
+    integer complex product (the rounded mpc_mul values), shifts the
+    full-length ones once per series and real half onto that series'
+    grid, and sums each row as one integer dot product rounded once (see
+    _dots); the log recombination runs on raw mpc tuples.
     """
 
     def __init__(self, basis: PeriodBasis, frame: SymplecticFrame,
@@ -116,12 +231,9 @@ class HodgeEvaluator:
             raise NormalizationMissing("pairing has S_03 = 0")
         # orientation from the leading log term (module docstring)
         self.sign_adjust = 1 if s03 < 0 else -1
+        self._sign_tol = min(mp.mpf(_SIGN_TOL), mp.ldexp(1, -prec_bits // 2))
         with mp.workprec(prec_bits + _GUARD_BITS):
-            # _vecs[e][i] = (mantissas, exponents) of n^e f_i[n]
-            self._vecs = [[_split([(mp.mpf(n ** e * c.numerator)
-                                    / c.denominator)._mpf_
-                                   for n, c in enumerate(f)]) for f in jets]
-                          for e in range(4)]
+            self._grids = [_series_grid(f, mp.prec) for f in jets]
             self._S = [(i, j, mp.mpf(x.numerator) / x.denominator)
                        for i, row in enumerate(frame.gram_frobenius)
                        for j, x in enumerate(row) if x]
@@ -142,18 +254,24 @@ class HodgeEvaluator:
 
     def _towers(self, z0, log_z, rows: int = 4):
         """theta^der w_i for der < rows and i in 0..3 at z0; log_z is L."""
-        prec = mp.prec
-        powers = [mpc_one]
-        for _ in range(1, self._n_terms):
-            powers.append(mpc_mul(powers[-1], z0._mpc_, prec, round_nearest))
-        re, im = (_split([p[k] for p in powers]) for k in (0, 1))
-        jet = [[mp.make_mpc((_dot(*vec, *re, prec), _dot(*vec, *im, prec)))
-                for vec in self._vecs[e]] for e in range(rows)]
-        log_pow = [mp.mpf(1), log_z, log_z ** 2 / 2, log_z ** 3 / 6]
-        return [[mp.fsum(math.comb(d, m) * jet[d - m][k - m - p] * log_pow[p]
-                         for m in range(min(d, k) + 1)
-                         for p in range(k - m + 1))
-                 for k in range(4)] for d in range(rows)]
+        prec, rnd = mp.prec, round_nearest
+        halves = _powers(z0._mpc_, self._n_terms, prec)
+        dots = [[_dots(g, half, rows, prec) for half in halves]
+                for g in self._grids]
+        jet = [[(re[e], im[e]) for re, im in dots] for e in range(rows)]
+        log_pow = [None] + [x._mpc_ for x in
+                            (log_z, log_z ** 2 / 2, log_z ** 3 / 6)]
+
+        def term(d, m, k, p):
+            # C(d,m) = 1 and L^0 = 1 are exact: those products are skipped
+            c, t = math.comb(d, m), jet[d - m][k - m - p]
+            t = t if c == 1 else mpc_mul_int(t, c, prec, rnd)
+            return mpc_mul(t, log_pow[p], prec, rnd) if p else t
+        return [[mp.make_mpc(tuple(
+            mpf_sum(part, prec, rnd) for part in zip(*[
+                term(d, m, k, p) for m in range(min(d, k) + 1)
+                for p in range(k - m + 1)])))
+            for k in range(4)] for d in range(rows)]
 
     def _twisted(self, vec):
         return [x / w for x, w in zip(vec, self._twist)]
@@ -211,17 +329,18 @@ class HodgeEvaluator:
             u1 = self._twisted(towers[1])
             adj = self.sign_adjust
             self_abs = abs(mp.mpc(0, 1) * self._pair(u0, u0))
-            if not abs(g00.imag) <= _SIGN_TOL * g00.real:
+            if not abs(g00.imag) <= self._sign_tol * g00.real:
                 raise SignViolation(
                     f"(Omega, bar Omega) = {mp.nstr(g00, 8)} fails the "
                     f"positivity law at {mp.nstr(z0, 8)}")
-            if not self_abs <= _SIGN_TOL * g00.real:
+            if not self_abs <= self._sign_tol * g00.real:
                 raise SignViolation("(Omega, Omega) is not numerically zero")
             lam = adj * self._pair_conj(u1, u0) / g00
             d_theta = [a - lam * b for a, b in zip(u1, u0)]
             d_z = [x / z0 for x in d_theta]
             dd = adj * self._pair_conj(d_z, d_z)
-            if not (dd.real < 0 and abs(dd.imag) <= -_SIGN_TOL * dd.real):
+            if not (dd.real < 0
+                    and abs(dd.imag) <= -self._sign_tol * dd.real):
                 raise SignViolation(
                     f"(D Omega, bar D Omega) = {mp.nstr(dd, 8)} fails the "
                     f"negativity law at {mp.nstr(z0, 8)}")

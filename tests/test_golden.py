@@ -4,8 +4,9 @@
 byte under a refactor; ``hodge.json`` prints 40 digits of values computed
 at a fixed precision and is pinned the same way.  The digests below were
 recorded for the shipped quintic and sextic families at truncation order
-12, two Hodge samples, Hodge order 48 and 128 bits.  A change that moves
-one of them changes the program's output and has to say so.
+12, two Hodge samples, Hodge order 48 and 128 bits, and ``SHIPPED`` pins
+the shipped configs as they are (order 83 at 256 bits).  A change that
+moves one of them changes the program's output and has to say so.
 
 One ``hodge.json`` key is rounding residue, not a value: Q is
 antisymmetric, so i Q(Omega, Omega) vanishes identically and
@@ -56,15 +57,47 @@ GOLDEN = {
 }
 
 
+def run_digests(doc, out, names):
+    """sha256 of the named artifacts of one pipeline run on doc."""
+    run_pipeline(WorkbenchConfig.from_json(doc), out)
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in names}
+
+
 @pytest.mark.parametrize("family", sorted(GOLDEN))
 def test_artifact_digests(tmp_path, family):
     doc = json.loads((CONFIGS / f"{family}.json").read_text())
     doc.update(truncation_order=12, precision_bits=128, hodge_order=48)
     doc["samples"]["count"] = 2
-    run_pipeline(WorkbenchConfig.from_json(doc), tmp_path)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in GOLDEN[family]}
-    assert digests == GOLDEN[family]
+    assert run_digests(doc, tmp_path, GOLDEN[family]) == GOLDEN[family]
+
+
+# the shipped configs as they are: truncation order 20, 24 Hodge samples
+# at the default Hodge order (83) and 256 bits
+SHIPPED = {
+    "quintic": {
+        "periods.json": "ee9f6ea444d7d317e98c829d3ebac40c"
+                        "5b92829d15bb9bde64a9287e0524ce76",
+        "instantons.json": "7d4935a198b54d47b9637c0a0deae651"
+                           "238551459c6434ad52b2049893d3fabb",
+        "hodge.json": "8fe29f48144d22eeb420b91c97ac5ad6"
+                      "5a83088a44cb66f988242149149594f8",
+    },
+    "sextic": {
+        "periods.json": "7c84ecda84f7fb15c1d70c28cbf5da38"
+                        "7475ec20c55675298be605ff407e051c",
+        "instantons.json": "a1743ca7d15e18c59c3fb6819f7e8e47"
+                           "8786bec0ad18f41b1aba0c208c61055a",
+        "hodge.json": "48f0f36aee364c168ea551226d91efc9"
+                      "a07164592e31bc4bf0ae61ea1f517d67",
+    },
+}
+
+
+@pytest.mark.parametrize("family", sorted(SHIPPED))
+def test_shipped_config_digests(tmp_path, family):
+    doc = json.loads((CONFIGS / f"{family}.json").read_text())
+    assert run_digests(doc, tmp_path, SHIPPED[family]) == SHIPPED[family]
 
 
 GENUS2_SHA256 = ("97675b65c2fa0e3575e2bb188a966acc"

@@ -3,11 +3,15 @@
 import json
 import math
 import random
+import time
+from operator import add, lshift, mul
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpc_mul, mpc_one, round_nearest
 
 import cyworkbench as cw
+from cyworkbench import hodge
 from cyworkbench.errors import (DomainError, NormalizationMissing,
                                OutsideDisk, PrecisionLoss, SignViolation)
 from cyworkbench.frames import SymplecticFrame
@@ -65,6 +69,61 @@ def fdot_towers(vecs, z0, log_z, rows=4):
                      for m in range(min(d, k) + 1)
                      for p in range(k - m + 1))
              for k in range(4)] for d in range(rows)]
+
+
+def _split(raw):
+    """Signed mantissas and binary exponents of raw mpf tuples."""
+    return [-m if s else m for s, m, _, _ in raw], [e for _, _, e, _ in raw]
+
+
+def _dot(mans, exps, pmans, pexps, prec):
+    """sum_n mans[n] pmans[n] 2^(exps[n] + pexps[n]) as one exact integer
+    sum, rounded once to nearest."""
+    shifts = list(map(add, exps, pexps))
+    low = min(shifts)
+    total = sum(map(lshift, map(mul, mans, pmans),
+                    [e - low for e in shifts]))
+    return from_man_exp(total, low, prec, round_nearest)
+
+
+def dot_vectors(basis):
+    """vecs[e][i] = (mantissas, exponents) of n^e f_i[n] at the working
+    precision."""
+    return [[_split([x._mpf_ for x in vec]) for vec in row]
+            for row in fdot_vectors(basis)]
+
+
+def dot_towers(vecs, z0, log_z, rows=4):
+    """theta^der w_i at z0 from 32 exact integer dot products on
+    dot_vectors, each rounded once: the evaluator's former kernel, an
+    exact-sum reference at any exponent spread."""
+    prec = mp.prec
+    powers = [mpc_one]
+    for _ in range(1, len(vecs[0][0][0])):
+        powers.append(mpc_mul(powers[-1], z0._mpc_, prec, round_nearest))
+    re, im = (_split([p[k] for p in powers]) for k in (0, 1))
+    jet = [[mp.make_mpc((_dot(*vec, *re, prec), _dot(*vec, *im, prec)))
+            for vec in vecs[e]] for e in range(rows)]
+    log_pow = [mp.mpf(1), log_z, log_z ** 2 / 2, log_z ** 3 / 6]
+    return [[mp.fsum(math.comb(d, m) * jet[d - m][k - m - p] * log_pow[p]
+                     for m in range(min(d, k) + 1)
+                     for p in range(k - m + 1))
+             for k in range(4)] for d in range(rows)]
+
+
+def raw(towers):
+    return [[x._mpc_ for x in row] for row in towers]
+
+
+@pytest.fixture(scope="module", params=["quintic", "sextic"])
+def family_frame(request):
+    """A shipped family and its symplectic frame at order 48."""
+    fam = shipped_family(request.param)
+    basis = cw.frobenius_solve(fam.pf, 48)
+    frame = cw.solve_symplectic_frame(
+        basis, cw.yukawa_theta(fam).series(basis.order),
+        fam.triple_intersection)
+    return fam, frame
 
 
 class TestPointReports:
@@ -239,15 +298,6 @@ class TestReferenceRoute:
 class TestFdotRoute:
     """The integer dot kernel against mp.fdot, bit for bit."""
 
-    @pytest.fixture(scope="class", params=["quintic", "sextic"])
-    def family_frame(self, request):
-        fam = shipped_family(request.param)
-        basis = cw.frobenius_solve(fam.pf, 48)
-        frame = cw.solve_symplectic_frame(
-            basis, cw.yukawa_theta(fam).series(basis.order),
-            fam.triple_intersection)
-        return fam, frame
-
     @pytest.mark.parametrize("order", [48, 83, 300])
     def test_towers_bitwise(self, family_frame, order):
         fam, frame = family_frame
@@ -262,6 +312,8 @@ class TestFdotRoute:
                     mp.mpc(rad / 3),                       # real axis
                     mp.mpc("1e-300"),
                     mp.mpc("1e-300", "-2e-300"),
+                    mp.mpc("1e-3000"),
+                    mp.mpc("1e-3000", "-2e-3000"),
                     rad * mp.mpf("0.999") * mp.expj(mp.mpf("0.3")),
                     rad / 2 * mp.expj(mp.pi - mp.mpf("1e-9")),  # by the cut
                 )
@@ -271,6 +323,107 @@ class TestFdotRoute:
                     got = ev._towers(z0, log_z)
                     assert [[x._mpc_ for x in row] for row in got] == \
                         [[x._mpc_ for x in row] for row in ref]
+
+
+class TestExactRoute:
+    """The tower kernel against the exact-sum route dot_towers, bit for
+    bit, at any exponent spread of the terms."""
+
+    @pytest.mark.parametrize("prec_bits", [128, 256, 2048])
+    @pytest.mark.parametrize("order, seeded", [(48, 6), (300, 1)])
+    def test_towers_bitwise(self, family_frame, order, seeded, prec_bits):
+        fam, frame = family_frame
+        basis = cw.frobenius_solve(fam.pf, order)
+        ev = cw.HodgeEvaluator(basis, frame, prec_bits)
+        radius = fam.pf.singular_radius
+        rng = random.Random(order * 10000 + prec_bits)
+        with mp.workprec(64):
+            # a sample-grid point: short mantissas on the powers
+            short = mp.mpf(radius.numerator) / radius.denominator / 3 \
+                * mp.expj(mp.mpf("1.8"))
+        with mp.workprec(prec_bits + 24):
+            vecs = dot_vectors(basis)
+            rad = mp.mpf(radius.numerator) / radius.denominator
+            points = [
+                mp.mpc(rad / 3),                                # real axis
+                mp.mpc(0, rad / 5),                         # imaginary axis
+                mp.mpc(0, "-1e-40"),
+                rad / 2 * mp.expj(mp.pi - mp.mpf("1e-9")),      # by the cut
+                rad / 7 * mp.expj(-mp.pi + mp.mpf("1e-30")),
+                mp.mpc(rad / 4, mp.ldexp(rad / 4, -5000)),
+                mp.mpc(short),
+            ]
+            top = math.log10(rad / 2)
+            for _ in range(seeded):
+                points.append(mp.mpf(10) ** rng.uniform(-3000, top)
+                              * mp.expj(rng.uniform(-math.pi, math.pi)))
+            for z0 in points:
+                log_z = ev._log(z0, 0)
+                got = ev._towers(z0, log_z)
+                assert raw(got) == raw(dot_towers(vecs, z0, log_z))
+                # kahler() reads the first row alone
+                assert raw(ev._towers(z0, log_z, 1)) == raw(got[:1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_matches_exact_sum(self, seed, monkeypatch):
+        """Rows spread over thousands of bits, the top terms made to cancel
+        in part, so that Ziv's test both passes and fails."""
+        sums = []
+        exact = hodge._exact
+        monkeypatch.setattr(hodge, "_exact",
+                            lambda row, *rest: sums.append(len(row))
+                            or exact(row, *rest))
+        rng = random.Random(seed)
+        prec = 120
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            row = [rng.choice([0, 1, -1]) * rng.getrandbits(140)
+                   >> rng.randint(0, 139) for _ in range(n)]
+            pmans = [rng.choice([1, -1]) * rng.getrandbits(140)
+                     >> rng.randint(0, 139) for _ in range(n)]
+            shifts = [rng.randint(-4000, 4000) for _ in range(n)]
+            if rng.random() < 0.5:
+                # the second term nearly cancels the first
+                row[1], pmans[1], shifts[1] = -row[0], pmans[0], shifts[0]
+                pmans[1] += rng.randint(-3, 3)
+            bits = [m.bit_length() if m else -math.inf for m in row]
+            tops = [s + m.bit_length() for s, m in zip(shifts, row)]
+            sums.clear()
+            got, = hodge._dots((shifts, [row], [bits], tops),
+                               (pmans, [0] * n), 1, prec)
+            assert got == _dot(row, shifts, pmans, [0] * n, prec)
+            # one sum over a window, or a window and then the whole row
+            outcomes.add("whole" if sums == [n] else
+                         "window" if len(sums) == 1 else "fallback")
+        assert {"window", "fallback"} <= outcomes
+
+    @pytest.mark.parametrize("prec", [8, 12, 53, 280])
+    def test_power_ladder_is_mpc_mul(self, prec):
+        """The fused ladder against repeated mpc_mul, on short mantissas
+        whose products often end in a rounding tie, and on zero parts."""
+        rng = random.Random(prec)
+        for _ in range(60):
+            z = tuple(from_man_exp(rng.choice([0, 1, -1])
+                                   * rng.getrandbits(rng.randint(1, prec)),
+                                   rng.randint(-40, 40)) for _ in "ri")
+            if z == (from_man_exp(0, 0),) * 2:
+                continue
+            powers = [mpc_one]
+            for _ in range(39):
+                powers.append(mpc_mul(powers[-1], z, prec, round_nearest))
+            for k, (mans, exps) in enumerate(hodge._powers(z, 40, prec)):
+                assert [from_man_exp(m, e) for m, e in zip(mans, exps)] \
+                    == [p[k] for p in powers]
+
+    def test_tiny_point_cost(self, family_frame):
+        """The exact sum at z0 = 1e-3000 spans millions of bits; the
+        windowed rows keep point() to milliseconds."""
+        fam, frame = family_frame
+        ev = cw.HodgeEvaluator(cw.frobenius_solve(fam.pf, 300), frame, 256)
+        start = time.perf_counter()
+        ev.point(mp.mpc("1e-3000"))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestSignSuite:
@@ -294,6 +447,30 @@ class TestSignSuite:
             assert rep.pairing_value > 0
             assert rep.weil_petersson > 0
             assert rep.dd_pairing < 0
+
+    def test_tolerance_scales_with_precision(self, quintic_basis,
+                                             quintic_frame):
+        tol = {p: cw.HodgeEvaluator(quintic_basis, quintic_frame, p)._sign_tol
+               for p in (64, 128, 2048)}
+        assert tol[64] == mp.mpf(1e-18)        # the cap
+        assert tol[128] == mp.ldexp(1, -64)
+        assert tol[2048] == mp.ldexp(1, -1024)
+
+    def test_residue_flagged_at_high_precision(self, quintic_basis,
+                                               quintic_frame, monkeypatch):
+        # a relative 1e-30 imaginary residue on (Omega, bar Omega) is far
+        # above the rounding of 2048-bit arithmetic
+        ev = cw.HodgeEvaluator(quintic_basis, quintic_frame, 2048)
+        z0 = mp.mpc("1e-5", "1e-5")
+        assert ev.point(z0).pairing_value > 0
+        pair_conj = ev._pair_conj
+
+        def residue(u, v):
+            g = pair_conj(u, v)
+            return g + mp.mpc(0, mp.mpf("1e-30")) * abs(g)
+        monkeypatch.setattr(ev, "_pair_conj", residue)
+        with pytest.raises(SignViolation):
+            ev.point(z0)
 
     def test_sample_points_layout(self, quintic_family):
         radius = quintic_family.pf.singular_radius

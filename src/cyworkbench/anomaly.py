@@ -48,8 +48,8 @@ from mpmath.libmp import (from_int, mpc_sub, mpf_add, mpf_div, mpf_mul,
                          mpf_sub, to_str)
 
 from .errors import (BoundaryPoint, ConfigError, DomainError, MissingField,
-                     NonUniformGrid, PropagatorMismatch,
-                     ResidualToleranceError, UnstableRange, malformed_input)
+                     NonUniformGrid, PropagatorMismatch, UnstableRange,
+                     ResidualToleranceError, config_int, malformed_input)
 
 _GUARD_BITS = 24
 # bound on a recursion residual, and on dbar S - C relative to max |C|
@@ -205,13 +205,6 @@ def _fmul(a, b):
     return _pointwise(lambda x, y: x * y, a, b)
 
 
-def _read_prec_bits(obj, what: str) -> int:
-    prec = obj.get("prec_bits", AnomalyGrid.prec_bits)
-    if isinstance(prec, bool) or (isinstance(prec, float) and prec % 1):
-        raise ConfigError(f"{what} prec_bits must be an integer")
-    return int(prec)
-
-
 def _check_shape(rows, z_nodes, zbar_nodes, what: str):
     if len(rows) != len(z_nodes) or any(
             len(r) != len(zbar_nodes) for r in rows):
@@ -295,7 +288,7 @@ class AnomalyGrid:
             for key, value in GRID_CONVENTIONS.items():
                 if obj.get(key, value) != value:
                     raise ConfigError(f"grid {key} must be {value!r}")
-            prec = _read_prec_bits(obj, "grid")
+            prec = config_int(obj, "prec_bits", cls.prec_bits, "grid")
             with mp.workprec(prec + _GUARD_BITS):
                 grid = obj["grid"]
                 z_nodes = tuple(_parse_complex(p) for p in grid["z"])
@@ -509,7 +502,8 @@ class PropagatorSpec:
     @classmethod
     def from_json(cls, obj) -> "PropagatorSpec":
         with malformed_input("propagator JSON"):
-            prec = _read_prec_bits(obj, "propagator")
+            prec = config_int(obj, "prec_bits", AnomalyGrid.prec_bits,
+                              "propagator")
             if prec <= 0:
                 raise ConfigError("propagator prec_bits must be positive")
             with mp.workprec(prec + _GUARD_BITS):

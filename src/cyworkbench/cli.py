@@ -2,14 +2,14 @@
 
     workbench run <config.json> [--out DIR] [--order N] [--precision-bits P]
     workbench report <manifest|dir>
-    workbench hae-check <grid.json> --genus G [--tolerance T]
+    workbench hae-check <grid.json> [--genus G] [--tolerance T]
     workbench ehae-check <grid.json> --genus G --holes H [--tolerance T]
     workbench genus2 <grid.json> --propagator <file> [--tolerance T] [--out DIR]
     workbench hodge-report <config.json> [--samples N] [--radius-fraction F] ...
 
-Exit codes: 0 success, 1 configuration error, 2 violated mathematical
-precondition, 3 numeric tolerance failure.  The output directory is
---out, else WORKBENCH_OUT, else the config's output_dir.
+Exit codes: 0 success, 1 configuration or usage error, 2 violated
+mathematical precondition, 3 numeric tolerance failure.  The output
+directory is --out, else WORKBENCH_OUT, else the config's output_dir.
 """
 
 from __future__ import annotations
@@ -121,8 +121,13 @@ def _cmd_hodge_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a ConfigError (exit 1)
+        raise ConfigError(f"usage: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="workbench",
         description="Exact B-model workbench for one-parameter families")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -152,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ehae-check", help="open-string residual on a grid")
     p.add_argument("grid")
-    p.add_argument("--genus", type=int, default=0)
-    p.add_argument("--holes", type=int, default=2)
+    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--holes", type=int, required=True)
     p.add_argument("--tolerance", type=float)
     p.set_defaults(func=_cmd_residual_check)
 
@@ -171,9 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except WorkbenchError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

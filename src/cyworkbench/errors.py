@@ -29,6 +29,15 @@ def malformed_input(what: str):
         raise ConfigError(f"malformed {what}: {detail}") from exc
 
 
+def config_int(obj, key: str, default=None, what: str = "config") -> int:
+    """obj[key], or default when given and the key is absent, as an int:
+    a boolean or a number with a fractional part is refused."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and value % 1):
+        raise ConfigError(f"{what} {key} must be an integer")
+    return int(value)
+
+
 class NonUniformGrid(ConfigError):
     """Grid nodes are not uniformly spaced along an axis."""
 

@@ -12,17 +12,23 @@ Flatness and the leading log structure of a normalized basis force
 
     S_01 = S_02 = S_13 = S_23 = 0,    S_03 = -S_12 = s,
 
-so only W_03 and W_12 are ever built, Q(Omega, theta Omega) = 0 holds
-for every s, and Q(Omega, theta^3 Omega) = -Y, with Y the
-theta-coordinate triple coupling, fixes s = -kappa / [z^0](W^3_03 -
-W^3_12).  The residual freedom (which symplectic basis realizes S) does
-not affect any exported quantity.
+and [z^0](W^3_03 - W^3_12) = 1, so Q(Omega, theta^3 Omega) = -Y with
+Y(0) = kappa fixes s = -kappa.  For L = sum_k a_k theta^k and
+b_k = a_k / a_4, Q(Omega, theta Omega) vanishes at every order exactly
+when L satisfies the Calabi-Yau identity (Almkvist-Zudilin)
 
-Wronskians are ``LogSeries`` products, with theta^k of each omega taken
-once per call.  A product stays within the log degree cap 3 for the
-pairs (0, 1), (0, 2), (0, 3) and (1, 2); w_1 theta^k w_3 and
-w_2 theta^k w_3 reach log degree 4 and 5, so a Gram matrix with
-S_13 or S_23 != 0 raises ``LogDegreeOverflow``.
+    b_1 = b_2 b_3 / 2 - b_3^3 / 8 + theta b_2 - 3/4 b_3 theta b_3
+          - theta^2 b_3 / 2,
+
+which times 8 a_4^3 is a polynomial of degree <= 3 deg L, exact on
+3 deg L + 1 terms.  Given it, Q(Omega, theta^3 Omega) solves the
+coupling's equation (2 a_4 theta + a_3) W = 0 with W(0) = -kappa, so it
+equals -Y mod z^N exactly when Y(0) = kappa and Y solves that equation
+mod z^N.  Which symplectic basis realizes S affects no exported value.
+
+A Wronskian stays within the log degree cap 3 for the pairs (0, 1),
+(0, 2), (0, 3) and (1, 2); w_1 theta^k w_3 and w_2 theta^k w_3 reach
+log degree 4 and 5, so S_13 or S_23 != 0 raises ``LogDegreeOverflow``.
 """
 
 from __future__ import annotations
@@ -38,24 +44,6 @@ from .series import LogSeries
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-def _thetas(basis: PeriodBasis, derivative: int) -> list[LogSeries]:
-    """theta^derivative of each omega of an unramified basis."""
-    out = []
-    for w in basis.omegas:
-        if w.ramification != 1:
-            raise DomainError("period series must be unramified")
-        for _ in range(derivative):
-            w = w.theta()
-        out.append(w)
-    return out
-
-
-def _wronskian(basis: PeriodBasis, ders, i: int, j: int) -> LogSeries:
-    """W_ij = w_i theta^k w_j - w_j theta^k w_i, ders[i] = theta^k w_i."""
-    w = basis.omegas
-    return w[i] * ders[j] - w[j] * ders[i]
-
-
 @dataclass(frozen=True)
 class SymplecticFrame:
     """Constant pairing on the rank-4 local system (kappa = 1), given by
@@ -65,37 +53,49 @@ class SymplecticFrame:
 
     def pairing_series(self, basis: PeriodBasis, derivative: int) -> LogSeries:
         """The exact series Q(Omega, theta^derivative Omega)."""
-        g = self.gram_frobenius
-        ders = _thetas(basis, derivative)
+        g, w, ders = self.gram_frobenius, basis.omegas, []
+        for d in w:
+            if d.ramification != 1:
+                raise DomainError("period series must be unramified")
+            for _ in range(derivative):
+                d = d.theta()
+            ders.append(d)
         total = LogSeries.zero(order=basis.order)
         for i, j in _PAIRS:
             if g[i][j] != 0:
-                total = total + _wronskian(basis, ders, i, j) * g[i][j]
+                total = total + (w[i] * ders[j] - w[j] * ders[i]) * g[i][j]
         return total
 
 
 def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
                            triple_intersection) -> SymplecticFrame:
-    """Fix the constant pairing from the Frobenius basis.
+    """Fix the constant pairing from the operator of the basis.
 
-    Sets S_03 = -S_12 = s with s = -kappa / [z^0](W^3_03 - W^3_12), then
-    verifies Q(Omega, theta Omega) = 0 and Q(Omega, theta^3 Omega) =
-    -yukawa_series exactly to the full truncation order of the basis.
+    Sets S_03 = -S_12 = s = -kappa, then checks exactly the Calabi-Yau
+    identity, Q(Omega, theta Omega) = 0 on the first eight terms of the
+    basis, and that yukawa_series starts at kappa and solves
+    (2 a_4 theta + a_3) Y = 0 to the truncation order of the basis.
     """
-    kappa = Fraction(triple_intersection)
-    ders = _thetas(basis, 3)
-    w3 = _wronskian(basis, ders, 0, 3) - _wronskian(basis, ders, 1, 2)
-    if w3.constant_term == 0:
-        raise NormalizationMissing("pairing is degenerate against theta^3")
-    s, zero = -kappa / w3.constant_term, Fraction(0)
+    s, zero, op = -Fraction(triple_intersection), Fraction(0), basis.operator
     frame = SymplecticFrame(gram_frobenius=(
         (zero, zero, zero, s), (zero, zero, -s, zero),
         (zero, s, zero, zero), (-s, zero, zero, zero)))
-    if not frame.pairing_series(basis, 1).is_zero:
+    n = min(basis.order, 8)
+    head = PeriodBasis(tuple(w.truncate(n) for w in basis.omegas), op, n)
+    a = [LogSeries.from_coefficients(p, order=3 * op.z_degree + 1)
+         for p in op.coefficients]
+    b1, b2, b3 = (a_k * a[4].invert() for a_k in a[1:4])
+    t3 = b3.theta()
+    identity = a[4] ** 3 * (8 * b1 - 4 * b2 * b3 + b3 ** 3 - 8 * b2.theta()
+                            + 6 * b3 * t3 + 4 * t3.theta())
+    if not (frame.pairing_series(head, 1).is_zero and identity.is_zero):
         raise NormalizationMissing(
             "Q(Omega, theta Omega) residual is nonzero; "
             "the operator does not carry a symplectic structure")
-    if not (w3 * s + yukawa_series.truncate(basis.order)).is_zero:
+    y = yukawa_series.truncate(basis.order)
+    a3, a4 = (LogSeries.from_coefficients(p, order=basis.order)
+              for p in op.coefficients[3:])
+    if y.constant_term != -s or not (2 * a4 * y.theta() + a3 * y).is_zero:
         raise NormalizationMissing(
             "Q(Omega, theta^3 Omega) does not reproduce the triple coupling")
     return frame

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DomainError, IntegralityViolation, NonMeromorphic,
-                     malformed_input)
+                     config_int, malformed_input)
 from .picard_fuchs import PeriodBasis, PFOperator, Poly
 from .series import LogSeries, _mul_trunc, format_rational
 
@@ -59,14 +59,14 @@ class CYFamilyConfig:
     def from_json(cls, obj) -> "CYFamilyConfig":
         with malformed_input("family config"):
             op = PFOperator.from_json(obj["operator"])
-            if int(obj.get("kappa", 1)) != 1:
+            if config_int(obj, "kappa", 1) != 1:
                 raise DomainError("only one-parameter families are supported")
             return cls(
                 name=str(obj["name"]),
                 pf=op,
-                triple_intersection=int(obj["triple_intersection"]),
-                c2_H=int(obj["c2_H"]),
-                euler=int(obj["euler"]),
+                triple_intersection=config_int(obj, "triple_intersection"),
+                c2_H=config_int(obj, "c2_H"),
+                euler=config_int(obj, "euler"),
             )
 
 

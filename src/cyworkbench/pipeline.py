@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .anomaly import RESIDUAL_TOLERANCE, constant_map_contribution
 from .errors import (ConfigError, MissingArtifact, WorkbenchError,
-                     malformed_input)
+                     config_int, malformed_input)
 from .frames import solve_symplectic_frame
 from .genus0 import (CYFamilyConfig, assemble_genus0, build_mirror_map,
                      coupling_from_potential, extract_instantons, flat_yukawa,
@@ -76,14 +76,15 @@ class WorkbenchConfig:
             tolerances.update(obj.get("tolerances", {}))
             return cls(
                 family=CYFamilyConfig.from_json(obj["family"]),
-                truncation_order=int(obj.get("truncation_order",
-                                             cls.truncation_order)),
-                precision_bits=int(obj.get("precision_bits",
-                                           cls.precision_bits)),
-                sample_count=int(samples.get("count", cls.sample_count)),
+                truncation_order=config_int(obj, "truncation_order",
+                                            cls.truncation_order),
+                precision_bits=config_int(obj, "precision_bits",
+                                          cls.precision_bits),
+                sample_count=config_int(samples, "count", cls.sample_count,
+                                        "config samples"),
                 radius_fraction=float(samples.get("radius_fraction",
                                                   cls.radius_fraction)),
-                hodge_order=(int(obj["hodge_order"])
+                hodge_order=(config_int(obj, "hodge_order")
                              if "hodge_order" in obj else None),
                 tolerances=tolerances,
                 output_dir=obj.get("output_dir"),

@@ -38,6 +38,16 @@ def random_mum_operator(seed, degree=2):
     return cw.PFOperator(tuple(coeffs), F(1, 100))
 
 
+def degree_two_operator():
+    """theta^4 - z (theta+1)^4 - z^2 (2 theta+3)^4, MUM by construction."""
+    minus_t4 = [F(-1), F(-4), F(-6), F(-4), F(-1)]
+    two_t3 = [F(-81), F(-216), F(-216), F(-96), F(-16)]
+    return cw.PFOperator(
+        coefficients=tuple(((F(1),) if k == 4 else (F(0),))
+                           + (minus_t4[k], two_t3[k]) for k in range(5)),
+        singular_radius=F(1, 4))
+
+
 def series_value(series, z0):
     """Sum of c z0^(i/r) log^k z0 over ``series.rows()``, at the ambient
     precision and on the principal branch."""

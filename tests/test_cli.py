@@ -11,6 +11,7 @@ import cyworkbench.cli
 import cyworkbench.pipeline
 from cyworkbench.anomaly import AnomalyGrid
 from cyworkbench.cli import main
+from cyworkbench.pipeline import WorkbenchConfig, config_hash
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs/quintic.json"
 
@@ -164,9 +165,31 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["run", str(bad)]) == 1
 
-    def test_invalid_order(self, tmp_path):
+    def test_invalid_order(self, tmp_path, capsys):
         cfg = fast_quintic_config(tmp_path, truncation_order=2)
         assert main(["run", str(cfg)]) == 1
+        capsys.readouterr()
+        # a usage error is a ConfigError too, not argparse's exit 2
+        assert main(["run", str(cfg), "--order", "abc"]) == 1
+        assert capsys.readouterr().err == ("error (ConfigError): usage: "
+                                           "argument --order: invalid int "
+                                           "value: 'abc'\n")
+
+    def test_non_calabi_yau_operator(self, tmp_path, capsys):
+        """z^25 added to the quintic's a_1 breaks the Calabi-Yau identity
+        only past the truncation order 20; the run exits 2 all the same
+        and ships no hodge.json."""
+        doc = json.loads(fast_quintic_config(tmp_path,
+                                             truncation_order=20).read_text())
+        a1 = doc["family"]["operator"]["coefficients"][1]
+        a1 += ["0"] * (25 - len(a1)) + ["1"]
+        cfg = tmp_path / "gap.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error (NormalizationMissing): Q(Omega, theta Omega) residual ")
+        assert not (out / "hodge.json").exists()
 
     def test_non_mum_operator(self, tmp_path):
         doc = json.loads(fast_quintic_config(tmp_path).read_text())
@@ -244,6 +267,34 @@ class TestMalformedInput:
         cfg.write_text(json.dumps(doc))
         self.assert_config_error(
             capsys, ["run", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["family"].update(triple_intersection=5.5),
+         "config triple_intersection must be an integer"),
+        (lambda d: d.update(hodge_order=True),
+         "config hodge_order must be an integer"),
+        (lambda d: d.update(truncation_order=20.7),
+         "config truncation_order must be an integer"),
+        (lambda d: d["samples"].update(count=2.9),
+         "config samples count must be an integer"),
+    ], ids=["kappa-5.5", "hodge-order-true", "order-20.7", "count-2.9"])
+    def test_config_integers(self, tmp_path, capsys, edit, message):
+        """Booleans and fractional numbers are refused, not truncated."""
+        doc = json.loads(fast_quintic_config(tmp_path).read_text())
+        edit(doc)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error (ConfigError): {message}\n"
+
+    def test_config_integer_strings_keep_hash(self, tmp_path):
+        doc = json.loads(fast_quintic_config(tmp_path).read_text())
+        cfg = WorkbenchConfig.from_json(doc)
+        doc.update(truncation_order="8", hodge_order=40.0)
+        doc["family"]["triple_intersection"] = "5"
+        doc["samples"]["count"] = "6"
+        assert WorkbenchConfig.from_json(doc) == cfg
+        assert config_hash(WorkbenchConfig.from_json(doc)) == config_hash(cfg)
 
     @pytest.mark.parametrize("doc", [{"prec_bits": 64, "fields": {}},
                                      [1, 2]])
@@ -370,6 +421,8 @@ class TestGridCommands:
         path.write_text(json.dumps(grid_doc))
         assert main(["ehae-check", str(path), "--genus", "0",
                      "--holes", "1"]) == 2
+        # no default (g, h): the flags are required, a usage error exits 1
+        assert main(["ehae-check", str(path)]) == 1
 
     def test_genus2_command(self, tmp_path, capsys):
         grid_doc, prop_doc = synthetic_grid_doc()

@@ -1,6 +1,10 @@
 """Mirror map, triple coupling, instanton extraction, frame pairing."""
 
+import dataclasses
+import functools
+import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,13 +14,13 @@ import cyworkbench as cw
 from cyworkbench import frames
 from cyworkbench.errors import (DomainError, IntegralityViolation,
                                 LogDegreeOverflow, NonMeromorphic,
-                                NormalizationMissing)
+                                NormalizationMissing, WorkbenchError)
 from cyworkbench.frames import SymplecticFrame
 from cyworkbench.picard_fuchs import PFOperator, PeriodBasis
 from cyworkbench.series import LogSeries
 
-from conftest import (constant_coupling_family, random_mum_operator,
-                      shipped_family)
+from conftest import (constant_coupling_family, degree_two_operator,
+                      random_mum_operator, shipped_family)
 
 
 Z = sympy.Symbol("z")
@@ -60,6 +64,71 @@ def random_hypergeometric_family(seed):
                              pf=PFOperator(coeffs, 1 / mu),
                              triple_intersection=rng.randrange(1, 20),
                              c2_H=0, euler=0)
+
+
+def scaled_quintic_family(c):
+    """The quintic operator with z replaced by c z."""
+    op = PFOperator(
+        coefficients=((F(0), -120 * c), (F(0), -1250 * c),
+                      (F(0), -4375 * c), (F(0), -6250 * c),
+                      (F(1), -3125 * c)),
+        singular_radius=F(1, 3125 * c))
+    return cw.CYFamilyConfig(name="scaled", pf=op, triple_intersection=5,
+                             c2_H=50, euler=-200)
+
+
+def operator_family(op, kappa=1):
+    return cw.CYFamilyConfig(name="operator", pf=op, triple_intersection=kappa,
+                             c2_H=0, euler=0)
+
+
+def with_a1_added(fam, term):
+    """The family with the polynomial ``term`` added to a_1."""
+    a = [list(p) for p in fam.pf.coefficients]
+    a[1] = [x + y for x, y in itertools.zip_longest(a[1], term, fillvalue=0)]
+    op = PFOperator(tuple(map(tuple, a)), fam.pf.singular_radius)
+    return dataclasses.replace(fam, pf=op)
+
+
+# factors f^m of Y for factored_family, by name
+FACTOR_SETS = {
+    "distinct-exponents": [(1 - 2 * Z, -1), (1 + 3 * Z, 2)],
+    "shared-exponent": [(1 - Z, -1), (1 + 2 * Z, -1)],
+    "irreducible-quadratic": [(1 + Z + Z ** 2, -1)],
+    "exponents-2-and-minus-3": [(1 - Z, 2), (1 + Z, -3)],
+    "exponents-minus-2-and-3": [(1 - 3 * Z, -2),
+                                (1 + sympy.Rational(5, 2) * Z, 3)],
+    "three-factors": [(1 - Z, 1), (1 + Z ** 2, -1), (1 + 7 * Z, -2)],
+}
+
+
+# every MUM family the suite builds, and a_1-perturbed hypergeometric ones
+SUITE_FAMILIES = {
+    "quintic": lambda: shipped_family("quintic"),
+    "sextic": lambda: shipped_family("sextic"),
+    "theta4": lambda: constant_coupling_family(3),
+    **{f"hypergeometric-{s}": lambda s=s: random_hypergeometric_family(s)
+       for s in range(20)},
+    **{f"hypergeometric-{s}-a1":
+       lambda s=s: with_a1_added(random_hypergeometric_family(s), (0, 1))
+       for s in range(20)},
+    **{f"random-{s}": lambda s=s: operator_family(random_mum_operator(s))
+       for s in range(40)},
+    "random-31-degree-3":
+        lambda: operator_family(random_mum_operator(31, degree=3)),
+    "degree-two": lambda: operator_family(degree_two_operator()),
+    "scaled-quintic": lambda: scaled_quintic_family(2),
+    "halfpow": lambda: coupling_family((F(0), F(-1)), (F(1), F(-1))),
+    "double-root": lambda: coupling_family((F(0), F(1)), (F(1), F(-2), F(1))),
+    "polynomial-part": lambda: coupling_family((F(0), F(0), F(1)),
+                                               (F(1), F(-1))),
+    "complex-residues": lambda: coupling_family((F(0), F(4)),
+                                                (F(1), F(0), F(1))),
+    **{f"factored-{name}": lambda f=f: factored_family(f)
+       for name, f in FACTOR_SETS.items()},
+    "factored-half-integer-exponent": lambda: factored_family(
+        [(1 - Z, sympy.Rational(1, 2)), (1 + 2 * Z, -1)]),
+}
 
 
 def _nullspace(rows, ncols):
@@ -113,6 +182,55 @@ def reference_gram(basis, kappa):
                 gram[i][j], gram[j][i] = c * -kappa / lead, c * kappa / lead
             return tuple(map(tuple, gram))
     raise NormalizationMissing("no pairing")
+
+
+def theta3_wronskian(basis):
+    """W^3_03 - W^3_12, the series the full-order solve reads s from."""
+    return (pair_frame(0, 3).pairing_series(basis, 3)
+            - pair_frame(1, 2).pairing_series(basis, 3))
+
+
+def reference_solve(basis, yukawa_series, kappa, w3=None):
+    """The full-order solve that the operator identity replaced: s from
+    [z^0] of the theta^3 Wronskians w3, then Q(Omega, theta Omega) and
+    Q(Omega, theta^3 Omega) + Y checked as series to the basis order."""
+    w3 = theta3_wronskian(basis) if w3 is None else w3
+    if w3.constant_term == 0:
+        raise NormalizationMissing("pairing is degenerate against theta^3")
+    s, zero = -F(kappa) / w3.constant_term, F(0)
+    frame = SymplecticFrame(gram_frobenius=(
+        (zero, zero, zero, s), (zero, zero, -s, zero),
+        (zero, s, zero, zero), (-s, zero, zero, zero)))
+    if not frame.pairing_series(basis, 1).is_zero:
+        raise NormalizationMissing(
+            "Q(Omega, theta Omega) residual is nonzero; "
+            "the operator does not carry a symplectic structure")
+    if not (w3 * s + yukawa_series.truncate(basis.order)).is_zero:
+        raise NormalizationMissing(
+            "Q(Omega, theta^3 Omega) does not reproduce the triple coupling")
+    return frame
+
+
+def solve_outcome(solve, basis, yukawa_series, kappa):
+    """The Gram matrix a solve returns, or the type and text it raises."""
+    try:
+        return solve(basis, yukawa_series, kappa).gram_frobenius
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+def coupling_or_constant(fam, order):
+    """Y of the family, or the constant kappa where Y is not rational."""
+    try:
+        return cw.yukawa_theta(fam).series(order)
+    except NonMeromorphic:
+        return LogSeries.constant(fam.triple_intersection, order)
+
+
+def gap_family():
+    """The quintic with z^25 added to a_1: its Calabi-Yau identity fails
+    first at z^25, past the full-order checks at N = 20."""
+    return with_a1_added(shipped_family("quintic"), (0,) * 25 + (1,))
 
 
 def reference_wronskians(basis, derivative):
@@ -194,15 +312,7 @@ class TestYukawaTheta:
         assert quintic_yukawa.series(2).constant_term == 5
 
     def test_scaled_operator_covariance(self):
-        c = 2
-        op = PFOperator(
-            coefficients=((F(0), -120 * c), (F(0), -1250 * c),
-                          (F(0), -4375 * c), (F(0), -6250 * c),
-                          (F(1), -3125 * c)),
-            singular_radius=F(1, 3125 * c))
-        fam = cw.CYFamilyConfig(name="scaled", pf=op, triple_intersection=5,
-                                c2_H=50, euler=-200)
-        y = cw.yukawa_theta(fam)
+        y = cw.yukawa_theta(scaled_quintic_family(2))
         assert y.factors == (((F(1), F(-6250)), -1),)
 
     def test_constant_coupling(self):
@@ -234,16 +344,8 @@ class TestYukawaTheta:
         with pytest.raises(NonMeromorphic):
             cw.yukawa_theta(fam)
 
-    @pytest.mark.parametrize("factors", [
-        [(1 - 2 * Z, -1), (1 + 3 * Z, 2)],
-        [(1 - Z, -1), (1 + 2 * Z, -1)],
-        [(1 + Z + Z ** 2, -1)],
-        [(1 - Z, 2), (1 + Z, -3)],
-        [(1 - 3 * Z, -2), (1 + sympy.Rational(5, 2) * Z, 3)],
-        [(1 - Z, 1), (1 + Z ** 2, -1), (1 + 7 * Z, -2)],
-    ], ids=["distinct-exponents", "shared-exponent", "irreducible-quadratic",
-            "exponents-2-and-minus-3", "exponents-minus-2-and-3",
-            "three-factors"])
+    @pytest.mark.parametrize("factors", FACTOR_SETS.values(),
+                             ids=FACTOR_SETS.keys())
     def test_factored_operator_matches_sympy(self, factors):
         num, den = sympy.fraction(sympy.cancel(
             5 * sympy.Mul(*(f ** m for f, m in factors))))
@@ -451,6 +553,49 @@ class TestSymplecticFrame:
             cw.solve_symplectic_frame(
                 quintic_basis,
                 y + LogSeries.monomial(1, 3, order=quintic_basis.order), 5)
+
+    @pytest.mark.parametrize("family", SUITE_FAMILIES.values(),
+                             ids=SUITE_FAMILIES.keys())
+    def test_operator_identity_matches_full_order_solve(self, family):
+        """Same Gram matrix, or same error type and text, as the full-order
+        solve, for the family's coupling and for a wrong one."""
+        fam = family()
+        basis = cw.frobenius_solve(fam.pf, 20)
+        w3 = theta3_wronskian(basis)
+        assert w3.constant_term == 1
+        reference = functools.partial(reference_solve, w3=w3)
+        y = coupling_or_constant(fam, basis.order)
+        for series in (y, y + LogSeries.monomial(1, 2, order=basis.order)):
+            args = (basis, series, fam.triple_intersection)
+            assert solve_outcome(cw.solve_symplectic_frame, *args) == \
+                solve_outcome(reference, *args)
+
+    def test_gap_operator_rejected(self):
+        """The full-order checks pass at N = 20; the identity does not."""
+        fam = gap_family()
+        basis = cw.frobenius_solve(fam.pf, 20)
+        y = cw.yukawa_theta(fam).series(basis.order)
+        reference_solve(basis, y, fam.triple_intersection)
+        with pytest.raises(NormalizationMissing, match="theta Omega"):
+            cw.solve_symplectic_frame(basis, y, fam.triple_intersection)
+
+    def test_bounded_work(self, quintic_family, monkeypatch):
+        """The frame at N = 240 takes well under a second and builds no
+        Wronskian past eight terms."""
+        basis = cw.frobenius_solve(quintic_family.pf, 240)
+        y = cw.yukawa_theta(quintic_family).series(basis.order)
+        orders = []
+        pairing = SymplecticFrame.pairing_series
+
+        def counted(frame, basis, derivative):
+            orders.append(basis.order)
+            return pairing(frame, basis, derivative)
+
+        monkeypatch.setattr(SymplecticFrame, "pairing_series", counted)
+        start = time.perf_counter()
+        cw.solve_symplectic_frame(basis, y, 5)
+        assert time.perf_counter() - start < 0.25
+        assert orders and max(orders) <= 8
 
     def test_ramified_basis_rejected(self, quintic_basis):
         half = LogSeries.monomial(1, F(1, 2), order=quintic_basis.order)

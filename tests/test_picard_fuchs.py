@@ -9,7 +9,7 @@ from cyworkbench.errors import NotMUM
 from cyworkbench.picard_fuchs import PFOperator, frobenius_solve
 from cyworkbench.series import LogSeries
 
-from conftest import random_mum_operator, shipped_family
+from conftest import degree_two_operator, random_mum_operator, shipped_family
 
 
 def theta4() -> PFOperator:
@@ -130,15 +130,7 @@ class TestFrobenius:
 
     def test_degree_two_coefficients(self):
         """Operators with z^2 terms exercise the full convolution."""
-        # theta^4 - z (theta+1)^4 - z^2 (2 theta+3)^4, MUM by construction
-        minus_t4 = [F(-1), F(-4), F(-6), F(-4), F(-1)]
-        two_t3 = [F(-81), F(-216), F(-216), F(-96), F(-16)]
-        op = PFOperator(
-            coefficients=tuple(
-                ((F(1),) if k == 4 else (F(0),)) + (minus_t4[k], two_t3[k])
-                for k in range(5)),
-            singular_radius=F(1, 4),
-        )
+        op = degree_two_operator()
         basis = frobenius_solve(op, 10)
         for w in basis.omegas:
             assert op.apply(w).is_zero

@@ -20,24 +20,24 @@ from .genus0 import (CYFamilyConfig, GWPotential, InstantonResult, MirrorMap,
                      coupling_from_potential, extract_instantons, flat_yukawa,
                      genus0_export, yukawa_theta)
 from .hodge import (HodgeEvaluator, HodgePointReport, fd_curvature_check,
-                    griffiths_residuals, hodge_report_json, sample_points)
+                    hodge_report_json, sample_points)
 from .picard_fuchs import PeriodBasis, PFOperator, frobenius_solve
 from .pipeline import (WorkbenchConfig, config_hash, load_manifest, report,
                        run_pipeline)
-from .series import LogSeries, Rational, format_rational, parse_rational
+from .series import LogSeries, format_rational, parse_rational
 
 __all__ = [
     "AnomalyGrid", "CYFamilyConfig", "GWPotential",
     "GridField", "HodgeEvaluator", "HodgePointReport", "InstantonResult",
     "LogSeries", "MirrorMap", "PFOperator", "PeriodBasis",
-    "PropagatorSpec", "Rational", "ResidualReport", "SymplecticFrame",
+    "PropagatorSpec", "ResidualReport", "SymplecticFrame",
     "WorkbenchConfig", "WorkbenchError", "YukawaCoupling",
     "assemble_genus0", "bernoulli", "build_mirror_map", "config_hash",
     "constant_map_contribution", "coupling_from_potential",
     "covariant_derivative", "ehae_residual", "extract_instantons",
     "fd_curvature_check", "flat_yukawa", "frobenius_solve",
-    "genus0_export", "genus2_integrate", "griffiths_residuals",
-    "hae_residual", "hodge_report_json",
+    "genus0_export", "genus2_integrate", "hae_residual",
+    "hodge_report_json",
     "load_manifest", "parse_rational", "format_rational", "report",
     "run_pipeline", "sample_points", "solve_symplectic_frame",
     "yukawa_theta",

@@ -120,8 +120,7 @@ class InstantonResult:
     """Degree-d invariants with the multiple-cover inversion applied."""
 
     gw: dict[int, Fraction]            # N_{0,d}
-    n: dict[int, Fraction]             # n_d before integrality coercion
-    flagged: tuple[int, ...] = ()      # degrees with non-integer n_d
+    n: dict[int, Fraction]             # n_d, all integers once extracted
 
     @property
     def integers(self) -> dict[int, int]:
@@ -134,7 +133,6 @@ class GWPotential:
 
     classical_cubic: Fraction
     quantum: LogSeries
-    instantons: dict[int, int] | None = None
 
 
 def _poly_mul(a, b):
@@ -293,13 +291,13 @@ def flat_yukawa(y: YukawaCoupling, basis: PeriodBasis,
     return c_z.compose(mm.z_of_q)
 
 
-def extract_instantons(c_ttt: LogSeries, config: CYFamilyConfig,
-                       strict: bool = True) -> InstantonResult:
+def extract_instantons(c_ttt: LogSeries,
+                       config: CYFamilyConfig) -> InstantonResult:
     """Invert the multiple-cover sum C_ttt = kappa + sum n_d d^3 q^d/(1-q^d).
 
     Equivalently N_{0,d} = [q^d] C_ttt / d^3 and
-    N_{0,d} = sum_{k | d} n_{d/k} k^{-3}.  Non-integer n_d are flagged;
-    with ``strict`` they raise IntegralityViolation.
+    N_{0,d} = sum_{k | d} n_{d/k} k^{-3}.  Non-integer n_d raise
+    IntegralityViolation, which lists each of them.
     """
     kappa = Fraction(config.triple_intersection)
     if c_ttt.constant_term != kappa:
@@ -318,22 +316,21 @@ def extract_instantons(c_ttt: LogSeries, config: CYFamilyConfig,
         n[d] = acc / d ** 3
         gw[d] = sum((n[d // k] / k ** 3 for k in range(1, d + 1) if d % k == 0),
                     Fraction(0))
-    flagged = tuple(d for d, v in n.items() if v.denominator != 1)
-    if strict and flagged:
-        detail = ", ".join(f"n_{d} = {format_rational(n[d])}" for d in flagged)
+    detail = ", ".join(f"n_{d} = {format_rational(v)}"
+                       for d, v in n.items() if v.denominator != 1)
+    if detail:
         raise IntegralityViolation(f"non-integer instanton numbers: {detail}")
-    return InstantonResult(gw=gw, n=n, flagged=flagged)
+    return InstantonResult(gw=gw, n=n)
 
 
 def assemble_genus0(config: CYFamilyConfig, gw: dict[int, Fraction],
-                    order, instantons: dict[int, int] | None = None) -> GWPotential:
+                    order) -> GWPotential:
     """Genus-zero potential: (kappa/6) t^3 plus sum N_{0,d} q^d."""
     quantum = LogSeries({(Fraction(d), 0): v for d, v in gw.items()},
                         order=order)
     return GWPotential(
         classical_cubic=Fraction(config.triple_intersection, 6),
         quantum=quantum,
-        instantons=instantons,
     )
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import add, gt, lshift, mul
 
 from mpmath import mp
@@ -38,7 +38,6 @@ from .errors import (DomainError, NormalizationMissing, OutsideDisk,
                      PrecisionLoss, SignViolation)
 from .frames import SymplecticFrame
 from .picard_fuchs import PeriodBasis
-from .series import LogSeries
 
 # binary precision of the sample grid
 _SAMPLE_PREC = 64
@@ -64,7 +63,7 @@ def _round(u, x, v, y, prec):
 def _powers(z, count, prec):
     """Real and imaginary (mantissas, exponents) of z^0..z^(count-1), each
     the rounded mpc_mul of the one before by z.  An exact zero part takes
-    the other part's exponent, which keeps it in line on a shared grid."""
+    the other part's exponent, so it does not stretch a row's offsets."""
     (cs, c, ce, _), (ds, d, de, _) = z
     c, d, ce, de = -c if cs else c, -d if ds else d, ce if c else de, \
         de if d else ce
@@ -134,18 +133,17 @@ def _windowed(row, bits, pmans, shifts, ptops, prec):
 
 def _dots(grid, half, rows, prec):
     """theta^e f(z0) for e < rows from one real half (mantissas,
-    exponents) of the powers, each row an exact integer sum rounded once
-    to nearest.  For a point() the full-length powers are shifted once
-    onto the series' exponent grid; the short leading ones (z0^0 = 1 and
-    the first powers of a short z0), which the grid would pad, are
-    multiplied first and shifted per row, as is every power for a single
-    row.  Where the terms spread over more than 3 prec bits and some lie
-    beyond a window of 2 prec + 16 bits, each row is windowed."""
+    exponents) of the powers.  Each row is one exact integer sum,
+    _exact(row, pmans, offsets) on the lowest exponent, rounded once to
+    nearest.  Where the terms spread over more than 3 prec bits and some
+    lie beyond a window of 2 prec + 16 bits, each row is first windowed
+    and summed whole only when Ziv's test fails."""
     exps, srows, bits, tops = grid
     pmans, srows = half[0], srows[:rows]
     shifts = list(map(add, exps, half[1]))
     low = min(shifts)
     offsets = [s - low for s in shifts]
+    sums = [None] * len(srows)
     mags = max(offsets) > 3 * prec and list(
         map(add, map(add, tops, half[1]), map(int.bit_length, pmans)))
     if mags and max(mags) - min(mags) > 2 * prec + 16:
@@ -153,18 +151,9 @@ def _dots(grid, half, rows, prec):
                  for m, s in zip(pmans, shifts)]
         sums = [_windowed(row, b, pmans, shifts, ptops, prec)
                 for row, b in zip(srows, bits)]
-        return [x or from_man_exp(_exact(row, pmans, offsets), low, prec,
-                                  round_nearest)
-                for x, row in zip(sums, srows)]
-    head = len(shifts) if rows == 1 else next(
-        (n for n, m in enumerate(pmans) if m.bit_length() >= prec),
-        len(shifts))
-    short = pmans[:head]
-    q = list(map(lshift, islice(pmans, head, None),
-                 islice(offsets, head, None)))
-    return [from_man_exp(_exact(row, short, offsets)
-                         + sum(map(mul, islice(row, head, None), q)),
-                         low, prec, round_nearest) for row in srows]
+    return [x or from_man_exp(_exact(row, pmans, offsets), low, prec,
+                              round_nearest)
+            for x, row in zip(sums, srows)]
 
 
 @dataclass(frozen=True)
@@ -212,10 +201,9 @@ class HodgeEvaluator:
     and theta^e f_i(z0) = sum_n n^e f_i[n] z0^n is one dot product.
     The build keeps, per series, the four rows n^e f_i[n] as integers on
     one binary exponent per n.  A point forms the powers z0^n by a fused
-    integer complex product (the rounded mpc_mul values), shifts the
-    full-length ones once per series and real half onto that series'
-    grid, and sums each row as one integer dot product rounded once (see
-    _dots); the log recombination runs on raw mpc tuples.
+    integer complex product (the rounded mpc_mul values) and sums each
+    row against each real half as one exact integer sum rounded once
+    (see _dots); the log recombination runs on raw mpc tuples.
     """
 
     def __init__(self, basis: PeriodBasis, frame: SymplecticFrame,
@@ -397,15 +385,6 @@ def fd_curvature_check(evaluator: HodgeEvaluator, z0, h,
             suggested_h=h / 10)
     return CurvatureCheck(algebraic=algebraic, finite_difference=fd,
                           rel_error=rel, step=h)
-
-
-def griffiths_residuals(basis: PeriodBasis,
-                        frame: SymplecticFrame) -> tuple[LogSeries, LogSeries]:
-    """Exact series Q(Omega, theta Omega) and Q(Omega, theta^2 Omega).
-
-    Both vanish identically for a correctly normalized frame.
-    """
-    return (frame.pairing_series(basis, 1), frame.pairing_series(basis, 2))
 
 
 def sample_points(radius, fraction: float, count: int):

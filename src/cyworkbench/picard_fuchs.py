@@ -78,14 +78,13 @@ class PFOperator:
 
     def apply(self, s: LogSeries) -> LogSeries:
         """Apply the operator to a series, truncation preserved."""
-        result = LogSeries.zero(order=s.order)
-        power = s
-        for k in range(5):
+        result, power = LogSeries.zero(order=s.order), s
+        for k, a_k in enumerate(self.coefficients):
             if k > 0:
                 power = power.theta()
-            for j, c in enumerate(self.coefficients[k]):
-                if c != 0:
-                    result = result + c * power.shift(j)
+            if a_k:
+                result = result + LogSeries.from_coefficients(
+                    a_k, s.order) * power
         return result
 
     def to_json(self) -> dict:

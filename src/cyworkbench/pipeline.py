@@ -196,9 +196,8 @@ def run_pipeline(config: WorkbenchConfig, out_dir) -> dict:
             c_ttt = flat_yukawa(coupling, basis, mm)
 
         with stage("instantons"):
-            result = extract_instantons(c_ttt, config.family, strict=True)
-            potential = assemble_genus0(config.family, result.gw, c_ttt.order,
-                                        instantons=result.integers)
+            result = extract_instantons(c_ttt, config.family)
+            potential = assemble_genus0(config.family, result.gw, c_ttt.order)
             if coupling_from_potential(potential) != c_ttt:
                 raise WorkbenchError("internal consistency failure: "
                                      "the two coupling routes differ")

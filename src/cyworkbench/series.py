@@ -32,8 +32,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainError, LogDegreeOverflow, NotAUnit
 
-Rational = Fraction
-
 MAX_LOG_DEGREE = 3
 _ZERO = Fraction(0)
 
@@ -55,15 +53,32 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _scaled_support(x: list, n: int) -> tuple[int, list]:
+    """The lcm d of the denominators of x, and d x as ints up to its last
+    nonzero entry below n."""
+    d = math.lcm(*(c.denominator for c in x))
+    m = min(n, len(x))
+    while m and not x[m - 1]:
+        m -= 1
+    return d, [c.numerator * (d // c.denominator) for c in x[:m]]
+
+
 def _mul_trunc(a: list, b: list, n: int) -> list:
-    """First n coefficients of the product of dense Fraction/int lists."""
-    # products run on ints: each list is scaled by the lcm of its denominators
-    da = math.lcm(*(c.denominator for c in a))
-    db = math.lcm(*(c.denominator for c in b))
-    a = [c.numerator * (da // c.denominator) for c in a[:n]] + [0] * (n - len(a))
-    rb = [0] * (n - len(b)) + [c.numerator * (db // c.denominator)
-                               for c in reversed(b[:n])]
-    out = [sum(map(mul, a[:k + 1], rb[n - 1 - k:])) for k in range(n)]
+    """First n coefficients of the product of dense Fraction/int lists.
+
+    The products run on the ints of _scaled_support, and the result is
+    ints when both lcms are 1.  The operand with the shorter support
+    drives the inner sum, so a polynomial of degree d times a series
+    costs O(n d) products, not O(n^2).
+    """
+    (da, a), (db, b) = _scaled_support(a, n), _scaled_support(b, n)
+    if len(a) > len(b):
+        a, b = b, a
+    la, m = len(a), min(n, len(a) + len(b) - 1)
+    ra = a[::-1]
+    out = [sum(map(mul, ra[la - 1 - k:], b)) for k in range(min(la, m))]
+    out += [sum(map(mul, ra, b[k - la + 1:k + 1])) for k in range(la, m)]
+    out += [0] * (n - len(out))
     return out if da * db == 1 else [Fraction(v, da * db) for v in out]
 
 

@@ -36,14 +36,14 @@ class TestSextic:
         assert res.integers[1] == 7884
         assert res.integers[2] == 6028452
         assert res.integers[3] == 11900417220
-        assert not res.flagged
+        assert all(v.denominator == 1 for v in res.n.values())
 
     def test_griffiths_residuals(self):
         fam = shipped_family("sextic")
         basis = cw.frobenius_solve(fam.pf, 10)
         frame = cw.solve_symplectic_frame(
             basis, cw.yukawa_theta(fam).series(basis.order), 3)
-        r1, r2 = cw.griffiths_residuals(basis, frame)
+        r1, r2 = (frame.pairing_series(basis, k) for k in (1, 2))
         assert r1.is_zero and r2.is_zero
 
     def test_hodge_signs_on_disk(self):

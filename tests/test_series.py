@@ -3,11 +3,13 @@
 import math
 import random
 from fractions import Fraction as F
+from operator import mul
 
 import pytest
 
 from cyworkbench.errors import DomainError, LogDegreeOverflow, NotAUnit
-from cyworkbench.series import LogSeries, format_rational, parse_rational
+from cyworkbench.series import (LogSeries, _mul_trunc, format_rational,
+                                parse_rational)
 
 
 def geom_quintic(n):
@@ -496,6 +498,60 @@ class TestRowsMatchDictReference:
             assert len(a.rows()[0]) == math.ceil(a.order * a.ramification)
             assert_same(LogSeries.from_rows(a.rows(), a.order,
                                             a.ramification), a)
+
+
+def mul_trunc_reference(a, b, n):
+    """The product kernel that padded both operands to n terms."""
+    da = math.lcm(*(c.denominator for c in a))
+    db = math.lcm(*(c.denominator for c in b))
+    a = [c.numerator * (da // c.denominator) for c in a[:n]] + [0] * (n - len(a))
+    rb = [0] * (n - len(b)) + [c.numerator * (db // c.denominator)
+                               for c in reversed(b[:n])]
+    out = [sum(map(mul, a[:k + 1], rb[n - 1 - k:])) for k in range(n)]
+    return out if da * db == 1 else [F(v, da * db) for v in out]
+
+
+class TestMulTruncMatchesPadded:
+    """_mul_trunc reads each operand up to its support; the values and
+    the int/Fraction types match the padded kernel."""
+
+    @staticmethod
+    def operand(rng, kind, zeros):
+        """Seeded ints or Fractions (some with denominator 1), maybe all
+        zero, with the given number of trailing zeros."""
+        body = [rng.randrange(-60, 61) for _ in range(rng.randrange(0, 9))]
+        if rng.random() < 0.15:
+            body = [0] * len(body)
+        if kind is F:
+            body = [F(c, rng.choice([1, 1, 2, 3, 7])) for c in body]
+        return body + [kind(0)] * zeros
+
+    @staticmethod
+    def check(a, b, n):
+        for x, y in ((a, b), (b, a)):
+            got, ref = _mul_trunc(x, y, n), mul_trunc_reference(x, y, n)
+            assert got == ref
+            assert list(map(type, got)) == list(map(type, ref))
+
+    def test_against_padded(self):
+        rng = random.Random(73)
+        cases = set()
+        for _ in range(300):
+            za, zb = rng.choice([(0, 0), (2, 0), (0, 3), (1, 2)])
+            a = self.operand(rng, rng.choice([int, F]), za)
+            b = self.operand(rng, rng.choice([int, F]), zb)
+            for n in range(max(len(a), len(b)) + 3):
+                self.check(a, b, n)
+                cases.add((bool(za), bool(zb), n < len(a), n < len(b)))
+        # trailing zeros on neither, either or both sides, and n below and
+        # above each operand's length
+        assert len(cases) == 16
+
+    def test_empty_and_zero_operands(self):
+        for a in ([], [0], [F(0)] * 4, [F(1, 3), 0, 0]):
+            for b in ([], [F(0)], [2, 5, 0], [F(1, 2)] * 3):
+                for n in range(6):
+                    self.check(a, b, n)
 
 
 class TestKernelsMatchRecurrences:

@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NormalizationMissing
+from .errors import NormalizationMissing
 from .picard_fuchs import PeriodBasis
 from .series import LogSeries
 
@@ -53,13 +53,10 @@ class SymplecticFrame:
 
     def pairing_series(self, basis: PeriodBasis, derivative: int) -> LogSeries:
         """The exact series Q(Omega, theta^derivative Omega)."""
-        g, w, ders = self.gram_frobenius, basis.omegas, []
-        for d in w:
-            if d.ramification != 1:
-                raise DomainError("period series must be unramified")
-            for _ in range(derivative):
-                d = d.theta()
-            ders.append(d)
+        g, w = self.gram_frobenius, basis.omegas
+        ders = list(w)
+        for _ in range(derivative):
+            ders = [d.theta() for d in ders]
         total = LogSeries.zero(order=basis.order)
         for i, j in _PAIRS:
             if g[i][j] != 0:
@@ -80,8 +77,7 @@ def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
     frame = SymplecticFrame(gram_frobenius=(
         (zero, zero, zero, s), (zero, zero, -s, zero),
         (zero, s, zero, zero), (-s, zero, zero, zero)))
-    n = min(basis.order, 8)
-    head = PeriodBasis(tuple(w.truncate(n) for w in basis.omegas), op, n)
+    head = basis.truncate(min(basis.order, 8))
     a = [LogSeries.from_coefficients(p, order=3 * op.z_degree + 1)
          for p in op.coefficients]
     b1, b2, b3 = (a_k * a[4].invert() for a_k in a[1:4])

@@ -93,12 +93,14 @@ class YukawaCoupling:
 
     def numerator_denominator(self) -> tuple[Poly, Poly]:
         """Polynomial pair, normalized so the denominator starts at 1."""
-        num = [Fraction(self.scale)]
-        den = [Fraction(1)]
-        for coeffs, power in self.factors:
-            target, reps = (num, power) if power > 0 else (den, -power)
-            for _ in range(reps):
-                target[:] = _poly_mul(target, list(coeffs))
+        num, den = [Fraction(self.scale)], [Fraction(1)]
+        for coeffs, power in self.factors:  # f^|m| by repeated squaring
+            target, f, m = num if power > 0 else den, list(coeffs), abs(power)
+            while m:
+                if m & 1:
+                    target[:] = _poly_mul(target, f)
+                m >>= 1
+                f = _poly_mul(f, f) if m else f
         return tuple(num), tuple(den)
 
     def __str__(self) -> str:

@@ -208,10 +208,8 @@ class HodgeEvaluator:
 
     def __init__(self, basis: PeriodBasis, frame: SymplecticFrame,
                  prec_bits: int = 256):
-        if any(w.ramification != 1 for w in basis.omegas):
-            raise DomainError("period series must be unramified")
         self.prec_bits = prec_bits
-        jets = [w.rows()[0] for w in basis.omegas]
+        jets = [f.rows()[0] for f in basis.frobenius]
         self._n_terms = len(jets[0])
         radius = basis.operator.singular_radius
         s03 = frame.gram_frobenius[0][3]

@@ -14,8 +14,9 @@ unique and is solved term by term over exact rationals.
 The recurrence works in the jet ring Q[lam]/(lam^4): the coefficient
 functions c_n(lam) of the deformed solution z^lam * sum c_n(lam) z^n are
 carried to third order in lam as 4-long lists multiplied by
-``series._mul_trunc``, and the four basis elements are read off as the
-lam-Taylor coefficients of z^lam * sum c_n(lam) z^n.
+``series._mul_trunc``.  The basis is held as the log-free series f_i =
+sum_n [lam^i] c_n(lam) z^n; omega_k = sum_{j<=k} f_{k-j} log^j z / j!
+is derived from them where the log rows are read.
 """
 
 from __future__ import annotations
@@ -103,25 +104,39 @@ class PFOperator:
 
 @dataclass(frozen=True)
 class PeriodBasis:
-    """Normalized Frobenius basis omega_0..omega_3 at the MUM point."""
+    """Normalized Frobenius basis at the MUM point, as f_0..f_3."""
 
-    omegas: tuple[LogSeries, LogSeries, LogSeries, LogSeries]
+    frobenius: tuple[LogSeries, LogSeries, LogSeries, LogSeries]
     operator: PFOperator
     order: Fraction
 
+    def __post_init__(self):
+        if any(f.ramification != 1 or not f.is_log_free
+               for f in self.frobenius):
+            raise DomainError("period series must be unramified and log-free")
+
+    @property
+    def omegas(self) -> tuple[LogSeries, LogSeries, LogSeries, LogSeries]:
+        """omega_0..omega_3 with their log rows."""
+        rows = [f.rows()[0] for f in self.frobenius]
+        return tuple(LogSeries.from_rows(
+            [[c / math.factorial(j) for c in rows[k - j]]
+             for j in range(k + 1)], self.order) for k in range(4))
+
     @property
     def omega0(self) -> LogSeries:
-        return self.omegas[0]
+        return self.frobenius[0]
 
     @property
     def sigma1(self) -> LogSeries:
-        """Log-free correction in omega_1 = omega_0 log z + sigma_1.
+        """f_1 in omega_1 = omega_0 log z + f_1, which enters the mirror
+        map z exp(sigma1/omega0); it has no constant term."""
+        return self.frobenius[1]
 
-        This is the series entering the mirror map z exp(sigma1/omega0);
-        it has no constant term by the basis normalization.  It is the
-        log-free row of omega_1.
-        """
-        return LogSeries.from_rows(self.omegas[1].rows()[:1], self.order)
+    def truncate(self, order) -> "PeriodBasis":
+        """The same basis known modulo z^order (the solve is prefix-stable)."""
+        return PeriodBasis(tuple(f.truncate(order) for f in self.frobenius),
+                           self.operator, Fraction(order))
 
 
 def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:
@@ -148,15 +163,10 @@ def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:
             pj = [sum(c * (n - j) ** e for e, c in col) for col in taylor[j]]
             acc = [x + y for x, y in
                    zip(acc, _mul_trunc(pj, jets[n - j], _JET_LEN))]
-        # times (lam+n)^-4; _mul_trunc hands back ints when no denominator
-        # is left, so each entry is made a Fraction again
+        # times (lam+n)^-4
         inv = [Fraction(c, n ** e)
                for c, e in ((1, 4), (-4, 5), (10, 6), (-20, 7))]
-        jets.append([-Fraction(c) for c in _mul_trunc(acc, inv, _JET_LEN)])
-    # f_i(z) = sum_n c_{n,i} z^n; omega_k = sum_{j<=k} f_{k-j} log^j z / j!
-    order = Fraction(order)
-    omegas = tuple(
-        LogSeries.from_rows([[jet[k - j] / math.factorial(j) for jet in jets]
-                             for j in range(k + 1)], order)
-        for k in range(4))
-    return PeriodBasis(omegas, op, order)
+        jets.append([-c for c in _mul_trunc(acc, inv, _JET_LEN)])
+    order = Fraction(order)  # f_i(z) = sum_n c_{n,i} z^n
+    return PeriodBasis(tuple(LogSeries.from_rows([list(f)], order)
+                             for f in zip(*jets)), op, order)

@@ -19,7 +19,6 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -124,19 +123,13 @@ def default_hodge_order(radius_fraction: float) -> int:
 
 
 def solve_periods(config: WorkbenchConfig) -> tuple[PeriodBasis, PeriodBasis]:
-    """The basis at the truncation order N and the one the Hodge stage reads.
-
-    One recurrence runs to max(N, Hodge order).  It is prefix-stable, so
-    the order-N basis is the truncation of that solve, with the same
-    coefficients a solve at N gives.
-    """
+    """The basis at the truncation order N and the one the Hodge stage
+    reads: one prefix-stable solve to max(N, Hodge order), cut to N."""
     n = config.truncation_order
     hodge_order = (default_hodge_order(config.radius_fraction)
                    if config.hodge_order is None else config.hodge_order)
     full = frobenius_solve(config.family.pf, max(n, hodge_order))
-    basis = PeriodBasis(tuple(w.truncate(n) for w in full.omegas),
-                        full.operator, Fraction(n))
-    return basis, full
+    return full.truncate(n), full
 
 
 def coupling_and_frame(config: WorkbenchConfig, basis: PeriodBasis):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ import pytest
 import sympy
 
 import cyworkbench as cw
-from cyworkbench import frames
+from cyworkbench import frames, genus0
 from cyworkbench.errors import (DomainError, IntegralityViolation,
                                 LogDegreeOverflow, NonMeromorphic,
                                 NormalizationMissing, WorkbenchError)
@@ -334,6 +335,37 @@ class TestYukawaTheta:
         assert s == direct
         assert str(y) == "(7/2 + 7*z)/(1 - 2*z + z^2)"
 
+    @pytest.mark.parametrize("power", [-7, -4, -1, 1, 2, 3, 5, 8])
+    def test_powers_match_repeated_product(self, power):
+        """Repeated squaring gives the P/Q of the repeated-product loop."""
+        y = cw.YukawaCoupling(scale=F(3, 2), factors=(
+            ((F(1), F(-2), F(1, 3)), power), ((F(1), F(5)), -1)))
+        num, den = [y.scale], [F(1)]
+        for coeffs, m in y.factors:
+            target = num if m > 0 else den
+            for _ in range(abs(m)):
+                target[:] = genus0._poly_mul(target, list(coeffs))
+        got = y.numerator_denominator()
+        assert got == (tuple(num), tuple(den))
+        assert all(type(c) is F for p in got for c in p)
+
+    def test_high_power_bounded(self, monkeypatch):
+        """Y = 5 (1 - z)^1000 takes at most 2 bit_length(1000) products."""
+        y = cw.yukawa_theta(coupling_family((F(0), F(2000)), (F(1), F(-1))))
+        assert y.factors == (((F(1), F(-1)), 1000),)
+        calls, poly_mul = [], genus0._poly_mul
+
+        def counted(a, b):
+            calls.append(1)
+            return poly_mul(a, b)
+
+        monkeypatch.setattr(genus0, "_poly_mul", counted)
+        num, den = y.numerator_denominator()
+        assert len(calls) <= 2 * (1000).bit_length()
+        assert den == (1,)
+        assert num == tuple(5 * (-1) ** k * math.comb(1000, k)
+                            for k in range(1001))
+
     def test_non_meromorphic_rejected(self):
         # a_3 = z a_4' gives Y ~ (1 - z)^(-1/2): not a rational function
         op = PFOperator(
@@ -596,13 +628,14 @@ class TestSymplecticFrame:
         assert orders and max(orders) <= 8
 
     def test_ramified_basis_rejected(self, quintic_basis):
-        half = LogSeries.monomial(1, F(1, 2), order=quintic_basis.order)
-        omegas = (quintic_basis.omega0 + half,) + quintic_basis.omegas[1:]
-        basis = PeriodBasis(omegas, quintic_basis.operator,
-                            quintic_basis.order)
-        with pytest.raises(DomainError, match="unramified"):
-            cw.solve_symplectic_frame(
-                basis, LogSeries.constant(-1, basis.order), 5)
+        """A ramified or log-carrying Frobenius series fails when the
+        basis is built, before any frame or Hodge stage reads it."""
+        f, order = quintic_basis.frobenius, quintic_basis.order
+        half = LogSeries.monomial(1, F(1, 2), order=order)
+        for bad in ((f[0] + half,) + f[1:],
+                    f[:1] + (f[1] + LogSeries.log_z(order),) + f[2:]):
+            with pytest.raises(DomainError, match="unramified"):
+                PeriodBasis(bad, quintic_basis.operator, order)
 
 
 class TestGriffithsIdentity:

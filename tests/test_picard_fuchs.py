@@ -1,5 +1,6 @@
 """Operator application, MUM detection, and the Frobenius basis."""
 
+import functools
 import math
 from fractions import Fraction as F
 
@@ -155,6 +156,23 @@ class TestFrobenius:
         b1 = frobenius_solve(op, 9)
         b2 = frobenius_solve(op, 9)
         assert b1.omegas == b2.omegas
+
+    @pytest.mark.parametrize("n, h", [(5, 48), (20, 83), (24, 83)])
+    @pytest.mark.parametrize("op", [
+        lambda: shipped_family("quintic").pf,
+        lambda: shipped_family("sextic").pf,
+        *(functools.partial(random_mum_operator, seed) for seed in range(10))],
+        ids=["quintic", "sextic", *(f"random-{seed}" for seed in range(10))])
+    def test_prefix_stable(self, op, n, h):
+        """A solve at H cut to N is the solve at N: the pipeline solves
+        once at the Hodge order and truncates for the exact stages."""
+        op = op()
+        got, want = frobenius_solve(op, h).truncate(n), frobenius_solve(op, n)
+        assert got.order == want.order == n
+        assert got.frobenius == want.frobenius
+        assert got.omegas == want.omegas
+        assert all(type(c) is F for w in got.omegas
+                   for row in w.rows() for c in row)
 
     def test_not_mum_rejected(self):
         op = PFOperator(coefficients=((), (), (F(1),), (F(-2),), (F(1),)),

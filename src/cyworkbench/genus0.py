@@ -209,15 +209,9 @@ def _integer_eigenvalues(h, d):
 def _poly_str(coeffs) -> str:
     parts = []
     for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        cs = format_rational(c)
-        if i == 0:
-            parts.append(cs)
-        elif i == 1:
-            parts.append(f"{cs}*z" if cs != "1" else "z")
-        else:
-            parts.append(f"{cs}*z^{i}" if cs != "1" else f"z^{i}")
+        if c:
+            cs, z = format_rational(c), "z" if i == 1 else f"z^{i}"
+            parts.append(cs if i == 0 else z if cs == "1" else f"{cs}*{z}")
     return " + ".join(parts).replace("+ -", "- ") or "0"
 
 

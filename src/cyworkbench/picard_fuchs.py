@@ -13,10 +13,10 @@ unique and is solved term by term over exact rationals.
 
 The recurrence works in the jet ring Q[lam]/(lam^4): the coefficient
 functions c_n(lam) of the deformed solution z^lam * sum c_n(lam) z^n are
-carried to third order in lam as 4-long lists multiplied by
-``series._mul_trunc``.  The basis is held as the log-free series f_i =
-sum_n [lam^i] c_n(lam) z^n; omega_k = sum_{j<=k} f_{k-j} log^j z / j!
-is derived from them where the log rows are read.
+carried to third order in lam as integer 4-lists over one reduced
+denominator per n, multiplied by ``series._mul_trunc``.  The basis holds
+the log-free series f_i = sum_n [lam^i] c_n(lam) z^n; omega_k =
+sum_{j<=k} f_{k-j} log^j z / j! is derived where the log rows are read.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class PFOperator:
         lead = _poly_at_zero(coeffs[4])
         if lead == 0:
             raise NotMUM("a_4(0) = 0; operator is singular at z = 0")
-        if lead != 1:
-            coeffs = tuple(tuple(c / lead for c in p) for p in coeffs)
+        coeffs = tuple(tuple(c / lead for c in p) for p in coeffs)
         object.__setattr__(self, "coefficients", coeffs)
         radius = Fraction(self.singular_radius)
         if radius <= 0:
@@ -150,23 +149,30 @@ def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:
     if n_terms < 1:
         raise DomainError("order must be at least 1")
     maxj = op.z_degree
-    # [lam^i] P_j(lam + s) = sum_k a_k[j] C(k, i) s^(k-i), kept as the
-    # pairs (k - i, a_k[j] C(k, i))
-    taylor = [[[(k - i, p[j] * math.comb(k, i))
-                for k, p in enumerate(op.coefficients)
-                if k >= i and j < len(p) and p[j]] for i in range(_JET_LEN)]
-              for j in range(maxj + 1)]
-    jets = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
+    # c_n n^7 L = sum_j q_j c_{n-j}, L the lcm of the coefficient denominators
+    # and q_j = -n^7 (lam+n)^-4 L P_j(lam+n-j) with -n^7 (lam+n)^-4 = sum_a
+    # w_a n^(3-a) lam^a: [lam^i] q_j sums c n^f (n-j)^e over the int triples
+    # (f, e, c) = (3 - a, k - i + a, w_a L a_k[j] C(k, i - a))
+    scale = math.lcm(*(c.denominator for p in op.coefficients for c in p))
+    q_terms = [[[(3 - a, k - i + a,
+                  w * int(scale * p[j]) * math.comb(k, i - a))
+                 for a, w in enumerate((-1, 4, -10, 20)[:i + 1])
+                 for k, p in enumerate(op.coefficients)
+                 if k >= i - a and j < len(p) and p[j]]
+                for i in range(_JET_LEN)] for j in range(maxj + 1)]
+    jets = [([1, 0, 0, 0], 1)]  # c_n(lam) as (int jet U_n, denominator D_n)
     for n in range(1, n_terms):
+        prev = [(j, *jets[n - j]) for j in range(1, min(n, maxj) + 1)]
+        den = math.lcm(*(dj for _, _, dj in prev))
         acc = [0] * _JET_LEN
-        for j in range(1, min(n, maxj) + 1):
-            pj = [sum(c * (n - j) ** e for e, c in col) for col in taylor[j]]
-            acc = [x + y for x, y in
-                   zip(acc, _mul_trunc(pj, jets[n - j], _JET_LEN))]
-        # times (lam+n)^-4
-        inv = [Fraction(c, n ** e)
-               for c, e in ((1, 4), (-4, 5), (10, 6), (-20, 7))]
-        jets.append([-c for c in _mul_trunc(acc, inv, _JET_LEN)])
-    order = Fraction(order)  # f_i(z) = sum_n c_{n,i} z^n
-    return PeriodBasis(tuple(LogSeries.from_rows([list(f)], order)
-                             for f in zip(*jets)), op, order)
+        for j, u, dj in prev:  # c_{n-j} brought to the denominator den
+            qj = [den // dj * sum(c * n ** f * (n - j) ** e for f, e, c in col)
+                  for col in q_terms[j]]
+            acc = [x + y for x, y in zip(acc, _mul_trunc(qj, u, _JET_LEN))]
+        d = den * scale * n ** 7
+        g = math.gcd(d, *acc)
+        jets.append(([c // g for c in acc], d // g))
+    order = Fraction(order)  # f_i(z) = sum_n U_n[i] / D_n z^n, reduced once
+    return PeriodBasis(tuple(
+        LogSeries.from_rows([[Fraction(u[i], d) for u, d in jets]], order)
+        for i in range(_JET_LEN)), op, order)

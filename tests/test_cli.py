@@ -1,6 +1,7 @@
 """CLI contract: commands, artifacts, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import cyworkbench.cli
 import cyworkbench.pipeline
 from cyworkbench.anomaly import AnomalyGrid
 from cyworkbench.cli import main
-from cyworkbench.pipeline import WorkbenchConfig, config_hash
+from cyworkbench.pipeline import MAX_HODGE_ORDER, WorkbenchConfig, config_hash
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs/quintic.json"
 
@@ -212,6 +213,26 @@ class TestExitCodes:
 
     def test_report_without_run(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "hodge-report"])
+    def test_radius_near_one_refused_before_solving(self, tmp_path, capsys,
+                                                    command):
+        """0.999 asks for 46045 terms: refused up front, not solved."""
+        start = time.perf_counter()
+        assert main([command, str(REPO_CONFIG), "--radius-fraction", "0.999",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error (ConfigError): hodge order 46045 exceeds the cap "
+            f"MAX_HODGE_ORDER = {MAX_HODGE_ORDER}\n")
+        assert not (tmp_path / "o" / "hodge.json").exists()
+
+    def test_explicit_hodge_order_above_cap(self, tmp_path, capsys):
+        cfg = fast_quintic_config(tmp_path, hodge_order=5000)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error (ConfigError): hodge order 5000 exceeds")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("hodge_order", [0, -5])
     def test_hodge_order_below_one(self, tmp_path, capsys, hodge_order):

@@ -5,8 +5,10 @@ byte under a refactor; ``hodge.json`` prints 40 digits of values computed
 at a fixed precision and is pinned the same way.  The digests below were
 recorded for the shipped quintic and sextic families at truncation order
 12, two Hodge samples, Hodge order 48 and 128 bits, and ``SHIPPED`` pins
-the shipped configs as they are (order 83 at 256 bits).  A change that
-moves one of them changes the program's output and has to say so.
+the shipped configs as they are (order 83 at 256 bits), and
+``RADIUS_08_HODGE`` their ``hodge-report --radius-fraction 0.8``, which
+solves to order 223.  A change that moves one of them changes the
+program's output and has to say so.
 
 One ``hodge.json`` key is rounding residue, not a value: Q is
 antisymmetric, so i Q(Omega, Omega) vanishes identically and
@@ -98,6 +100,25 @@ SHIPPED = {
 def test_shipped_config_digests(tmp_path, family):
     doc = json.loads((CONFIGS / f"{family}.json").read_text())
     assert run_digests(doc, tmp_path, SHIPPED[family]) == SHIPPED[family]
+
+
+# hodge-report --radius-fraction 0.8 on the shipped configs: Hodge order
+# 223, so the solve is pinned well past the default order 83
+RADIUS_08_HODGE = {
+    "quintic": "e440d5a9b9e8a028f95ece6b2b528a59"
+               "4acf83638216faf9e8f3ab4570815974",
+    "sextic": "a0d2bce7fe798052afbe33c7039ac18f"
+              "7e74cbb6c856e60962c487dc3bf311dc",
+}
+
+
+@pytest.mark.parametrize("family", sorted(RADIUS_08_HODGE))
+def test_radius_08_hodge_digest(tmp_path, capsys, family):
+    assert main(["hodge-report", str(CONFIGS / f"{family}.json"),
+                 "--radius-fraction", "0.8", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "hodge.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == RADIUS_08_HODGE[family]
 
 
 GENUS2_SHA256 = ("97675b65c2fa0e3575e2bb188a966acc"

@@ -2,13 +2,15 @@
 
 import functools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from cyworkbench import picard_fuchs
 from cyworkbench.errors import NotMUM
-from cyworkbench.picard_fuchs import PFOperator, frobenius_solve
-from cyworkbench.series import LogSeries
+from cyworkbench.picard_fuchs import PeriodBasis, PFOperator, frobenius_solve
+from cyworkbench.series import LogSeries, _mul_trunc
 
 from conftest import degree_two_operator, random_mum_operator, shipped_family
 
@@ -54,6 +56,47 @@ def jet_ring_basis(op, order):
         LogSeries.from_rows([[jet[k - j] / math.factorial(j) for jet in jets]
                              for j in range(k + 1)], order)
         for k in range(4))
+
+
+def frobenius_reference(op, order):
+    """The recurrence in Fraction jets, one (lam+n)^-4 inverse per step, as
+    it ran before the integer jets: the reference for frobenius_solve."""
+    maxj = op.z_degree
+    taylor = [[[(k - i, p[j] * math.comb(k, i))
+                for k, p in enumerate(op.coefficients)
+                if k >= i and j < len(p) and p[j]] for i in range(4)]
+              for j in range(maxj + 1)]
+    jets = [[F(1), F(0), F(0), F(0)]]
+    for n in range(1, order):
+        acc = [0] * 4
+        for j in range(1, min(n, maxj) + 1):
+            pj = [sum(c * (n - j) ** e for e, c in col) for col in taylor[j]]
+            acc = [x + y for x, y in zip(acc, _mul_trunc(pj, jets[n - j], 4))]
+        inv = [F(c, n ** e) for c, e in ((1, 4), (-4, 5), (10, 6), (-20, 7))]
+        jets.append([-F(c) for c in _mul_trunc(acc, inv, 4)])
+    return PeriodBasis(tuple(LogSeries.from_rows([list(f)], order)
+                             for f in zip(*jets)), op, F(order))
+
+
+def unnormalized_operator(seed):
+    """random_mum_operator(seed) with a_4(0) != 1 before normalization, so
+    the normalized operator carries the lead's denominators."""
+    rng = random.Random(1000 + seed)
+    lead = F(rng.choice([-1, 1]) * rng.randrange(2, 30), rng.randrange(1, 8))
+    coeffs = random_mum_operator(seed).coefficients
+    return PFOperator(coeffs[:4] + ((lead,) + coeffs[4][1:],), F(1, 100))
+
+
+REFERENCE_OPERATORS = {
+    "quintic": lambda: shipped_family("quintic").pf,
+    "sextic": lambda: shipped_family("sextic").pf,
+    "degree-two": degree_two_operator,
+    "degree-three": functools.partial(random_mum_operator, 31, degree=3),
+    **{f"random-{seed}": functools.partial(random_mum_operator, seed)
+       for seed in range(20)},
+    **{f"unnormalized-{seed}": functools.partial(unnormalized_operator, seed)
+       for seed in range(20)},
+}
 
 
 class TestApplyOperator:
@@ -173,6 +216,39 @@ class TestFrobenius:
         assert got.omegas == want.omegas
         assert all(type(c) is F for w in got.omegas
                    for row in w.rows() for c in row)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_OPERATORS))
+    def test_matches_fraction_reference(self, name):
+        op = REFERENCE_OPERATORS[name]()
+        for order in (1, 2, 5, 24, 83):
+            got, want = frobenius_solve(op, order), frobenius_reference(op, order)
+            assert got.order == want.order == order
+            assert got.frobenius == want.frobenius
+            assert all(type(c) is F for f in got.frobenius
+                       for row in f.rows() for c in row)
+
+    def test_unnormalized_operators_differ(self):
+        """Dividing by a_4(0) != 1 gives operators, and denominators, the
+        random family alone does not reach."""
+        for seed in range(20):
+            op = unnormalized_operator(seed)
+            assert op.coefficients[4][0] == 1
+            assert op.coefficients != random_mum_operator(seed).coefficients
+
+    @pytest.mark.parametrize("name", ["quintic", "degree-two", "random-3",
+                                      "unnormalized-3"])
+    def test_recurrence_runs_on_ints(self, name, monkeypatch):
+        """Every jet product of the recurrence multiplies int lists; a
+        Fraction enters only when the rows are built."""
+        operands = []
+
+        def spy(a, b, n):
+            operands.extend(a + b)
+            return _mul_trunc(a, b, n)
+
+        monkeypatch.setattr(picard_fuchs, "_mul_trunc", spy)
+        frobenius_solve(REFERENCE_OPERATORS[name](), 30)
+        assert operands and all(type(c) is int for c in operands)
 
     def test_not_mum_rejected(self):
         op = PFOperator(coefficients=((), (), (F(1),), (F(-2),), (F(1),)),

@@ -124,10 +124,6 @@ class InstantonResult:
     gw: dict[int, Fraction]            # N_{0,d}
     n: dict[int, Fraction]             # n_d, all integers once extracted
 
-    @property
-    def integers(self) -> dict[int, int]:
-        return {d: int(v) for d, v in self.n.items() if v.denominator == 1}
-
 
 @dataclass(frozen=True)
 class GWPotential:
@@ -182,30 +178,6 @@ def _poly_inv_mod(a, m):
     return [c / r1[0] for c in _poly_divmod(s1, m)[1]]
 
 
-def _integer_eigenvalues(h, d):
-    """Distinct integer eigenvalues of multiplication by h on Q[z]/(d).
-
-    The traces p_k = tr(h^k) give the characteristic polynomial
-    x^n + c_1 x^(n-1) + ... + c_n through Newton's identities.  When all
-    eigenvalues r_i are integers so is every c_k, each r_i divides c_n,
-    and r_i^2 <= sum r^2 = c_1^2 - 2 c_2, which bounds the search.
-    """
-    n = len(d) - 1
-    power, traces = [Fraction(1)], []
-    for _ in range(n):
-        power = _poly_divmod(_poly_mul(power, h), d)[1]
-        traces.append(sum((_poly_divmod([0] * j + power, d)[1] + [0] * n)[j]
-                          for j in range(n)))
-    c = [Fraction(1)]
-    for k in range(1, n + 1):
-        c.append(-sum(c[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
-    if any(x.denominator != 1 for x in c):
-        return []
-    bound = math.isqrt(max(int(c[1] ** 2 - 2 * (c[2] if n > 1 else 0)), 0))
-    return [m for m in range(-bound, bound + 1) if m and c[n] % m == 0
-            and sum(x * m ** (n - k) for k, x in enumerate(c)) == 0]
-
-
 def _poly_str(coeffs) -> str:
     parts = []
     for i, c in enumerate(coeffs):
@@ -232,12 +204,14 @@ def yukawa_theta(config: CYFamilyConfig) -> YukawaCoupling:
 
     Integrates d/dz log Y = -a_3/(2 z a_4) = N/D with Y(0) equal to the
     triple intersection number.  With D squarefree and deg N < deg D,
-    the residue at a root r of D is h(r), h = N/D' mod D; the residues
-    are the roots of the characteristic polynomial of multiplication by
-    h on Q[z]/(D) (Rothstein-Trager), and each integer residue m gives
-    the factor gcd(D, h - m) to the power m.  Raises NonMeromorphic when
-    the solution is not a rational function (non-integer exponents,
-    irregular poles, a polynomial part, or a pole at the origin).
+    the residue at a root r of D is h(r), h = N/D' mod D (Rothstein-
+    Trager).  If all residues are integers, each m has m^2 <= tr(h^2) on
+    Q[z]/(D), their sum of squares; the scan over 0 < |m| <= that bound
+    keeps gcd(D, h - m) to the power m wherever it is nontrivial, and
+    factors short of deg D mean a non-integer residue.  Raises
+    NonMeromorphic when the solution is not a rational function
+    (non-integer exponents, irregular poles, a polynomial part, or a
+    pole at the origin).
     """
     op = config.pf
     kappa = Fraction(config.triple_intersection)
@@ -257,11 +231,17 @@ def yukawa_theta(config: CYFamilyConfig) -> YukawaCoupling:
         raise NonMeromorphic("log-derivative has a higher-order pole")
     h = _poly_divmod(_poly_mul(numer, _poly_inv_mod(d_denom, denom)),
                      denom)[1]
+    n = len(denom) - 1
+    h2 = _poly_divmod(_poly_mul(h, h), denom)[1]
+    p2 = sum((_poly_divmod([0] * j + h2, denom)[1] + [0] * n)[j]
+             for j in range(n))
+    # an integer residue set has an integer tr h^2; otherwise skip the scan
+    bound = math.isqrt(max(p2.numerator, 0)) if p2.denominator == 1 else 0
     factors = []
-    for m in _integer_eigenvalues(h, denom):
-        f = _poly_gcd(denom, _poly_sub(h, [m]))
-        factors.append((tuple(c / f[0] for c in f), m))
-    if sum(len(f) - 1 for f, _ in factors) != len(denom) - 1:
+    for m in range(-bound, bound + 1):
+        if m and len(f := _poly_gcd(denom, _poly_sub(h, [m]))) > 1:
+            factors.append((tuple(c / f[0] for c in f), m))
+    if sum(len(f) - 1 for f, _ in factors) != n:
         raise NonMeromorphic(
             "coupling requires a non-integer power; not meromorphic")
     y = YukawaCoupling(scale=kappa, factors=tuple(factors))
@@ -278,12 +258,13 @@ def yukawa_theta(config: CYFamilyConfig) -> YukawaCoupling:
 
 def flat_yukawa(y: YukawaCoupling, basis: PeriodBasis,
                 mm: MirrorMap) -> LogSeries:
-    """C_ttt(q) = Y(z) / (omega_0^2 (theta t)^3) re-expanded in q."""
-    order = basis.order
-    numer = y.series(order)
-    theta_t = mm.t_of_z.theta()
-    denom = basis.omega0 ** 2 * theta_t ** 3
-    c_z = numer * denom.invert()
+    """C_ttt(q) = Y(z) / (omega_0^2 (theta t)^3) re-expanded in q.
+
+    With Y = P/Q, C(z) = P (Q omega_0^2 (theta t)^3)^-1: one inversion.
+    """
+    num, den = (LogSeries.from_coefficients(p, order=basis.order)
+                for p in y.numerator_denominator())
+    c_z = num * (den * basis.omega0 ** 2 * mm.t_of_z.theta() ** 3).invert()
     return c_z.compose(mm.z_of_q)
 
 

@@ -54,9 +54,9 @@ def test_criterion_02_instanton_numbers(quintic_family):
             return cw.extract_instantons(c, quintic_family)
 
         low, high = run(15), run(20)
-        assert high.integers[1] == 2875
-        assert high.integers[2] == 609250
-        assert high.integers[3] == 317206375
+        assert high.n[1] == 2875
+        assert high.n[2] == 609250
+        assert high.n[3] == 317206375
         for d in range(1, 11):
             assert low.n[d].denominator == 1
             assert high.n[d].denominator == 1

@@ -1,9 +1,11 @@
-"""Second reference family: the pipeline is not quintic-specific.
+"""The shipped families: the pipeline is not quintic-specific.
 
-The sextic is loaded from the shipped ``configs/sextic.json``.
+The sextic is loaded from the shipped ``configs/sextic.json``; the
+catalogue test covers every hypergeometric family under ``configs/``.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +13,7 @@ from mpmath import mp
 
 import cyworkbench as cw
 
-from conftest import shipped_family
+from conftest import CONFIGS, shipped_family
 
 
 class TestSextic:
@@ -33,9 +35,9 @@ class TestSextic:
         mm = cw.build_mirror_map(basis)
         c = cw.flat_yukawa(cw.yukawa_theta(fam), basis, mm)
         res = cw.extract_instantons(c, fam)
-        assert res.integers[1] == 7884
-        assert res.integers[2] == 6028452
-        assert res.integers[3] == 11900417220
+        assert res.n[1] == 7884
+        assert res.n[2] == 6028452
+        assert res.n[3] == 11900417220
         assert all(v.denominator == 1 for v in res.n.values())
 
     def test_griffiths_residuals(self):
@@ -71,7 +73,75 @@ class TestSextic:
         assert cw.CYFamilyConfig.from_json(fam.to_json()) == fam
 
 
-@pytest.mark.parametrize("name", ["quintic", "sextic"])
+SHIPPED = sorted(p.stem for p in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
 def test_family_json_round_trip(name):
     fam = shipped_family(name)
     assert cw.CYFamilyConfig.from_json(fam.to_json()) == fam
+
+
+# (d; w) of each shipped config: a complete intersection of degrees d in
+# the weighted projective space P(w), and its n_1..n_3 from the program
+CATALOGUE = {
+    "quintic": ((5,), (1,) * 5, (2875, 609250, 317206375)),
+    "sextic": ((6,), (1,) * 4 + (2,), (7884, 6028452, 11900417220)),
+    "x8": ((8,), (1,) * 4 + (4,), (29504, 128834912, 1423720546880)),
+    "x10": ((10,), (1, 1, 1, 2, 5),
+            (231200, 12215785600, 1700894366474400)),
+    "x3_3": ((3, 3), (1,) * 6, (1053, 52812, 6424326)),
+    "x4_2": ((4, 2), (1,) * 6, (1280, 92288, 15655168)),
+    "x3_2_2": ((3, 2, 2), (1,) * 7, (720, 22428, 1611504)),
+    "x2_2_2_2": ((2,) * 4, (1,) * 8, (512, 9728, 416256)),
+    "x4_3": ((4, 3), (1,) * 5 + (2,), (1944, 223560, 64754568)),
+    "x6_2": ((6, 2), (1,) * 5 + (3,), (4992, 2388768, 2732060032)),
+    "x4_4": ((4, 4), (1,) * 4 + (2, 2), (3712, 982464, 683478144)),
+    "x6_4": ((6, 4), (1, 1, 1, 2, 2, 3), (15552, 27904176, 133884554688)),
+    "x6_6": ((6, 6), (1, 1, 2, 2, 3, 3),
+             (67104, 847288224, 28583248229280)),
+    "x2_12": ((2, 12), (1,) * 4 + (4, 6),
+              (678816, 137685060720, 69080128815414048)),
+}
+
+
+def test_catalogue_lists_every_config():
+    assert SHIPPED == sorted(CATALOGUE)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_catalogue(name):
+    """The config states L = theta^4 - mu z prod(theta + a_i) and the
+    invariants of (d; w), and its exact path gives integral periods and
+    mirror map, Y = kappa/(1 - mu z) and the pinned n_1..n_3."""
+    d, w, n_low = CATALOGUE[name]
+    assert sum(d) == sum(w)
+    residues = Counter(F(k, dj) for dj in d for k in range(1, dj + 1))
+    residues.subtract(F(k, wi) for wi in w for k in range(1, wi + 1))
+    assert residues.pop(1) == -4           # the theta^4 of the operator
+    a = list(residues.elements())
+    mu = F(math.prod(x ** x for x in d), math.prod(x ** x for x in w))
+    kappa = F(math.prod(d), math.prod(w))
+    prod_theta = [F(1)]                    # prod(theta + a_i), ascending
+    for ai in a:
+        prod_theta = [ai * x + y for x, y in
+                      zip(prod_theta + [0], [0] + prod_theta)]
+    fam = shipped_family(name)
+    assert len(a) == 4
+    assert fam.pf.coefficients == tuple(
+        (0, -mu * c) for c in prod_theta[:4]) + ((1, -mu),)
+    assert fam.pf.singular_radius == 1 / mu
+    assert fam.triple_intersection == kappa
+    assert fam.c2_H == kappa * (sum(x * x for x in d)
+                                - sum(x * x for x in w)) / 2
+    assert fam.euler == kappa * (sum(x ** 3 for x in w)
+                                 - sum(x ** 3 for x in d)) / 3
+
+    y = cw.yukawa_theta(fam)
+    assert (y.scale, y.factors) == (kappa, (((1, -mu), -1),))
+    basis = cw.frobenius_solve(fam.pf, 12)
+    mm = cw.build_mirror_map(basis)
+    res = cw.extract_instantons(cw.flat_yukawa(y, basis, mm), fam)
+    assert (res.n[1], res.n[2], res.n[3]) == n_low
+    for s in (basis.omega0, mm.q_of_z, mm.z_of_q):
+        assert all(c.denominator == 1 for _, c in s.items())

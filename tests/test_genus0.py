@@ -91,6 +91,12 @@ def with_a1_added(fam, term):
     return dataclasses.replace(fam, pf=op)
 
 
+def with_coupling_of(fam, other):
+    """fam with the a_3, a_4 of ``other``: fam's periods, other's Y."""
+    coeffs = fam.pf.coefficients[:3] + other.pf.coefficients[3:]
+    return dataclasses.replace(fam, pf=PFOperator(coeffs, F(1, 100)))
+
+
 # factors f^m of Y for factored_family, by name
 FACTOR_SETS = {
     "distinct-exponents": [(1 - 2 * Z, -1), (1 + 3 * Z, 2)],
@@ -409,6 +415,146 @@ class TestYukawaTheta:
             cw.yukawa_theta(fam)
 
 
+def eigenvalues_reference(h, d):
+    """Distinct integer eigenvalues of multiplication by h on Q[z]/(d).
+
+    The traces p_k = tr(h^k) give the characteristic polynomial
+    x^n + c_1 x^(n-1) + ... + c_n through Newton's identities.  When all
+    eigenvalues r_i are integers so is every c_k, each r_i divides c_n,
+    and r_i^2 <= sum r^2 = c_1^2 - 2 c_2, which bounds the search.
+    """
+    n = len(d) - 1
+    power, traces = [F(1)], []
+    for _ in range(n):
+        power = genus0._poly_divmod(genus0._poly_mul(power, h), d)[1]
+        traces.append(sum((genus0._poly_divmod([0] * j + power, d)[1]
+                           + [0] * n)[j] for j in range(n)))
+    c = [F(1)]
+    for k in range(1, n + 1):
+        c.append(-sum(c[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
+    if any(x.denominator != 1 for x in c):
+        return []
+    bound = math.isqrt(max(int(c[1] ** 2 - 2 * (c[2] if n > 1 else 0)), 0))
+    return [m for m in range(-bound, bound + 1) if m and c[n] % m == 0
+            and sum(x * m ** (n - k) for k, x in enumerate(c)) == 0]
+
+
+def reference_factors(fam):
+    """The factors of Y, with the residues from the characteristic
+    polynomial; raises NonMeromorphic like yukawa_theta.  Every case it
+    is run on has a_3(0) = 0 and a squarefree D of higher degree."""
+    g = genus0
+    a3, a4 = fam.pf.coefficients[3], fam.pf.coefficients[4]
+    common = g._poly_gcd(a3[1:], a4)
+    numer, denom = (g._poly_divmod(p, common)[0] for p in (a3[1:], a4))
+    numer = [-c / (2 * denom[-1]) for c in numer]
+    denom = [c / denom[-1] for c in denom]
+    h = g._poly_divmod(g._poly_mul(
+        numer, g._poly_inv_mod(g._poly_deriv(denom), denom)), denom)[1]
+    factors = []
+    for m in eigenvalues_reference(h, denom):
+        f = g._poly_gcd(denom, g._poly_sub(h, [m]))
+        factors.append((tuple(c / f[0] for c in f), m))
+    if sum(len(f) - 1 for f, _ in factors) != len(denom) - 1:
+        raise NonMeromorphic(
+            "coupling requires a non-integer power; not meromorphic")
+    return tuple(factors)
+
+
+def scan_case(seed):
+    """1-4 coprime squarefree linear or quadratic factors with shared
+    exponents in -6..6; every third case has a half-integer exponent,
+    and every third a term s/f that shifts the residues at the roots of
+    a quadratic f (or of a_4) by s/f', mostly off the integers."""
+    rng = random.Random(seed)
+    while True:
+        factors = [1 + F(rng.randrange(-9, 10), rng.randrange(1, 4)) * Z
+                   + rng.choice([0, rng.randrange(-5, 6)]) * Z ** 2
+                   for _ in range(rng.randint(1, 4))]
+        a4 = sympy.Mul(*factors)
+        if all(sympy.degree(f, Z) >= 1 for f in factors) and \
+                sympy.degree(sympy.gcd(a4, sympy.diff(a4, Z)), Z) == 0:
+            break
+    pool = rng.sample(range(-6, 7), 2)
+    exps = [rng.choice(pool) for _ in factors]
+    log_dy = sum(m * sympy.diff(f, Z) / f for f, m in zip(factors, exps))
+    if seed % 3 == 1:
+        log_dy += sympy.Rational(1, 2) * sympy.diff(factors[0], Z) / factors[0]
+    if seed % 3 == 2:
+        quad = [f for f in factors if sympy.degree(f, Z) == 2] or [a4]
+        log_dy += sympy.Rational(rng.randrange(1, 7), rng.randrange(1, 4)) \
+            / quad[0]
+    a3 = sympy.cancel(-2 * Z * a4 * log_dy)
+    return coupling_family(sympy_coeffs(a3), sympy_coeffs(a4))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the text of the NonMeromorphic it raises."""
+    try:
+        return fn(*args)
+    except NonMeromorphic as exc:
+        return str(exc)
+
+
+class TestResidueScan:
+    """The bounded gcd scan against the characteristic-polynomial search
+    it replaced: same factors in the same order, or the same error."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_seeded_cases_match_reference(self, seed):
+        fam = scan_case(seed)
+        got = outcome(lambda: cw.yukawa_theta(fam).factors)
+        assert got == outcome(reference_factors, fam)
+
+    @pytest.mark.parametrize("family", ["halfpow", "complex-residues",
+                                        "factored-half-integer-exponent",
+                                        *(f"factored-{name}"
+                                          for name in FACTOR_SETS)])
+    def test_suite_cases_match_reference(self, family):
+        fam = SUITE_FAMILIES[family]()
+        got = outcome(lambda: cw.yukawa_theta(fam).factors)
+        assert got == outcome(reference_factors, fam)
+
+    def test_seeded_cases_cover_both_outcomes(self):
+        outcomes = [outcome(reference_factors, scan_case(s))
+                    for s in range(40)]
+        assert sum(isinstance(o, str) for o in outcomes) >= 10
+        assert sum(isinstance(o, tuple) and len(o) >= 2
+                   for o in outcomes) >= 5
+        assert max(abs(m) for o in outcomes if isinstance(o, tuple)
+                   for _, m in o) >= 5
+
+    def test_non_integer_trace_refused_without_scan(self, monkeypatch):
+        """Y ~ (1 - z)^(1000 + 1/2): tr h^2 = 1000.5^2 is not an integer,
+        so the refusal takes no gcd past the two before the scan."""
+        calls, poly_gcd = [], genus0._poly_gcd
+
+        def counted(a, b):
+            calls.append(1)
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(genus0, "_poly_gcd", counted)
+        with pytest.raises(NonMeromorphic, match="non-integer power"):
+            cw.yukawa_theta(coupling_family((F(0), F(2001)), (F(1), F(-1))))
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("family", [
+        lambda: shipped_family("quintic"), lambda: shipped_family("sextic"),
+        lambda: with_coupling_of(shipped_family("quintic"), factored_family(
+            FACTOR_SETS["three-factors"]))],
+        ids=["quintic", "sextic", "quintic-periods-three-factor-coupling"])
+    def test_flat_coupling_matches_two_inversions(self, family):
+        """One inversion of Q omega_0^2 (theta t)^3 gives the C(z) of
+        Y (omega_0^2 (theta t)^3)^-1 with Y = P Q^-1, composed with z(q)."""
+        fam = family()
+        y = cw.yukawa_theta(fam)
+        basis = cw.frobenius_solve(fam.pf, 24)
+        mm = cw.build_mirror_map(basis)
+        denom = basis.omega0 ** 2 * mm.t_of_z.theta() ** 3
+        two = (y.series(24) * denom.invert()).compose(mm.z_of_q)
+        assert cw.flat_yukawa(y, basis, mm) == two
+
+
 class TestFlatYukawa:
     def test_trivial_family_constant(self):
         fam, basis = trivial_basis(kappa=3)
@@ -436,9 +582,9 @@ class TestFlatYukawa:
 class TestInstantons:
     def test_quintic_low_degrees(self, quintic_cttt, quintic_family):
         res = cw.extract_instantons(quintic_cttt, quintic_family)
-        assert res.integers[1] == 2875
-        assert res.integers[2] == 609250
-        assert res.integers[3] == 317206375
+        assert res.n[1] == 2875
+        assert res.n[2] == 609250
+        assert res.n[3] == 317206375
         assert all(v.denominator == 1 for v in res.n.values())
 
     def test_gw_divisor_sums(self, quintic_cttt, quintic_family):

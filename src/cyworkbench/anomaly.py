@@ -42,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import add, mul, sub
 
 from mpmath import mp
 from mpmath.libmp import (from_int, mpc_sub, mpf_add, mpf_div, mpf_mul,
@@ -191,18 +192,6 @@ def _pointwise(fn, *fields):
         tuple(None if any(x is None for x in xs) else fn(*xs)
               for xs in zip(*rows))
         for rows in zip(*(f.values for f in fields))))
-
-
-def _fadd(a, b):
-    return _pointwise(lambda x, y: x + y, a, b)
-
-
-def _fsub(a, b):
-    return _pointwise(lambda x, y: x - y, a, b)
-
-
-def _fmul(a, b):
-    return _pointwise(lambda x, y: x * y, a, b)
 
 
 def _check_shape(rows, z_nodes, zbar_nodes, what: str):
@@ -450,7 +439,7 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
                 if pair1 in _UNSTABLE or pair2 in _UNSTABLE:
                     continue
                 if bracket is None:
-                    bracket = _fmul(dfield(*pair1), dfield(*pair2))
+                    bracket = _pointwise(mul, dfield(*pair1), dfield(*pair2))
                 else:
                     bracket = _pointwise(lambda b, x, y: b + x * y, bracket,
                                          dfield(*pair1), dfield(*pair2))
@@ -491,7 +480,7 @@ class PropagatorSpec:
         _check_shape(self.values, grid.z_nodes, grid.zbar_nodes,
                      "propagator S")
         target = grid.field("C")
-        diff = _fsub(_central(grid, self.as_field(), "zbar"), target)
+        diff = _pointwise(sub, _central(grid, self.as_field(), "zbar"), target)
         mismatch = diff.max_abs()
         scale = max(mp.mpf(1), target.max_abs())
         if not mismatch <= tolerance * scale:  # NaN fails
@@ -528,7 +517,8 @@ def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
                         _named_derivative(grid, "F1", 0, 2),
                         _named_derivative(grid, "F1", 0, 1))
         if ambiguity is not None:
-            f2 = _fadd(f2, grid.tabulate(lambda z, w: mp.mpc(ambiguity(z))))
+            f2 = _pointwise(add, f2,
+                            grid.tabulate(lambda z, w: mp.mpc(ambiguity(z))))
         check_grid = grid.with_field("F2", f2)
         report = hae_residual(check_grid, 2)
         if not report.max_abs <= tolerance:  # NaN fails

@@ -103,14 +103,7 @@ class NumericToleranceError(WorkbenchError):
 
 
 class PrecisionLoss(NumericToleranceError):
-    """Finite-difference check disagrees with the algebraic value.
-
-    Carries a suggested smaller step in ``suggested_h``.
-    """
-
-    def __init__(self, message, suggested_h=None):
-        super().__init__(message)
-        self.suggested_h = suggested_h
+    """Finite-difference check disagrees with the algebraic value."""
 
 
 class SignViolation(NumericToleranceError):

@@ -30,6 +30,11 @@ from .errors import (DomainError, IntegralityViolation, NonMeromorphic,
 from .picard_fuchs import PeriodBasis, PFOperator, Poly
 from .series import LogSeries, _mul_trunc, format_rational
 
+# The largest tr h^2 (the sum of the squared residues of d log Y) that
+# yukawa_theta scans up to, one polynomial gcd per candidate exponent;
+# Y ~ (1 - z)^1000 has 10^6.
+MAX_RESIDUE_SQUARES = 10 ** 7
+
 
 @dataclass(frozen=True)
 class CYFamilyConfig:
@@ -208,7 +213,8 @@ def yukawa_theta(config: CYFamilyConfig) -> YukawaCoupling:
     Trager).  If all residues are integers, each m has m^2 <= tr(h^2) on
     Q[z]/(D), their sum of squares; the scan over 0 < |m| <= that bound
     keeps gcd(D, h - m) to the power m wherever it is nontrivial, and
-    factors short of deg D mean a non-integer residue.  Raises
+    factors short of deg D mean a non-integer residue.  A tr(h^2) above
+    MAX_RESIDUE_SQUARES is refused before the scan.  Raises
     NonMeromorphic when the solution is not a rational function
     (non-integer exponents, irregular poles, a polynomial part, or a
     pole at the origin).
@@ -235,6 +241,10 @@ def yukawa_theta(config: CYFamilyConfig) -> YukawaCoupling:
     h2 = _poly_divmod(_poly_mul(h, h), denom)[1]
     p2 = sum((_poly_divmod([0] * j + h2, denom)[1] + [0] * n)[j]
              for j in range(n))
+    if p2 > MAX_RESIDUE_SQUARES:
+        raise NonMeromorphic(
+            f"coupling residues have tr h^2 = {p2}, above the scan bound "
+            f"MAX_RESIDUE_SQUARES = {MAX_RESIDUE_SQUARES}")
     # an integer residue set has an integer tr h^2; otherwise skip the scan
     bound = math.isqrt(max(p2.numerator, 0)) if p2.denominator == 1 else 0
     factors = []

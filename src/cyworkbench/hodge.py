@@ -180,12 +180,10 @@ class HodgePointReport:
 
 @dataclass(frozen=True)
 class CurvatureCheck:
-    """Algebraic versus finite-difference curvature at one point."""
+    """Finite-difference curvature and its error against the algebraic one."""
 
-    algebraic: object
     finite_difference: object
     rel_error: object
-    step: object
 
 
 class HodgeEvaluator:
@@ -379,10 +377,8 @@ def fd_curvature_check(evaluator: HodgeEvaluator, z0, h,
     if tolerance is not None and rel > tolerance:
         raise PrecisionLoss(
             f"finite-difference curvature off by {mp.nstr(rel, 6)} "
-            f"(tolerance {tolerance}) at {mp.nstr(z0, 8)}",
-            suggested_h=h / 10)
-    return CurvatureCheck(algebraic=algebraic, finite_difference=fd,
-                          rel_error=rel, step=h)
+            f"(tolerance {tolerance}) at {mp.nstr(z0, 8)}")
+    return CurvatureCheck(finite_difference=fd, rel_error=rel)
 
 
 def sample_points(radius, fraction: float, count: int):
@@ -393,13 +389,15 @@ def sample_points(radius, fraction: float, count: int):
     """
     if not 0 < fraction < 1:
         raise ValueError("radius fraction must lie in (0, 1)")
+    if count < 1:
+        raise ValueError("sample count must be positive")
     angles = ("0", "0.9", "-0.9", "1.8", "-1.8", "2.6")
     with mp.workprec(_SAMPLE_PREC):
         if isinstance(radius, Fraction):
             rad = mp.mpf(radius.numerator) / radius.denominator
         else:
             rad = mp.mpf(radius)
-        levels = max(1, math.ceil(count / len(angles)))
+        levels = math.ceil(count / len(angles))
         pts = []
         for level in range(levels):
             scale = rad * mp.mpf(fraction) * mp.mpf(level + 1) / levels
@@ -407,7 +405,6 @@ def sample_points(radius, fraction: float, count: int):
                 pts.append(scale * mp.exp(mp.mpc(0, 1) * mp.mpf(ang)))
                 if len(pts) == count:
                     return pts
-    return pts
 
 
 def hodge_report_json(reports, config_hash: str) -> dict:

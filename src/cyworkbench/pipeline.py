@@ -37,6 +37,9 @@ from .series import format_rational
 # The largest Hodge order a run may solve to; the exact solve takes ~2 s at
 # order 2100, and a radius fraction of 0.999 would ask for 46045 terms.
 MAX_HODGE_ORDER = 4096
+# The largest truncation order N a run may ask for; the exact path grows
+# like N^4.8, and a quintic run at N = 320 takes about a minute.
+MAX_TRUNCATION_ORDER = 320
 
 DEFAULT_TOLERANCES = {
     "fd_curvature": FD_TOLERANCE,
@@ -130,6 +133,9 @@ def solve_periods(config: WorkbenchConfig) -> tuple[PeriodBasis, PeriodBasis]:
     """The basis at the truncation order N and the one the Hodge stage
     reads: one prefix-stable solve to max(N, Hodge order), cut to N."""
     n = config.truncation_order
+    if n > MAX_TRUNCATION_ORDER:
+        raise ConfigError(f"truncation order {n} exceeds the cap "
+                          f"MAX_TRUNCATION_ORDER = {MAX_TRUNCATION_ORDER}")
     hodge_order = (default_hodge_order(config.radius_fraction)
                    if config.hodge_order is None else config.hodge_order)
     if hodge_order > MAX_HODGE_ORDER:

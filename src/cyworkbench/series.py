@@ -156,19 +156,6 @@ class LogSeries:
         return cls.from_rows([[c]], order)
 
     @classmethod
-    def monomial(cls, coeff, exponent, log_degree: int = 0, *, order,
-                 ramification: int | None = None) -> "LogSeries":
-        e = Fraction(exponent)
-        r = ramification if ramification is not None else e.denominator
-        return cls({(e, log_degree): Fraction(coeff)}, order=order,
-                   ramification=r)
-
-    @classmethod
-    def variable(cls, order) -> "LogSeries":
-        """The series ``z``."""
-        return cls.monomial(1, 1, order=order)
-
-    @classmethod
     def log_z(cls, order) -> "LogSeries":
         """The series ``log z``."""
         return cls.from_rows([[0], [1]], order)

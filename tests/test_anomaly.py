@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from operator import add, mul, sub
 
 import pytest
 import sympy
@@ -10,8 +11,8 @@ from mpmath import mp
 
 import cyworkbench as cw
 from cyworkbench import anomaly
-from cyworkbench.anomaly import (_central, _fadd, _fmul, _fsub, _pointwise,
-                                 AnomalyGrid, GridField, PropagatorSpec)
+from cyworkbench.anomaly import (_central, _pointwise, AnomalyGrid, GridField,
+                                 PropagatorSpec)
 from cyworkbench.errors import (BoundaryPoint, DomainError, MissingField,
                                 NonUniformGrid, PropagatorMismatch,
                                 UnstableRange)
@@ -169,11 +170,12 @@ def hae_reference(grid, g):
                 if gg not in d_cache:
                     d_cache[gg] = cw.covariant_derivative(
                         grid, grid.field(f"F{gg}"), 2 - 2 * gg, 0)
-            bracket = _fadd(bracket, _fmul(d_cache[g1], d_cache[g - g1]))
+            bracket = _pointwise(add, bracket, _pointwise(
+                mul, d_cache[g1], d_cache[g - g1]))
         half = mp.mpf(1) / 2
         rhs = _pointwise(lambda x: half * x,
-                         _fmul(grid.field("C"), bracket))
-        return _fsub(lhs, rhs)
+                         _pointwise(mul, grid.field("C"), bracket))
+        return _pointwise(sub, lhs, rhs)
 
 
 def seeded_grid(seed, nz, nw, names, nodes="mpc", values="mpc"):
@@ -539,6 +541,21 @@ class TestOpenResidual:
                            "Delta": delta, "F0_2": f02, "F0_3": f03},
                           nz=7, nw=7)
         rep = cw.ehae_residual(grid, 0, 3)
+        assert rep.max_abs < mp.mpf("1e-8")
+
+    def test_genus_zero_pair_sum(self):
+        """(0,4): with no genus g - 1 term the pair sum starts from its
+        one stable pair, D F0_2 D F0_2; D = d/dz when C = G = 1, K = 0."""
+        z, w = sympy.symbols("z w")
+        delta = sympy.Rational(1, 4) + z / 6
+        f02 = z + z ** 2 / 3
+        f03 = z ** 2 * w / 2 + z / 5
+        f04 = sympy.integrate(sympy.diff(f02, z) ** 2 / 2
+                              - delta * sympy.diff(f03, z), w)
+        grid = build_grid({"C": 1 + 0 * z, "K": 0 * z, "G": 1 + 0 * z,
+                           "Delta": delta, "F0_2": f02, "F0_3": f03,
+                           "F0_4": f04}, nz=7, nw=7)
+        rep = cw.ehae_residual(grid, 0, 4)
         assert rep.max_abs < mp.mpf("1e-8")
 
     def test_disk_factor_probes_through_delta_only(self):

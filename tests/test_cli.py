@@ -12,7 +12,8 @@ import cyworkbench.cli
 import cyworkbench.pipeline
 from cyworkbench.anomaly import AnomalyGrid
 from cyworkbench.cli import main
-from cyworkbench.pipeline import MAX_HODGE_ORDER, WorkbenchConfig, config_hash
+from cyworkbench.pipeline import (MAX_HODGE_ORDER, MAX_TRUNCATION_ORDER,
+                                  WorkbenchConfig, config_hash)
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs/quintic.json"
 
@@ -226,6 +227,19 @@ class TestExitCodes:
             "error (ConfigError): hodge order 46045 exceeds the cap "
             f"MAX_HODGE_ORDER = {MAX_HODGE_ORDER}\n")
         assert not (tmp_path / "o" / "hodge.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "hodge-report"])
+    def test_truncation_order_above_cap_refused_before_solving(
+            self, tmp_path, capsys, command):
+        start = time.perf_counter()
+        assert main([command, str(REPO_CONFIG), "--order", "100000",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error (ConfigError): truncation order 100000 exceeds the cap "
+            f"MAX_TRUNCATION_ORDER = {MAX_TRUNCATION_ORDER}\n")
+        for name in ("periods.json", "instantons.json", "hodge.json"):
+            assert not (tmp_path / "o" / name).exists()
 
     def test_explicit_hodge_order_above_cap(self, tmp_path, capsys):
         cfg = fast_quintic_config(tmp_path, hodge_order=5000)

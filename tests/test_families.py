@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp
 
 import cyworkbench as cw
+from cyworkbench.pipeline import default_hodge_order
 
 from conftest import CONFIGS, shipped_family
 
@@ -105,6 +106,17 @@ CATALOGUE = {
 }
 
 
+def hypergeometric_data(name):
+    """a_1..a_4 and mu of theta^4 - mu z prod(theta + a_i), recomputed
+    from the (d; w) of the family in CATALOGUE."""
+    d, w, _ = CATALOGUE[name]
+    residues = Counter(F(k, dj) for dj in d for k in range(1, dj + 1))
+    residues.subtract(F(k, wi) for wi in w for k in range(1, wi + 1))
+    assert residues.pop(1) == -4           # the theta^4 of the operator
+    mu = F(math.prod(x ** x for x in d), math.prod(x ** x for x in w))
+    return list(residues.elements()), mu
+
+
 def test_catalogue_lists_every_config():
     assert SHIPPED == sorted(CATALOGUE)
 
@@ -116,11 +128,7 @@ def test_catalogue(name):
     mirror map, Y = kappa/(1 - mu z) and the pinned n_1..n_3."""
     d, w, n_low = CATALOGUE[name]
     assert sum(d) == sum(w)
-    residues = Counter(F(k, dj) for dj in d for k in range(1, dj + 1))
-    residues.subtract(F(k, wi) for wi in w for k in range(1, wi + 1))
-    assert residues.pop(1) == -4           # the theta^4 of the operator
-    a = list(residues.elements())
-    mu = F(math.prod(x ** x for x in d), math.prod(x ** x for x in w))
+    a, mu = hypergeometric_data(name)
     kappa = F(math.prod(d), math.prod(w))
     prod_theta = [F(1)]                    # prod(theta + a_i), ascending
     for ai in a:
@@ -145,3 +153,39 @@ def test_catalogue(name):
     assert (res.n[1], res.n[2], res.n[3]) == n_low
     for s in (basis.omega0, mm.q_of_z, mm.z_of_q):
         assert all(c.denominator == 1 for _, c in s.items())
+
+
+def hypergeometric_periods(a, mu, z0):
+    """omega_0..omega_3 at z0, with omega_k = (1/k!) d^k/dlam^k of
+    z^lam 5F4(a + lam, 1; (1 + lam)^4; mu z) at lam = 0: mpmath's hyper
+    under its numerical diffs, sharing no code with the workbench."""
+    def omega(lam):
+        # the shifted parameters are built at the precision diffs runs at;
+        # built outside it they would carry the caller's rounding error
+        params = [mp.mpf(x.numerator) / x.denominator + lam for x in a]
+        return z0 ** lam * mp.hyper(params + [1], [1 + lam] * 4,
+                                    mp.mpf(mu.numerator) / mu.denominator * z0)
+    return [dk / math.factorial(k)
+            for k, dk in enumerate(mp.diffs(omega, 0, 3))]
+
+
+@pytest.mark.parametrize("name", ["quintic", "sextic", "x10"])
+def test_hodge_periods_within_tail_bound_of_oracle(name):
+    """The shipped Hodge periods (order 83, 256 bits) lie within their own
+    tail_bound_rel of the closed form, at the outermost shipped sample
+    and at one on the innermost circle."""
+    fam = shipped_family(name)
+    basis = cw.frobenius_solve(fam.pf, default_hodge_order(0.5))
+    frame = cw.solve_symplectic_frame(
+        basis, cw.yukawa_theta(fam).series(basis.order),
+        fam.triple_intersection)
+    ev = cw.HodgeEvaluator(basis, frame, prec_bits=256)
+    a, mu = hypergeometric_data(name)
+    points = cw.sample_points(fam.pf.singular_radius, 0.5, 24)
+    for z0 in (points[1], points[-1]):
+        rep = ev.point(z0)
+        with mp.workprec(400):
+            oracle = hypergeometric_periods(a, mu, mp.mpc(z0))
+            for printed, exact in zip(rep.period_vector, oracle):
+                assert abs(printed - exact) <= \
+                    rep.tail_bound_rel * abs(exact) + mp.ldexp(1, -256)

@@ -279,8 +279,8 @@ class TestMirrorMap:
         _, basis = trivial_basis()
         mm = cw.build_mirror_map(basis)
         assert mm.t_of_z == LogSeries.log_z(order=basis.order)
-        assert mm.q_of_z == LogSeries.variable(order=basis.order + 1)
-        assert mm.z_of_q == LogSeries.variable(order=basis.order + 1)
+        assert mm.q_of_z == LogSeries({(1, 0): 1}, order=basis.order + 1)
+        assert mm.z_of_q == LogSeries({(1, 0): 1}, order=basis.order + 1)
 
     def test_quintic_q_of_z(self, quintic_mirror):
         q = quintic_mirror.q_of_z
@@ -292,7 +292,7 @@ class TestMirrorMap:
 
     def test_round_trip(self, quintic_mirror):
         mm = quintic_mirror
-        ident = LogSeries.variable(order=mm.q_of_z.order)
+        ident = LogSeries({(1, 0): 1}, order=mm.q_of_z.order)
         assert mm.z_of_q.compose(mm.q_of_z) == ident
         assert mm.q_of_z.compose(mm.z_of_q) == ident
 
@@ -538,6 +538,25 @@ class TestResidueScan:
             cw.yukawa_theta(coupling_family((F(0), F(2001)), (F(1), F(-1))))
         assert len(calls) == 2
 
+    def test_large_residues_refused_without_scan(self, monkeypatch):
+        """Residues 10^5 -+ 1/sqrt(2) (D = 1 - 2 z^2) have the integer
+        tr h^2 = 2 10^10 + 1: refused by the bound, not after 4 10^5 gcds."""
+        calls, poly_gcd = [], genus0._poly_gcd
+
+        def counted(a, b):
+            calls.append(1)
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(genus0, "_poly_gcd", counted)
+        fam = coupling_family((F(0), F(-4), F(8 * 10 ** 5)),
+                              (F(1), F(0), F(-2)))
+        start = time.perf_counter()
+        with pytest.raises(NonMeromorphic, match=r"tr h\^2 = 20000000001, "
+                           "above the scan bound MAX_RESIDUE_SQUARES"):
+            cw.yukawa_theta(fam)
+        assert time.perf_counter() - start < 0.05
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("family", [
         lambda: shipped_family("quintic"), lambda: shipped_family("sextic"),
         lambda: with_coupling_of(shipped_family("quintic"), factored_family(
@@ -610,8 +629,8 @@ class TestInstantons:
                                   quintic_family)
 
     def test_integrality_violation(self, quintic_cttt, quintic_family):
-        bad = quintic_cttt + LogSeries.monomial(F(1, 2), 1,
-                                                order=quintic_cttt.order)
+        bad = quintic_cttt + LogSeries({(1, 0): F(1, 2)},
+                                       order=quintic_cttt.order)
         # n_1 = 2875 + 1/2
         with pytest.raises(IntegralityViolation, match="n_1 = 5751/2"):
             cw.extract_instantons(bad, quintic_family)
@@ -728,7 +747,7 @@ class TestSymplecticFrame:
         with pytest.raises(NormalizationMissing, match="triple coupling"):
             cw.solve_symplectic_frame(
                 quintic_basis,
-                y + LogSeries.monomial(1, 3, order=quintic_basis.order), 5)
+                y + LogSeries({(3, 0): 1}, order=quintic_basis.order), 5)
 
     @pytest.mark.parametrize("family", SUITE_FAMILIES.values(),
                              ids=SUITE_FAMILIES.keys())
@@ -741,7 +760,7 @@ class TestSymplecticFrame:
         assert w3.constant_term == 1
         reference = functools.partial(reference_solve, w3=w3)
         y = coupling_or_constant(fam, basis.order)
-        for series in (y, y + LogSeries.monomial(1, 2, order=basis.order)):
+        for series in (y, y + LogSeries({(2, 0): 1}, order=basis.order)):
             args = (basis, series, fam.triple_intersection)
             assert solve_outcome(cw.solve_symplectic_frame, *args) == \
                 solve_outcome(reference, *args)
@@ -777,7 +796,7 @@ class TestSymplecticFrame:
         """A ramified or log-carrying Frobenius series fails when the
         basis is built, before any frame or Hodge stage reads it."""
         f, order = quintic_basis.frobenius, quintic_basis.order
-        half = LogSeries.monomial(1, F(1, 2), order=order)
+        half = LogSeries({(F(1, 2), 0): 1}, order=order, ramification=2)
         for bad in ((f[0] + half,) + f[1:],
                     f[:1] + (f[1] + LogSeries.log_z(order),) + f[2:]):
             with pytest.raises(DomainError, match="unramified"):

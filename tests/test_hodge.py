@@ -481,6 +481,11 @@ class TestSignSuite:
             assert abs(z) <= bound * (1 + mp.mpf("1e-30"))
             assert abs(mp.arg(z)) < mp.pi - mp.mpf("0.3")
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_sample_count_below_one_refused(self, quintic_family, count):
+        with pytest.raises(ValueError, match="sample count"):
+            cw.sample_points(quintic_family.pf.singular_radius, 0.5, count)
+
 
 class TestCurvature:
     def test_fd_matches_algebraic_small_point(self, quintic_hodge):
@@ -502,11 +507,10 @@ class TestCurvature:
         ratio = e1 / e2
         assert 2.5 < ratio < 6.5
 
-    def test_precision_loss_suggests_smaller_step(self, quintic_hodge):
-        with pytest.raises(PrecisionLoss) as info:
+    def test_coarse_step_raises_precision_loss(self, quintic_hodge):
+        with pytest.raises(PrecisionLoss):
             cw.fd_curvature_check(quintic_hodge, mp.mpc("1e-7"),
                                   mp.mpf("1e-10"), tolerance=1e-8)
-        assert info.value.suggested_h is not None
 
     def test_center_potential_read_from_point(self, quintic_hodge,
                                               monkeypatch):

@@ -15,7 +15,7 @@ from .anomaly import (AnomalyGrid, GridField, PropagatorSpec, ResidualReport,
                       hae_residual)
 from .errors import WorkbenchError
 from .frames import SymplecticFrame, solve_symplectic_frame
-from .genus0 import (CYFamilyConfig, GWPotential, InstantonResult, MirrorMap,
+from .genus0 import (CYFamilyConfig, InstantonResult, MirrorMap,
                      YukawaCoupling, assemble_genus0, build_mirror_map,
                      coupling_from_potential, extract_instantons, flat_yukawa,
                      genus0_export, yukawa_theta)
@@ -27,7 +27,7 @@ from .pipeline import (WorkbenchConfig, config_hash, load_manifest, report,
 from .series import LogSeries, format_rational, parse_rational
 
 __all__ = [
-    "AnomalyGrid", "CYFamilyConfig", "GWPotential",
+    "AnomalyGrid", "CYFamilyConfig",
     "GridField", "HodgeEvaluator", "HodgePointReport", "InstantonResult",
     "LogSeries", "MirrorMap", "PFOperator", "PeriodBasis",
     "PropagatorSpec", "ResidualReport", "SymplecticFrame",

@@ -53,6 +53,10 @@ from .errors import (BoundaryPoint, ConfigError, DomainError, MissingField,
                      ResidualToleranceError, config_int, malformed_input)
 
 _GUARD_BITS = 24
+# The largest binary precision any input may ask for.  A Hodge point costs
+# about 0.085 s at 8192 bits, and past about 14300 bits a value near
+# 2^-prec cannot be printed to 40 digits (Python's int-string limit).
+MAX_PRECISION_BITS = 8192
 # bound on a recursion residual, and on dbar S - C relative to max |C|
 RESIDUAL_TOLERANCE = 1e-8
 # the conventions every grid is computed in; a document may restate them
@@ -200,6 +204,16 @@ def _check_shape(rows, z_nodes, zbar_nodes, what: str):
         raise NonUniformGrid(f"{what} does not match the grid shape")
 
 
+def _check_prec_bits(prec: int, what: str) -> int:
+    """prec, refused unless 0 < prec <= MAX_PRECISION_BITS."""
+    if prec <= 0:
+        raise ConfigError(f"{what} prec_bits must be positive")
+    if prec > MAX_PRECISION_BITS:
+        raise ConfigError(f"{what} prec_bits {prec} exceeds the cap "
+                          f"MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
+    return prec
+
+
 @dataclass(frozen=True)
 class AnomalyGrid:
     """Rectangular sample grid with named fields, shape [i_z][j_zbar].
@@ -216,8 +230,7 @@ class AnomalyGrid:
     step_zbar: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.prec_bits <= 0:
-            raise ConfigError("grid prec_bits must be positive")
+        _check_prec_bits(self.prec_bits, "grid")
         object.__setattr__(self, "z_nodes", tuple(self.z_nodes))
         object.__setattr__(self, "zbar_nodes", tuple(self.zbar_nodes))
         with mp.workprec(self.prec_bits + _GUARD_BITS):
@@ -277,7 +290,8 @@ class AnomalyGrid:
             for key, value in GRID_CONVENTIONS.items():
                 if obj.get(key, value) != value:
                     raise ConfigError(f"grid {key} must be {value!r}")
-            prec = config_int(obj, "prec_bits", cls.prec_bits, "grid")
+            prec = _check_prec_bits(
+                config_int(obj, "prec_bits", cls.prec_bits, "grid"), "grid")
             with mp.workprec(prec + _GUARD_BITS):
                 grid = obj["grid"]
                 z_nodes = tuple(_parse_complex(p) for p in grid["z"])
@@ -491,10 +505,9 @@ class PropagatorSpec:
     @classmethod
     def from_json(cls, obj) -> "PropagatorSpec":
         with malformed_input("propagator JSON"):
-            prec = config_int(obj, "prec_bits", AnomalyGrid.prec_bits,
-                              "propagator")
-            if prec <= 0:
-                raise ConfigError("propagator prec_bits must be positive")
+            prec = _check_prec_bits(config_int(
+                obj, "prec_bits", AnomalyGrid.prec_bits, "propagator"),
+                "propagator")
             with mp.workprec(prec + _GUARD_BITS):
                 return cls(tuple(tuple(_parse_complex(v) for v in row)
                                  for row in obj["S"]), prec)

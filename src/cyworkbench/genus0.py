@@ -77,9 +77,9 @@ class CYFamilyConfig:
 
 @dataclass(frozen=True)
 class MirrorMap:
-    """t(z), q(z) = exp t, and the reversion z(q), all exact."""
+    """u(z) with t = log z + u, q(z) = exp t, and the reversion z(q)."""
 
-    t_of_z: LogSeries
+    u: LogSeries
     q_of_z: LogSeries
     z_of_q: LogSeries
 
@@ -128,14 +128,6 @@ class InstantonResult:
 
     gw: dict[int, Fraction]            # N_{0,d}
     n: dict[int, Fraction]             # n_d, all integers once extracted
-
-
-@dataclass(frozen=True)
-class GWPotential:
-    """Genus-zero potential: classical cubic part plus q-expansion."""
-
-    classical_cubic: Fraction
-    quantum: LogSeries
 
 
 def _poly_mul(a, b):
@@ -199,9 +191,8 @@ def build_mirror_map(basis: PeriodBasis) -> MirrorMap:
     q = exp(t) = z exp(u), which stays in the rational-coefficient ring.
     """
     u = basis.sigma1 * basis.omega0.invert()
-    t = LogSeries.log_z(order=basis.order) + u
     q = u.exp().shift(1)
-    return MirrorMap(t_of_z=t, q_of_z=q, z_of_q=q.revert())
+    return MirrorMap(u=u, q_of_z=q, z_of_q=q.revert())
 
 
 def yukawa_theta(config: CYFamilyConfig) -> YukawaCoupling:
@@ -270,11 +261,12 @@ def flat_yukawa(y: YukawaCoupling, basis: PeriodBasis,
                 mm: MirrorMap) -> LogSeries:
     """C_ttt(q) = Y(z) / (omega_0^2 (theta t)^3) re-expanded in q.
 
-    With Y = P/Q, C(z) = P (Q omega_0^2 (theta t)^3)^-1: one inversion.
+    With Y = P/Q, C(z) = P (Q omega_0^2 (theta t)^3)^-1: one inversion;
+    theta t = 1 + theta u.
     """
     num, den = (LogSeries.from_coefficients(p, order=basis.order)
                 for p in y.numerator_denominator())
-    c_z = num * (den * basis.omega0 ** 2 * mm.t_of_z.theta() ** 3).invert()
+    c_z = num * (den * basis.omega0 ** 2 * (mm.u.theta() + 1) ** 3).invert()
     return c_z.compose(mm.z_of_q)
 
 
@@ -311,25 +303,20 @@ def extract_instantons(c_ttt: LogSeries,
 
 
 def assemble_genus0(config: CYFamilyConfig, gw: dict[int, Fraction],
-                    order) -> GWPotential:
-    """Genus-zero potential: (kappa/6) t^3 plus sum N_{0,d} q^d."""
-    quantum = LogSeries({(Fraction(d), 0): v for d, v in gw.items()},
-                        order=order)
-    return GWPotential(
-        classical_cubic=Fraction(config.triple_intersection, 6),
-        quantum=quantum,
-    )
+                    order) -> LogSeries:
+    """F_0 = (kappa/6) t^3 + sum N_{0,d} q^d as one series in q, t = log q."""
+    return LogSeries({(d, 0): v for d, v in gw.items()}
+                     | {(0, 3): Fraction(config.triple_intersection, 6)},
+                     order=order)
 
 
-def coupling_from_potential(potential: GWPotential) -> LogSeries:
-    """Recover C_ttt by applying (q d/dq)^3 and adding the cubic term.
+def coupling_from_potential(potential: LogSeries) -> LogSeries:
+    """Recover C_ttt as (q d/dq)^3 F_0; the cubic term gives kappa.
 
     Independent route to the coupling; must agree exactly with the
     flat-coordinate expansion.
     """
-    third = potential.quantum.theta().theta().theta()
-    return third + LogSeries.constant(6 * potential.classical_cubic,
-                                      order=third.order)
+    return potential.theta().theta().theta()
 
 
 def genus0_export(config: CYFamilyConfig, result: InstantonResult,

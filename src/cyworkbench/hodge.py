@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import add, gt, lshift, mul
 
@@ -46,6 +45,10 @@ _SAMPLE_PREC = 64
 _SIGN_TOL = 1e-18
 # relative bound on the finite-difference curvature check
 FD_TOLERANCE = 1e-6
+# a zero of a_4 found within this relative margin below singular_radius
+# counts as on its circle: polyroots at _SAMPLE_PREC bits places a simple
+# zero to about 2^-60 and a double one to about 2^-30
+_RADIUS_MARGIN = 2 ** -20
 
 
 def _round(u, x, v, y, prec):
@@ -186,6 +189,20 @@ class CurvatureCheck:
     rel_error: object
 
 
+def _nearest_zero(poly):
+    """The least modulus of a zero of a polynomial with ascending Fraction
+    coefficients, at _SAMPLE_PREC bits; inf for a constant."""
+    with mp.workprec(_SAMPLE_PREC):
+        try:
+            zeros = mp.polyroots([mp.mpf(c.numerator) / c.denominator
+                                  for c in reversed(poly)])
+        except mp.NoConvergence:
+            raise DomainError("the zeros of a_4 could not be placed "
+                              "(polyroots did not converge), so "
+                              "singular_radius cannot be checked") from None
+        return min(map(abs, zeros), default=mp.inf)
+
+
 class HodgeEvaluator:
     """Caches numeric period data for repeated point evaluation.
 
@@ -201,7 +218,9 @@ class HodgeEvaluator:
     one binary exponent per n.  A point forms the powers z0^n by a fused
     integer complex product (the rounded mpc_mul values) and sums each
     row against each real half as one exact integer sum rounded once
-    (see _dots); the log recombination runs on raw mpc tuples.
+    (see _dots); the log recombination runs on raw mpc tuples.  The
+    sample disk and the tail bound rest on singular_radius, so the build
+    refuses one beyond the nearest zero of a_4 with DomainError.
     """
 
     def __init__(self, basis: PeriodBasis, frame: SymplecticFrame,
@@ -217,6 +236,12 @@ class HodgeEvaluator:
         self.sign_adjust = 1 if s03 < 0 else -1
         self._sign_tol = min(mp.mpf(_SIGN_TOL), mp.ldexp(1, -prec_bits // 2))
         with mp.workprec(prec_bits + _GUARD_BITS):
+            self._radius_f = mp.mpf(radius.numerator) / radius.denominator
+            near = _nearest_zero(basis.operator.coefficients[4])
+            if near < self._radius_f * (1 - _RADIUS_MARGIN):
+                raise DomainError(
+                    f"singular_radius {radius} lies beyond the zero of a_4 "
+                    f"at |z| = {mp.nstr(near, 8)}")
             self._grids = [_series_grid(f, mp.prec) for f in jets]
             self._S = [(i, j, mp.mpf(x.numerator) / x.denominator)
                        for i, row in enumerate(frame.gram_frobenius)
@@ -225,7 +250,6 @@ class HodgeEvaluator:
             self._twist = [mp.mpc(1)]
             for _ in range(3):
                 self._twist.append(self._twist[-1] * two_pi_i)
-            self._radius_f = mp.mpf(radius.numerator) / radius.denominator
             # top retained coefficient of omega_3 over its log powers
             top = (jets[3 - j][-1] / math.factorial(j) for j in range(4))
             self._top = max(abs(mp.mpf(c.numerator) / c.denominator)
@@ -382,7 +406,8 @@ def fd_curvature_check(evaluator: HodgeEvaluator, z0, h,
 
 
 def sample_points(radius, fraction: float, count: int):
-    """Deterministic sample grid on the slit disk, |z| <= fraction*radius.
+    """Deterministic sample grid on the slit disk, |z| <= fraction*radius,
+    for the exact rational radius of the operator.
 
     Points sit on concentric circles at arguments bounded away from the
     branch cut along the negative real axis.
@@ -393,10 +418,7 @@ def sample_points(radius, fraction: float, count: int):
         raise ValueError("sample count must be positive")
     angles = ("0", "0.9", "-0.9", "1.8", "-1.8", "2.6")
     with mp.workprec(_SAMPLE_PREC):
-        if isinstance(radius, Fraction):
-            rad = mp.mpf(radius.numerator) / radius.denominator
-        else:
-            rad = mp.mpf(radius)
+        rad = mp.mpf(radius.numerator) / radius.denominator
         levels = math.ceil(count / len(angles))
         pts = []
         for level in range(levels):

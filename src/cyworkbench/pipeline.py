@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .anomaly import RESIDUAL_TOLERANCE, constant_map_contribution
+from .anomaly import (MAX_PRECISION_BITS, RESIDUAL_TOLERANCE,
+                      constant_map_contribution)
 from .errors import (ConfigError, MissingArtifact, WorkbenchError,
                      config_int, malformed_input)
 from .frames import solve_symplectic_frame
@@ -40,6 +41,9 @@ MAX_HODGE_ORDER = 4096
 # The largest truncation order N a run may ask for; the exact path grows
 # like N^4.8, and a quintic run at N = 320 takes about a minute.
 MAX_TRUNCATION_ORDER = 320
+# The largest Hodge sample count a run may ask for; a point writes about
+# 2.5 KB of hodge.json, and 512 points at MAX_PRECISION_BITS take ~45 s.
+MAX_SAMPLE_COUNT = 512
 
 DEFAULT_TOLERANCES = {
     "fd_curvature": FD_TOLERANCE,
@@ -65,10 +69,18 @@ class WorkbenchConfig:
             raise ConfigError("truncation order must be at least 5")
         if self.precision_bits < 64:
             raise ConfigError("precision must be at least 64 bits")
+        if self.precision_bits > MAX_PRECISION_BITS:
+            raise ConfigError(
+                f"precision {self.precision_bits} bits exceeds the cap "
+                f"MAX_PRECISION_BITS = {MAX_PRECISION_BITS}")
         if not 0 < self.radius_fraction < 1:
             raise ConfigError("radius fraction must lie in (0, 1)")
         if self.sample_count < 1:
             raise ConfigError("sample count must be positive")
+        if self.sample_count > MAX_SAMPLE_COUNT:
+            raise ConfigError(
+                f"sample count {self.sample_count} exceeds the cap "
+                f"MAX_SAMPLE_COUNT = {MAX_SAMPLE_COUNT}")
         if self.hodge_order is not None and self.hodge_order < 1:
             raise ConfigError("hodge order must be at least 1")
 

@@ -47,10 +47,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Inverse of :func:`parse_rational`; ``q == 1`` prints as ``"p"``."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 def _scaled_support(x: list, n: int) -> tuple[int, list]:

@@ -45,7 +45,7 @@ def degree_two_operator():
     return cw.PFOperator(
         coefficients=tuple(((F(1),) if k == 4 else (F(0),))
                            + (minus_t4[k], two_t3[k]) for k in range(5)),
-        singular_radius=F(1, 4))
+        singular_radius=F(1, 5))
 
 
 def series_value(series, z0):

@@ -10,10 +10,11 @@ from mpmath import mp
 
 import cyworkbench.cli
 import cyworkbench.pipeline
-from cyworkbench.anomaly import AnomalyGrid
+from cyworkbench.anomaly import MAX_PRECISION_BITS, AnomalyGrid
 from cyworkbench.cli import main
-from cyworkbench.pipeline import (MAX_HODGE_ORDER, MAX_TRUNCATION_ORDER,
-                                  WorkbenchConfig, config_hash)
+from cyworkbench.pipeline import (MAX_HODGE_ORDER, MAX_SAMPLE_COUNT,
+                                  MAX_TRUNCATION_ORDER, WorkbenchConfig,
+                                  config_hash)
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs/quintic.json"
 
@@ -193,6 +194,21 @@ class TestExitCodes:
             "error (NormalizationMissing): Q(Omega, theta Omega) residual ")
         assert not (out / "hodge.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "hodge-report"])
+    def test_radius_beyond_singular_point(self, tmp_path, capsys, command):
+        """The quintic's nearest singular point is 1/3125; a stated 1/1500
+        would put sample points outside the disk of convergence."""
+        doc = json.loads(REPO_CONFIG.read_text())
+        doc["family"]["operator"]["singular_radius"] = "1/1500"
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main([command, str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error (DomainError): singular_radius 1/1500 lies beyond the "
+            "zero of a_4 at |z| = 0.00032\n")
+        assert not (out / "hodge.json").exists()
+
     def test_non_mum_operator(self, tmp_path):
         doc = json.loads(fast_quintic_config(tmp_path).read_text())
         # theta^2 (theta-1)^2 has indicial roots 0, 0, 1, 1
@@ -228,16 +244,24 @@ class TestExitCodes:
             f"MAX_HODGE_ORDER = {MAX_HODGE_ORDER}\n")
         assert not (tmp_path / "o" / "hodge.json").exists()
 
-    @pytest.mark.parametrize("command", ["run", "hodge-report"])
+    @pytest.mark.parametrize("command, option, value, message", [
+        (command, "--order", 100000, "truncation order 100000 exceeds the "
+         f"cap MAX_TRUNCATION_ORDER = {MAX_TRUNCATION_ORDER}")
+        for command in ("run", "hodge-report")] + [
+        ("run", "--precision-bits", MAX_PRECISION_BITS + 1,
+         f"precision {MAX_PRECISION_BITS + 1} bits exceeds the cap "
+         f"MAX_PRECISION_BITS = {MAX_PRECISION_BITS}"),
+        ("run", "--samples", MAX_SAMPLE_COUNT + 1,
+         f"sample count {MAX_SAMPLE_COUNT + 1} exceeds the cap "
+         f"MAX_SAMPLE_COUNT = {MAX_SAMPLE_COUNT}"),
+    ], ids=["run", "hodge-report", "run-precision-bits", "run-samples"])
     def test_truncation_order_above_cap_refused_before_solving(
-            self, tmp_path, capsys, command):
+            self, tmp_path, capsys, command, option, value, message):
         start = time.perf_counter()
-        assert main([command, str(REPO_CONFIG), "--order", "100000",
+        assert main([command, str(REPO_CONFIG), option, str(value),
                      "--out", str(tmp_path / "o")]) == 1
         assert time.perf_counter() - start < 1
-        assert capsys.readouterr().err == (
-            "error (ConfigError): truncation order 100000 exceeds the cap "
-            f"MAX_TRUNCATION_ORDER = {MAX_TRUNCATION_ORDER}\n")
+        assert capsys.readouterr().err == f"error (ConfigError): {message}\n"
         for name in ("periods.json", "instantons.json", "hodge.json"):
             assert not (tmp_path / "o" / name).exists()
 
@@ -351,12 +375,15 @@ class TestMalformedInput:
          "error (ConfigError): grid prec_bits must be an integer"),
         (lambda d: d.update(prec_bits=256.5),
          "error (ConfigError): grid prec_bits must be an integer"),
+        (lambda d: d.update(prec_bits=MAX_PRECISION_BITS + 1),
+         f"error (ConfigError): grid prec_bits {MAX_PRECISION_BITS + 1} "
+         f"exceeds the cap MAX_PRECISION_BITS = {MAX_PRECISION_BITS}\n"),
         (lambda d: d.update(frame_weight="power of the canonical line = 1"),
          "error (ConfigError): grid frame_weight "),
         (lambda d: d.update(limit_convention=None),
          "error (ConfigError): grid limit_convention "),
     ], ids=["nan-z", "inf-zbar", "prec-0", "prec-neg", "prec-true",
-            "prec-fraction", "frame-weight", "limit-null"])
+            "prec-fraction", "prec-above-cap", "frame-weight", "limit-null"])
     def test_grid_values_rejected(self, tmp_path, capsys, edit, start):
         """Nodes, precision and conventions the program cannot honour."""
         doc, _ = synthetic_grid_doc()
@@ -374,7 +401,10 @@ class TestMalformedInput:
         (64, "propagator prec_bits 64 differs from grid prec_bits 256"),
         (True, "propagator prec_bits must be an integer"),
         (256.5, "propagator prec_bits must be an integer"),
-    ], ids=["0", "-100", "64", "true", "256.5"])
+        (MAX_PRECISION_BITS + 1, f"propagator prec_bits "
+         f"{MAX_PRECISION_BITS + 1} exceeds the cap MAX_PRECISION_BITS = "
+         f"{MAX_PRECISION_BITS}"),
+    ], ids=["0", "-100", "64", "true", "256.5", "above-cap"])
     def test_propagator_prec_bits_rejected(self, tmp_path, capsys, prec_bits,
                                            message):
         """Nonpositive, not an integer, or other than the grid's 256."""

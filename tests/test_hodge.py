@@ -212,6 +212,29 @@ class TestPointReports:
         with pytest.raises(OutsideDisk):
             quintic_hodge.point(mp.mpc("0.001"))
 
+    @pytest.mark.parametrize("a4, radius, message", [
+        (("1", "-3125"), "1/1500", "singular_radius 1/1500 lies beyond the "
+         "zero of a_4 at |z| = 0.00032"),
+        (("1", "-3", "3", "-1"), "1/2", "the zeros of a_4 could not be "
+         "placed (polyroots did not converge), so singular_radius cannot "
+         "be checked"),
+        (("1", "-3125"), "1/3125", None),
+        (("1", "-2", "1"), "1", None),
+    ], ids=["beyond-zero", "triple-zero", "on-zero", "on-double-zero"])
+    def test_radius_checked_against_a4(self, quintic_basis, quintic_frame,
+                                       a4, radius, message):
+        """The stated radius may reach the nearest zero of a_4, not pass it;
+        a_4 whose zeros polyroots cannot place is refused the same way."""
+        op = cw.PFOperator(quintic_basis.operator.coefficients[:4] + (a4,),
+                           radius)
+        basis = cw.PeriodBasis(quintic_basis.frobenius, op, quintic_basis.order)
+        if message is None:
+            cw.HodgeEvaluator(basis, quintic_frame, prec_bits=128)
+            return
+        with pytest.raises(DomainError) as info:
+            cw.HodgeEvaluator(basis, quintic_frame, prec_bits=128)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("method", ["point", "kahler"])
     def test_mum_point_rejected(self, quintic_hodge, method):
         # log z0 diverges at z0 = 0: formerly a ZeroDivisionError from

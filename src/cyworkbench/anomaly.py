@@ -29,10 +29,9 @@ field and drops them all when it replaces G or K.  The public
 ``covariant_derivative`` of an arbitrary field is not memoised; it
 reads the cached connection.
 
-Grid decimals are read and written, and the stencil divides, on mpmath's
-raw ``_mpf_``/``_mpc_`` tuples: each kernel makes the libmp calls that
-``mp.mpf``, ``mp.nstr`` and mpc division make, at the same precision and
-rounding, minus their dispatch, so every value is bit-identical to theirs.
+The residual path runs on integers (_Z), rounding bit for bit as mpmath
+does; entries with an inf, nan, real or far-out part take libmp's route.
+Grid decimals are read and written on raw ``_mpf_`` tuples.
 """
 
 from __future__ import annotations
@@ -45,14 +44,16 @@ from fractions import Fraction
 from operator import add, mul, sub
 
 from mpmath import mp
-from mpmath.libmp import (from_int, mpc_sub, mpf_add, mpf_div, mpf_mul,
-                         mpf_sub, to_str)
+from mpmath.libmp import (from_int, from_man_exp, normalize, round_nearest,
+                          to_str)
 
 from .errors import (BoundaryPoint, ConfigError, DomainError, MissingField,
                      NonUniformGrid, PropagatorMismatch, UnstableRange,
                      ResidualToleranceError, config_int, malformed_input)
 
 _GUARD_BITS = 24
+# the residual kernel leaves parts with |exponent| >= this to libmp
+_KERNEL_EXPONENT = 1 << 15
 # The largest binary precision any input may ask for.  A Hodge point costs
 # about 0.085 s at 8192 bits, and past about 14300 bits a value near
 # 2^-prec cannot be printed to 40 digits (Python's int-string limit).
@@ -104,13 +105,82 @@ def constant_map_contribution(g: int, euler) -> Fraction:
 # ----------------------------------------------------------------------
 # grids and fields
 
+def _round(u, x, v, y, prec, down=False):
+    """u 2^x + v 2^y rounded as libmp.mpf_add rounds it at prec bits, to
+    nearest or (down) toward zero, with its shortcut for a far smaller
+    term; a signed mantissa and exponent (a carry may leave 2^prec)."""
+    if x > y:
+        u, x, v, y = v, y, u, x
+    t = u + (v << y - x)
+    n = t.bit_length() - prec
+    if n > 4 and u and v:
+        gap = v.bit_length() + y - u.bit_length() - x
+        if abs(gap) > prec + 4:
+            s, xs, b, xb = (u, x, v, y) if gap > 0 else (v, y, u, x)
+            zs, zb = (s & -s).bit_length() - 1, (b & -b).bit_length() - 1
+            if xb + zb - xs - zs > 100:
+                t = ((b >> zb) << prec + 4) + (1 if s > 0 else -1)
+                x, n = xb + zb - prec - 4, t.bit_length() - prec
+    if n <= 0:
+        return t, x
+    if down:
+        return (t >> n if t > 0 else -(-t >> n)), x + n
+    return (t + (1 << n - 1) - 1 + (t >> n & 1)) >> n, x + n
+
+
+def _div(n, x, m, f, prec):
+    """n 2^x / (m 2^f), m > 0, rounded to nearest at prec bits."""
+    k = max(prec + 2 + m.bit_length() - n.bit_length(), 0)
+    q, r = divmod(abs(n) << k, m)
+    q = q << 1 | (r > 0)
+    return _round(-q if n < 0 else q, x - f - k - 1, 0, x - f - k - 1, prec)
+
+
+class _Z(tuple):
+    """a 2^ea + i b 2^eb as (a, ea, b, eb), rounded as mpc operators do."""
+
+    __slots__ = ()
+
+    def __add__(z, w, sign=1):
+        (a, ea, b, eb), (c, ec, d, ed), p = z, w, mp._prec_rounding[0]
+        return _Z(_round(a, ea, sign * c, ec, p)
+                  + _round(b, eb, sign * d, ed, p))
+
+    def __sub__(z, w):
+        return z.__add__(w, -1)
+
+    def __mul__(z, w):
+        (a, ea, b, eb), (c, ec, d, ed), p = z, w, mp._prec_rounding[0]
+        return _Z(_round(a * c, ea + ec, -b * d, eb + ed, p)
+                  + _round(a * d, ea + ed, b * c, eb + ec, p))
+
+    def __rmul__(z, n, e=0):
+        (a, ea, b, eb), p = z, mp._prec_rounding[0]
+        return _Z(_round(n * a, ea + e, 0, ea + e, p)
+                  + _round(n * b, eb + e, 0, eb + e, p))
+
+    def __truediv__(z, two):
+        return z.__rmul__(1, -1) if two == 2 else NotImplemented
+
+
+def _kernel(x):
+    """x as a _Z if an mpc with finite parts within the exponent bound."""
+    if type(x) is not mp.mpc:
+        return x
+    (s, a, ea, na), (t, b, eb, nb) = x._mpc_
+    if na >= 0 and nb >= 0 and abs(ea) | abs(eb) < _KERNEL_EXPONENT:
+        return _Z((-a if s else a, ea if a else eb, -b if t else b,
+                   eb if b else ea))
+    return x
+
+
+def _mpmath(x):
+    return mp.make_mpc((from_man_exp(x[0], x[1]), from_man_exp(
+        x[2], x[3]))) if type(x) is _Z else x
+
+
 # a decimal as nstr writes it; any other spelling goes through mp.mpf
 _DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]*))?(?:e([-+]?[0-9]+))?")
-
-
-@functools.cache
-def _power_of_ten(k: int):
-    return from_int(10 ** k)
 
 
 def _parse_real(s):
@@ -123,9 +193,12 @@ def _parse_real(s):
         man, exp = int(whole + frac), int(e or 0) - len(frac)
         if 0 <= exp <= 400:
             return from_int(man * 10 ** exp, *mp._prec_rounding)
-        if -400 <= exp < 0:
-            return mpf_div(from_int(man), _power_of_ten(-exp),
-                           *mp._prec_rounding)
+        if -400 <= exp < 0:  # one division, rounded by its remainder
+            prec, den = mp.prec, 10 ** -exp
+            k = max(prec + 2 + den.bit_length() - man.bit_length(), 0)
+            q, r = divmod(abs(man) << k, den)
+            return normalize(int(man < 0), q << 1 | (r > 0), -k - 1,
+                             q.bit_length() + 1, prec, round_nearest)
     return mp.mpf(s)._mpf_
 
 
@@ -165,37 +238,44 @@ def _uniform_step(nodes, axis: str):
     return step
 
 
-def _nan_max(norms):
-    """Largest of the nonnegative ``norms`` (0 if none); NaN if any is NaN."""
-    out = mp.mpf(0)
-    for a in norms:
-        if not a <= out:
-            if a != a:
-                return a
-            out = a
-    return out
-
-
 @dataclass(frozen=True)
 class GridField:
     """Sampled field with None marking stencil-invalidated entries."""
 
-    values: tuple
+    entries: tuple
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        return tuple(tuple(map(_mpmath, row)) for row in self.entries)
 
     def max_abs(self):
-        return _nan_max(abs(v) for row in self.values for v in row
-                        if v is not None)
+        """Largest |v| (NaN if any); abs is monotone in the exact a^2 + b^2
+        of the _Z with two nonzero parts, so it takes only the largest."""
+        norms, rest = [], [mp.mpf(0)]
+        for v in map(_kernel, (v for row in self.entries for v in row)):
+            (norms if type(v) is _Z and v[0] and v[2] else rest).append(v)
+        if norms:
+            low = min(min(v[1], v[3]) for v in norms)
+            rest.append(max(norms, key=lambda v: (v[0] ** 2 << 2 * (
+                v[1] - low)) + (v[2] ** 2 << 2 * (v[3] - low))))
+        rest = [abs(_mpmath(v)) for v in rest if v is not None]
+        return next((a for a in rest if a != a), max(rest))
 
     def valid_count(self) -> int:
-        return sum(1 for row in self.values for v in row if v is not None)
+        return sum(1 for row in self.entries for v in row if v is not None)
 
 
 def _pointwise(fn, *fields):
-    """fn applied entry by entry; None wherever any operand is None."""
-    return GridField(tuple(
-        tuple(None if any(x is None for x in xs) else fn(*xs)
-              for xs in zip(*rows))
-        for rows in zip(*(f.values for f in fields))))
+    """fn entry by entry, on _Z if every operand is one, else on mpmath
+    values (libmp's route); None wherever any operand is None."""
+    def entry(*xs):
+        if set(map(type, xs)) != {_Z}:
+            xs = tuple(map(_kernel, xs))
+            if set(map(type, xs)) != {_Z}:
+                return None if None in xs else fn(*map(_mpmath, xs))
+        return fn(*xs)
+    return GridField(tuple(tuple(map(entry, *rows))
+                           for rows in zip(*(f.entries for f in fields))))
 
 
 def _check_shape(rows, z_nodes, zbar_nodes, what: str):
@@ -309,33 +389,31 @@ class AnomalyGrid:
 
 def _central(grid: AnomalyGrid, f: GridField, axis: str) -> GridField:
     """Central difference (up - down) / (2 step) along the z or zbar axis;
-    with a complex step, mpc entries run libmp.mpc_div's own steps on the
-    raw parts, with |2 step|^2 at prec + 10 computed once per pass."""
+    on _Z, mpc_div's roundings with |2 step|^2 taken once per pass."""
     along_z = axis == "z"
     if len(grid.z_nodes if along_z else grid.zbar_nodes) < 3:
         raise BoundaryPoint(f"{axis} axis too short for a central stencil")
-    span = 2 * (grid.step_z if along_z else grid.step_zbar)
-    (prec, rnd), mpc = mp._prec_rounding, mp.mpc
-    if type(span) is mpc:
-        (sr, si), wp = span._mpc_, prec + 10
-        mag = mpf_add(mpf_mul(sr, sr), mpf_mul(si, si), wp)
+    span, p = 2 * (grid.step_z if along_z else grid.step_zbar), mp.prec
+    kspan = _kernel(span)
+    c, ec, d, ed = kspan if type(kspan) is _Z else (0, 0, 0, 0)
+    m, me = _round(c * c, 2 * ec, d * d, 2 * ed, p + 10, True)  # 0: no _Z
 
     def quotient(u, v):
-        if type(span) is not mpc or type(u) is not mpc or type(v) is not mpc:
-            return (u - v) / span
-        a, b = mpc_sub(u._mpc_, v._mpc_, prec, rnd)
-        num_re = mpf_add(mpf_mul(a, sr), mpf_mul(b, si), wp)
-        num_im = mpf_sub(mpf_mul(b, sr), mpf_mul(a, si), wp)
-        return mp.make_mpc((mpf_div(num_re, mag, prec, rnd),
-                            mpf_div(num_im, mag, prec, rnd)))
+        if type(u) is type(v) is _Z and m:
+            (a, ea), (b, eb) = (_round(u[0], u[1], -v[0], v[1], p),
+                                _round(u[2], u[3], -v[2], v[3], p))
+            return _Z(_div(*_round(a * c, ea + ec, b * d, eb + ed, p + 10,
+                                   True), m, me, p)
+                      + _div(*_round(b * c, eb + ec, -a * d, ea + ed, p + 10,
+                                     True), m, me, p))
+        return None if None in (u, v) else (_mpmath(u) - _mpmath(v)) / span
 
-    lines = f.values if along_z else tuple(zip(*f.values))
-    edge = tuple(None for _ in lines[0])
-    out = [edge] + [
-        tuple(None if (u is None or d is None) else quotient(u, d)
-              for u, d in zip(up, down))
-        for down, up in zip(lines, lines[2:])] + [edge]
-    return GridField(tuple(out) if along_z else tuple(zip(*out)))
+    lines = [tuple(map(_kernel, line))
+             for line in (f.entries if along_z else zip(*f.entries))]
+    edge = (None,) * len(lines[0])
+    out = (edge, *(tuple(map(quotient, up, down))
+                   for down, up in zip(lines, lines[2:])), edge)
+    return GridField(out if along_z else tuple(zip(*out)))
 
 
 def _memoised(grid: AnomalyGrid, key: tuple, build) -> GridField:
@@ -348,8 +426,9 @@ def _memoised(grid: AnomalyGrid, key: tuple, build) -> GridField:
 
 def _gamma(grid: AnomalyGrid) -> GridField:
     """Gamma = d log G."""
-    return _memoised(grid, ("G", "Gamma"), lambda: _central(
-        grid, _pointwise(mp.log, grid.field("G")), "z"))
+    return _memoised(grid, ("G", "Gamma"), lambda: _central(grid, GridField(
+        tuple(tuple(None if v is None else mp.log(v) for v in row)
+              for row in grid.field("G").values)), "z"))
 
 
 def _dk(grid: AnomalyGrid) -> GridField:
@@ -377,33 +456,33 @@ def covariant_derivative(grid: AnomalyGrid, f: GridField, weight: int,
     t, w = tensor_degree, weight
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         df = _central(grid, f, "z")
-        if t and w:
-            return _pointwise(
-                lambda d, x, gm, k: d - t * (gm * x) + w * (k * x),
-                df, f, _gamma(grid), _dk(grid))
         if t:
-            return _pointwise(lambda d, x, gm: d - t * (gm * x),
-                              df, f, _gamma(grid))
+            df = _pointwise(lambda d, x, gm: d - t * (gm * x),
+                            df, f, _gamma(grid))
         if w:
-            return _pointwise(lambda d, x, k: d + w * (k * x),
-                              df, f, _dk(grid))
+            df = _pointwise(lambda d, x, k: d + w * (k * x), df, f, _dk(grid))
     return df
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Pointwise residual with max and mean absolute norms."""
+    """Pointwise residual with max and mean absolute norms at the
+    caller's working precision ``prec``; the mean is taken when read."""
 
     residual: GridField
     max_abs: object
-    mean_abs: object
+    prec: int
+
+    @functools.cached_property
+    def mean_abs(self):
+        with mp.workprec(self.prec):
+            norms = [abs(v) for row in self.residual.values for v in row
+                     if v is not None]
+            return sum(norms, mp.mpf(0)) / max(len(norms), 1)
 
     @classmethod
     def of(cls, f: GridField) -> "ResidualReport":
-        norms = [abs(v) for row in f.values for v in row if v is not None]
-        total = sum(norms, mp.mpf(0))
-        return cls(residual=f, max_abs=_nan_max(norms),
-                   mean_abs=total / len(norms) if norms else total)
+        return cls(f, f.max_abs(), mp.prec)
 
 
 def _open_weight(g: int, h: int) -> int:
@@ -459,8 +538,7 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
                                          dfield(*pair1), dfield(*pair2))
         residual = lhs
         if bracket is not None:
-            half = mp.mpf(1) / 2
-            residual = _pointwise(lambda r, c, b: r - half * (c * b),
+            residual = _pointwise(lambda r, c, b: r - c * b / 2,
                                   lhs, c_tensor, bracket)
         if h >= 1:
             residual = _pointwise(lambda r, a, d: r + a * d, residual,
@@ -494,8 +572,8 @@ class PropagatorSpec:
         _check_shape(self.values, grid.z_nodes, grid.zbar_nodes,
                      "propagator S")
         target = grid.field("C")
-        diff = _pointwise(sub, _central(grid, self.as_field(), "zbar"), target)
-        mismatch = diff.max_abs()
+        mismatch = _pointwise(sub, _central(grid, self.as_field(), "zbar"),
+                              target).max_abs()
         scale = max(mp.mpf(1), target.max_abs())
         if not mismatch <= tolerance * scale:  # NaN fails
             raise PropagatorMismatch(
@@ -524,8 +602,7 @@ def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
     """
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         propagator.verify(grid, tolerance)
-        half = mp.mpf(1) / 2
-        f2 = _pointwise(lambda s, dd, d: half * (s * (dd + d * d)),
+        f2 = _pointwise(lambda s, dd, d: s * (dd + d * d) / 2,
                         propagator.as_field(),
                         _named_derivative(grid, "F1", 0, 2),
                         _named_derivative(grid, "F1", 0, 1))

@@ -32,7 +32,7 @@ from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_mul,
                           mpc_mul_int, mpf_add, mpf_div, mpf_sub, mpf_sum,
                           round_nearest)
 
-from .anomaly import _GUARD_BITS, _format_complex
+from .anomaly import _GUARD_BITS, _format_complex, _round
 from .errors import (DomainError, NormalizationMissing, OutsideDisk,
                      PrecisionLoss, SignViolation)
 from .frames import SymplecticFrame
@@ -49,18 +49,6 @@ FD_TOLERANCE = 1e-6
 # counts as on its circle: polyroots at _SAMPLE_PREC bits places a simple
 # zero to about 2^-60 and a double one to about 2^-30
 _RADIUS_MARGIN = 2 ** -20
-
-
-def _round(u, x, v, y, prec):
-    """u 2^x + v 2^y rounded to nearest (ties to even) at prec bits, as a
-    signed mantissa and exponent; a carry may leave 2^prec."""
-    if x > y:
-        u, x, v, y = v, y, u, x
-    t = u + (v << y - x)
-    n = t.bit_length() - prec
-    if n > 0:
-        return (t + (1 << n - 1) - 1 + (t >> n & 1)) >> n, x + n
-    return t, x
 
 
 def _powers(z, count, prec):

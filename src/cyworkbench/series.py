@@ -11,7 +11,7 @@ structural, not a tuning knob).  The coefficients live in four dense
 rows, ``rows()[k][i] = c_{i,k}``, the only coefficient format: every
 operation works on the rows.  Other modules read series through
 ``rows()`` and build them with ``from_rows`` or the named constructors
-(``zero``, ``constant``, ``log_z``, ``from_coefficients``, a term map).
+(``zero``, ``constant``, ``from_coefficients``, a term map).
 
 Series are truncated: a series with ``order = N`` is known modulo z^N,
 and its rows are ceil(N r) long.  Every operation propagates the
@@ -151,11 +151,6 @@ class LogSeries:
     @classmethod
     def constant(cls, c, order) -> "LogSeries":
         return cls.from_rows([[c]], order)
-
-    @classmethod
-    def log_z(cls, order) -> "LogSeries":
-        """The series ``log z``."""
-        return cls.from_rows([[0], [1]], order)
 
     @classmethod
     def from_coefficients(cls, coeffs: Iterable, order) -> "LogSeries":

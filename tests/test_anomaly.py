@@ -1,5 +1,6 @@
 """Bernoulli/constant-map exact values and grid residual machinery."""
 
+import collections
 import math
 import random
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from mpmath import mp
 
 import cyworkbench as cw
 from cyworkbench import anomaly
-from cyworkbench.anomaly import (_central, _pointwise, AnomalyGrid, GridField,
+from cyworkbench.anomaly import (_central, AnomalyGrid, GridField,
                                  PropagatorSpec)
 from cyworkbench.errors import (BoundaryPoint, DomainError, MissingField,
                                 NonUniformGrid, PropagatorMismatch,
@@ -156,6 +157,15 @@ def ddzbar_reference(grid, f):
     return GridField(tuple(rows))
 
 
+def pointwise(fn, *fields):
+    """fn on the mpmath values entry by entry; None wherever any operand
+    is None."""
+    return GridField(tuple(
+        tuple(None if any(x is None for x in xs) else fn(*xs)
+              for xs in zip(*rows))
+        for rows in zip(*(f.values for f in fields))))
+
+
 def hae_reference(grid, g):
     """The closed recursion residual, as written before it delegated."""
     with mp.workprec(grid.prec_bits + 24):
@@ -170,33 +180,80 @@ def hae_reference(grid, g):
                 if gg not in d_cache:
                     d_cache[gg] = cw.covariant_derivative(
                         grid, grid.field(f"F{gg}"), 2 - 2 * gg, 0)
-            bracket = _pointwise(add, bracket, _pointwise(
+            bracket = pointwise(add, bracket, pointwise(
                 mul, d_cache[g1], d_cache[g - g1]))
         half = mp.mpf(1) / 2
-        rhs = _pointwise(lambda x: half * x,
-                         _pointwise(mul, grid.field("C"), bracket))
-        return _pointwise(sub, lhs, rhs)
+        rhs = pointwise(lambda x: half * x,
+                        pointwise(mul, grid.field("C"), bracket))
+        return pointwise(sub, lhs, rhs)
 
 
-def seeded_grid(seed, nz, nw, names, nodes="mpc", values="mpc"):
+def seeded_grid(seed, nz, nw, names, nodes="mpc", values="mpc", prec=256):
     """Seeded nodes and steps, complex (``"mpc"``) or real (``"mpf"``),
     and random field values, complex, real or a ``"mixed"`` draw of both,
-    some entries None as after an earlier stencil."""
+    some entries None as after an earlier stencil, about 3% with a part
+    that is exactly 0, +-inf, nan, 2^-65536 in size (past the kernel's
+    exponent bound) or longer than the working precision, and about 22%
+    of the complex ones with two long parts the second of which is so far
+    below the first that mpf_add's shortcut for a far smaller term
+    decides the rounding of products."""
     rng = random.Random(seed)
-    with mp.workprec(280):
+    with mp.workprec(prec + 24):
         def number(kind):
             if kind == "mixed":
                 kind = rng.choice(["mpc", "mpf"])
             if kind == "mpf":
                 return mp.mpf(rng.uniform(-1, 1))
             return mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        def long():
+            return mp.ldexp(rng.getrandbits(prec + 90) * rng.choice([-1, 1]),
+                            -prec - 90)
+
+        def value():
+            x, r = number(values), rng.random()
+            with mp.workprec(prec + 100):
+                if r < 0.03:
+                    part = rng.choice([
+                        mp.zero, mp.inf, -mp.inf, mp.nan, long(),
+                        mp.ldexp(rng.uniform(0.5, 1),
+                                 -2 * anomaly._KERNEL_EXPONENT)])
+                    if type(x) is mp.mpf:
+                        return part
+                    return (mp.mpc(part, x.imag) if rng.random() < 0.5
+                            else mp.mpc(x.real, part))
+                if r < 0.25 and type(x) is mp.mpc:
+                    return mp.mpc(long(), mp.ldexp(
+                        long(), -prec - 24 - rng.randint(5, 7)))
+            return x
         z0, w0 = number(nodes), number(nodes)
         hz, hw = number(nodes) / 100, number(nodes) / 100
-        fields = {name: [[None if rng.random() < 0.05 else number(values)
+        fields = {name: [[None if rng.random() < 0.05 else value()
                           for _ in range(nw)] for _ in range(nz)]
                   for name in names}
         return AnomalyGrid([z0 + k * hz for k in range(nz)],
-                           [w0 + k * hw for k in range(nw)], fields)
+                           [w0 + k * hw for k in range(nw)], fields,
+                           prec_bits=prec)
+
+
+def fallback_kinds(monkeypatch):
+    """Counts of the operands that anomaly._kernel leaves to libmp's route,
+    by kind: real, with an inf or nan part, or with a part past the
+    exponent bound; any other would count as "other"."""
+    kinds = collections.Counter()
+    kernel = anomaly._kernel
+
+    def counting(x):
+        z = kernel(x)
+        if x is not None and type(z) is not anomaly._Z:
+            parts = getattr(x, "_mpc_", None) or (x._mpf_,)
+            kinds["real" if type(x) is mp.mpf else
+                  "special" if any(bc < 0 for _, _, _, bc in parts) else
+                  "wide" if any(abs(e) >= anomaly._KERNEL_EXPONENT
+                                for _, _, e, _ in parts) else "other"] += 1
+        return z
+    monkeypatch.setattr(anomaly, "_kernel", counting)
+    return kinds
 
 
 def raw(v):
@@ -205,21 +262,25 @@ def raw(v):
 
 
 def assert_identical(a, b):
+    """Identical types and binary parts (so identical floats, and NaN where
+    the other has NaN) and the same None pattern, not just close."""
     assert len(a.values) == len(b.values)
     for ra, rb in zip(a.values, b.values):
-        assert ra == rb  # identical floats and None pattern, not just close
         assert [raw(x) for x in ra] == [raw(x) for x in rb]
 
 
 class TestStencil:
-    def test_matches_per_axis_reference(self):
-        """Complex and real steps; complex, real and mixed field values."""
+    @pytest.mark.parametrize("prec", [64, 256, 2048])
+    def test_matches_per_axis_reference(self, monkeypatch, prec):
+        """Complex and real steps; complex, real and mixed field values;
+        every kind of entry the kernel leaves to libmp takes that route."""
         kinds = [(nodes, values) for nodes in ("mpc", "mpf")
                  for values in ("mpc", "mpf", "mixed")]
         shapes = [(16, 16), (7, 5), (3, 9), (9, 3)]
+        fallbacks = fallback_kinds(monkeypatch)
         for seed, ((nodes, values), (nz, nw)) in enumerate(
                 (kind, shape) for kind in kinds for shape in shapes):
-            grid = seeded_grid(seed, nz, nw, ["f"], nodes, values)
+            grid = seeded_grid(seed, nz, nw, ["f"], nodes, values, prec)
             assert type(grid.step_z) is getattr(mp, nodes)
             f = grid.field("f")
             with mp.workprec(grid.prec_bits + 24):
@@ -227,6 +288,7 @@ class TestStencil:
                                  ddz_reference(grid, f))
                 assert_identical(_central(grid, f, "zbar"),
                                  ddzbar_reference(grid, f))
+        assert set(fallbacks) == {"real", "special", "wide"}
 
     @pytest.mark.parametrize("axis, shape", [("z", (2, 5)), ("zbar", (5, 2))])
     def test_short_axis(self, axis, shape):
@@ -355,7 +417,10 @@ class TestGridBasics:
             == anomaly.GRID_CONVENTIONS
 
     def test_max_abs_propagates_nan(self):
-        """One NaN entry anywhere makes both norms NaN, not the finite max."""
+        """One NaN entry anywhere makes both norms NaN, not the finite max;
+        otherwise the norm is max(abs(v)), bit for bit, on fields with a
+        NaN first or last, an inf, no entry at all, ties between both
+        kinds of abs, and kernel and seeded edge entries."""
         nan = mp.mpc("nan", 0)
         for values in ([[None, nan], [mp.mpc(3, 4), mp.mpc(1)]],
                        [[mp.mpc(3, 4), nan], [None, mp.mpc(1)]]):
@@ -366,6 +431,36 @@ class TestGridBasics:
         assert finite.max_abs() == 5
         assert anomaly.ResidualReport.of(finite).max_abs == 5
         assert GridField(((None,),)).max_abs() == 0
+
+        def reference(field):
+            norms = [abs(v) for row in field.values for v in row
+                     if v is not None]
+            return next((a for a in norms if a != a),
+                        max(norms, default=mp.mpf(0)))
+        seeded = seeded_grid(5, 16, 16, ["f", "K"], values="mixed")
+        rng = random.Random(9)
+        with mp.workprec(2200):
+            dense = GridField(tuple(
+                tuple(mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(16)) for _ in range(16)))
+            close = GridField((tuple(
+                mp.mpc(3, 4) * (1 + mp.ldexp(1, -k)) for k in (60, 90, 2100))
+                + (mp.mpc(5, mp.ldexp(1, -3000)), mp.mpc(-5)),))
+        fields = [GridField(((mp.mpc(1, mp.nan), mp.mpc(3, 4)),)),
+                  GridField(((mp.mpc(3, 4), None),
+                             (None, mp.mpc(-mp.inf, 1)))),
+                  GridField(((mp.mpc(-mp.inf, 1), mp.mpc(3, 4)),
+                             (mp.mpc(0, mp.nan), None))),
+                  GridField(((None, None), (None, None))),
+                  GridField(((mp.mpc(0, -5), mp.mpc(3, -4), mp.mpc(4, 3)),)),
+                  dense, close, seeded.field("f"),
+                  cw.covariant_derivative(seeded, seeded.field("f"), 1)]
+        for prec in (53, 88, 2072):
+            with mp.workprec(prec):
+                for field in fields:
+                    assert raw(field.max_abs()) == raw(reference(field))
+                    report = anomaly.ResidualReport.of(field)
+                    assert raw(report.max_abs) == raw(reference(field))
 
     def test_shape_mismatch_rejected(self):
         grid = build_grid({}, nz=3, nw=3)
@@ -492,12 +587,15 @@ class TestClosedResidual:
         rep = cw.hae_residual(grid, 3)
         assert rep.max_abs < mp.mpf("1e-8")
 
+    @pytest.mark.parametrize("prec", [64, 256, 2048])
     @pytest.mark.parametrize("g", [2, 3])
-    def test_matches_reference_recursion(self, g):
+    def test_matches_reference_recursion(self, monkeypatch, g, prec):
         names = ["C", "G", "K"] + [f"F{k}" for k in range(1, g + 1)]
-        grid = seeded_grid(10 + g, 16, 16, names)
+        grid = seeded_grid(10 + g, 16, 16, names, prec=prec)
+        fallbacks = fallback_kinds(monkeypatch)
         assert_identical(cw.hae_residual(grid, g).residual,
                          hae_reference(grid, g))
+        assert set(fallbacks) == {"special", "wide"}
 
     def test_genus_below_two_rejected(self):
         grid = build_grid({}, nz=3, nw=3)

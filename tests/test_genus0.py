@@ -798,7 +798,7 @@ class TestSymplecticFrame:
         f, order = quintic_basis.frobenius, quintic_basis.order
         half = LogSeries({(F(1, 2), 0): 1}, order=order, ramification=2)
         for bad in ((f[0] + half,) + f[1:],
-                    f[:1] + (f[1] + LogSeries.log_z(order),) + f[2:]):
+                    f[:1] + (f[1] + LogSeries({(0, 1): 1}, order),) + f[2:]):
             with pytest.raises(DomainError, match="unramified"):
                 PeriodBasis(bad, quintic_basis.operator, order)
 

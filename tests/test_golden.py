@@ -19,9 +19,10 @@ stays put.
 
 The grid path is pinned the same way on the seed-7 10 x 10 grid of the
 benchmark's generator (``perfbench/grids.py``, loaded read-only): the
-bytes of ``genus2.json`` as ``workbench genus2 --out`` writes them, and
-the exact binary parts of the ``hae_residual(g=2)`` and
-``ehae_residual(1, 1)`` fields.
+bytes of ``genus2.json`` as ``workbench genus2 --out`` writes them, the
+exact binary parts of the ``hae_residual(g=2)`` and
+``ehae_residual(1, 1)`` fields, and the exact binary ``max_abs`` and
+``mean_abs`` of those two reports and of ``genus2_integrate``'s.
 """
 
 import hashlib
@@ -31,7 +32,8 @@ from pathlib import Path
 
 import pytest
 
-from cyworkbench.anomaly import AnomalyGrid, ehae_residual, hae_residual
+from cyworkbench.anomaly import (AnomalyGrid, PropagatorSpec, ehae_residual,
+                                 genus2_integrate, hae_residual)
 from cyworkbench.cli import main
 from cyworkbench.pipeline import WorkbenchConfig, run_pipeline
 
@@ -125,6 +127,20 @@ GENUS2_SHA256 = ("97675b65c2fa0e3575e2bb188a966acc"
                  "7d1a2c40b7098c47c7f30e9ffe25171b")
 RESIDUALS_SHA256 = ("ab45aba328f1141637845deca4a076d2"
                     "704af9e38f30ea339c0a53bcaa0bfcbb")
+# (sign, man, exp, bc) of max_abs and mean_abs: the two checks report at
+# the caller's 53 bits, genus2_integrate at the grid's 256 + 24
+RESIDUAL_NORMS = {
+    "hae": ((0, 4531988439199695, -165, 53),
+            (0, 4989179388608677, -166, 53)),
+    "ehae": ((0, 4288000412102133, -164, 52),
+             (0, 6997797670275345, -165, 53)),
+    "genus2": ((0, int("11837189570545422158519914861368798423879662"
+                       "09692040650942944237888236800166869360441"),
+                -397, 280),
+               (0, int("10011048146744563932751308031382798536886082"
+                       "56277150209995482218535064656867635987391"),
+                -397, 280)),
+}
 
 
 def seed7_grid_texts():
@@ -156,3 +172,14 @@ def test_grid_digests(tmp_path, capsys):
     assert residual_digest(hae_residual(grid, 2).residual,
                            ehae_residual(grid, 1, 1).residual) \
         == RESIDUALS_SHA256
+
+
+def test_residual_norms():
+    grid_text, prop_text = seed7_grid_texts()
+    grid = AnomalyGrid.from_json(json.loads(grid_text))
+    prop = PropagatorSpec.from_json(json.loads(prop_text))
+    reports = {"hae": hae_residual(grid, 2),
+               "ehae": ehae_residual(grid, 1, 1),
+               "genus2": genus2_integrate(grid, prop)[1]}
+    assert {name: (rep.max_abs._mpf_, rep.mean_abs._mpf_)
+            for name, rep in reports.items()} == RESIDUAL_NORMS

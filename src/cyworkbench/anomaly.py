@@ -507,6 +507,23 @@ def hae_residual(grid: AnomalyGrid, g: int) -> ResidualReport:
 _UNSTABLE = ((0, 0), (0, 1))
 
 
+def _dfield(grid, g, h, order=1):
+    return _named_derivative(grid, _open_name(g, h), _open_weight(g, h), order)
+
+
+def _bracket(grid: AnomalyGrid, g: int, h: int):
+    """D D F_{(g-1,h)} + sum' D F_{(g1,h1)} D F_{(g2,h2)}, the primed sum
+    omitting any factor equal to (0,0) or (0,1); None if no term is left."""
+    bracket = _dfield(grid, g - 1, h, 2) if g >= 1 else None
+    for g1 in range(0, g + 1):
+        for h1 in range(0, h + 1):
+            if {(g1, h1), (g - g1, h - h1)}.isdisjoint(_UNSTABLE):
+                x, y = _dfield(grid, g1, h1), _dfield(grid, g - g1, h - h1)
+                bracket = _pointwise(mul, x, y) if bracket is None else \
+                    _pointwise(lambda b, x, y: b + x * y, bracket, x, y)
+    return bracket
+
+
 def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
     """Residual of the open-string extended recursion at (g, h).
 
@@ -519,30 +536,14 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
         raise UnstableRange(f"(g, h) = ({g}, {h}) is unstable")
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         c_tensor = grid.field("C")
-        lhs = _central(grid, grid.field(_open_name(g, h)), "zbar")
-
-        def dfield(gg, hh, order=1):
-            return _named_derivative(grid, _open_name(gg, hh),
-                                     _open_weight(gg, hh), order)
-
-        bracket = dfield(g - 1, h, 2) if g >= 1 else None
-        for g1 in range(0, g + 1):
-            for h1 in range(0, h + 1):
-                pair1, pair2 = (g1, h1), (g - g1, h - h1)
-                if pair1 in _UNSTABLE or pair2 in _UNSTABLE:
-                    continue
-                if bracket is None:
-                    bracket = _pointwise(mul, dfield(*pair1), dfield(*pair2))
-                else:
-                    bracket = _pointwise(lambda b, x, y: b + x * y, bracket,
-                                         dfield(*pair1), dfield(*pair2))
-        residual = lhs
+        residual = _central(grid, grid.field(_open_name(g, h)), "zbar")
+        bracket = _bracket(grid, g, h)
         if bracket is not None:
             residual = _pointwise(lambda r, c, b: r - c * b / 2,
-                                  lhs, c_tensor, bracket)
+                                  residual, c_tensor, bracket)
         if h >= 1:
             residual = _pointwise(lambda r, a, d: r + a * d, residual,
-                                  grid.field("Delta"), dfield(g, h - 1))
+                                  grid.field("Delta"), _dfield(grid, g, h - 1))
     return ResidualReport.of(residual)
 
 
@@ -602,10 +603,8 @@ def genus2_integrate(grid: AnomalyGrid, propagator: PropagatorSpec,
     """
     with mp.workprec(grid.prec_bits + _GUARD_BITS):
         propagator.verify(grid, tolerance)
-        f2 = _pointwise(lambda s, dd, d: s * (dd + d * d) / 2,
-                        propagator.as_field(),
-                        _named_derivative(grid, "F1", 0, 2),
-                        _named_derivative(grid, "F1", 0, 1))
+        f2 = _pointwise(lambda s, b: s * b / 2, propagator.as_field(),
+                        _bracket(grid, 2, 0))
         if ambiguity is not None:
             f2 = _pointwise(add, f2,
                             grid.tabulate(lambda z, w: mp.mpc(ambiguity(z))))

@@ -15,24 +15,24 @@ the orientation is -sign(S_03), which is +1 for every validated frame
 (S_03 = -kappa).
 
 The period towers are exact integer dot products against z0^n, each
-rounded once; over a wide spread of the terms a row keeps its top
+rounded once; where the exponents spread wide a row keeps its top
 terms and checks the rounding against a bound on the rest (Ziv's test,
-ACM TOMS 17(3), 1991), so tiny z0 cost no more than others.
+ACM TOMS 17(3), 1991), so tiny z0 cost no more than others.  The
+coefficient grid, the powers z0^n and Ziv's test round on the integer
+kernel of ``anomaly`` (``_round``, ``_div``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import add, gt, lshift, mul
+from operator import add, lshift, mul
 
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_mul,
-                          mpc_mul_int, mpf_add, mpf_div, mpf_sub, mpf_sum,
+from mpmath.libmp import (from_man_exp, mpc_mul, mpc_mul_int, mpf_sum,
                           round_nearest)
 
-from .anomaly import _GUARD_BITS, _format_complex, _round
+from .anomaly import _GUARD_BITS, _div, _format_complex, _round
 from .errors import (DomainError, NormalizationMissing, OutsideDisk,
                      PrecisionLoss, SignViolation)
 from .frames import SymplecticFrame
@@ -70,25 +70,24 @@ def _powers(z, count, prec):
 
 
 def _series_grid(f, prec):
-    """(exponents, rows, bit lengths, column tops) of the rows n^e f[n],
-    e < 4: each entry is mp.mpf(n**e * num) / den at prec, and a column
-    is held as integers on its smallest exponent (an all-zero one takes
-    its left neighbour's, or 0), below 2^top."""
+    """(exponents, rows) of the rows n^e f[n], e < 4: each entry is
+    n**e * num rounded to nearest at prec, divided by den and rounded
+    again (mp.mpf(n**e * num) / den), on the integer kernel; a column is
+    held as integers on its smallest exponent (an all-zero one takes its
+    left neighbour's, or 0)."""
     exps, rows = [], [[], [], [], []]
     for n, c in enumerate(f):
-        col = [mpf_div(from_int(n ** e * c.numerator, prec, round_nearest),
-                       from_int(c.denominator), prec, round_nearest)
-               for e in range(4)]
-        low = [x[2] for x in col if x[1]]
+        col = []
+        for e in range(4):
+            m, x = _div(*_round(n ** e * c.numerator, 0, 0, 0, prec),
+                        c.denominator, 0, prec)
+            z = (m & -m).bit_length() - 1  # odd mantissa, as mpf holds it
+            col.append((m >> z, x + z) if m else (0, 0))
+        low = [x for m, x in col if m]
         exps.append(min(low) if low else exps[-1] if exps else 0)
-        for row, (s, m, e, _) in zip(rows, col):
-            m = m << e - exps[-1] if m else 0
-            row.append(-m if s else m)
-    bits = [[m.bit_length() if m else -math.inf for m in row]
-            for row in rows]
-    tops = [x + max(map(int.bit_length, col))
-            for x, col in zip(exps, zip(*rows))]
-    return exps, rows, bits, tops
+        for row, (m, x) in zip(rows, col):
+            row.append(m << x - exps[-1] if m else 0)
+    return exps, rows
 
 
 def _exact(row, pmans, offsets):
@@ -96,55 +95,46 @@ def _exact(row, pmans, offsets):
     return sum(map(lshift, map(mul, row, pmans), offsets))
 
 
-def _windowed(row, bits, pmans, shifts, ptops, prec):
+def _windowed(row, pmans, shifts, prec):
     """The rounding to nearest at prec of sum_n row[n] pmans[n]
     2^shifts[n] from the terms within 2 prec + 16 bits of the largest one,
-    when some lie further down: the kept sum is rounded with the dropped
-    terms' bound added and subtracted, and if the two agree, that is the
-    exact sum's rounding (Ziv's test).  None if the whole row is needed."""
-    tops = list(map(add, bits, ptops))
-    top = max(tops)
-    if top == -math.inf:
-        return fzero
-    cut = top - 2 * prec - 16
-    keep = list(compress(range(len(tops)), map(gt, tops, repeat(cut))))
+    when some lie further down: the kept sum is rounded on the kernel with
+    the dropped terms' bound added and subtracted, and if the two agree,
+    that is the exact sum's rounding (Ziv's test).  None if the whole row
+    is needed (no term dropped, or the test fails)."""
+    tops = [s + m.bit_length() + p.bit_length() if m and p else -math.inf
+            for m, p, s in zip(row, pmans, shifts)]
+    cut = max(tops) - 2 * prec - 16
+    keep = [n for n, t in enumerate(tops) if t > cut]
+    dropped = keep and len(tops) - 1 - keep[-1] + keep[0]
+    if not dropped:
+        return None
     a, b = keep[0], keep[-1] + 1
-    dropped = len(tops) - (b - a)
-    if dropped:
-        low = min(shifts[a:b])
-        kept = from_man_exp(_exact(row[a:b], pmans[a:b],
-                                   [s - low for s in shifts[a:b]]), low)
-        # each dropped term is below 2^cut in absolute value
-        tail = from_man_exp(1, cut + dropped.bit_length())
-        value = mpf_add(kept, tail, prec, round_nearest)
-        if value == mpf_sub(kept, tail, prec, round_nearest):
-            return value
-    return None
+    low = min(shifts[a:b])
+    kept = _exact(row[a:b], pmans[a:b], [s - low for s in shifts[a:b]])
+    # each dropped term is below 2^cut in absolute value
+    tail = cut + dropped.bit_length()
+    hi, lo = (from_man_exp(*_round(kept, low, t, tail, prec)) for t in (1, -1))
+    return hi if hi == lo else None
 
 
 def _dots(grid, half, rows, prec):
     """theta^e f(z0) for e < rows from one real half (mantissas,
     exponents) of the powers.  Each row is one exact integer sum,
     _exact(row, pmans, offsets) on the lowest exponent, rounded once to
-    nearest.  Where the terms spread over more than 3 prec bits and some
-    lie beyond a window of 2 prec + 16 bits, each row is first windowed
-    and summed whole only when Ziv's test fails."""
-    exps, srows, bits, tops = grid
-    pmans, srows = half[0], srows[:rows]
+    nearest.  Where the exponents spread over more than 3 prec bits, each
+    row is first windowed (_windowed) and summed whole only when the
+    window drops nothing or Ziv's test fails."""
+    exps, srows = grid
+    pmans = half[0]
     shifts = list(map(add, exps, half[1]))
     low = min(shifts)
     offsets = [s - low for s in shifts]
-    sums = [None] * len(srows)
-    mags = max(offsets) > 3 * prec and list(
-        map(add, map(add, tops, half[1]), map(int.bit_length, pmans)))
-    if mags and max(mags) - min(mags) > 2 * prec + 16:
-        ptops = [s + m.bit_length() if m else -math.inf
-                 for m, s in zip(pmans, shifts)]
-        sums = [_windowed(row, b, pmans, shifts, ptops, prec)
-                for row, b in zip(srows, bits)]
-    return [x or from_man_exp(_exact(row, pmans, offsets), low, prec,
-                              round_nearest)
-            for x, row in zip(sums, srows)]
+    wide = max(offsets) > 3 * prec
+    return [wide and _windowed(row, pmans, shifts, prec)
+            or from_man_exp(_exact(row, pmans, offsets), low, prec,
+                            round_nearest)
+            for row in srows[:rows]]
 
 
 @dataclass(frozen=True)

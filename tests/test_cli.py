@@ -12,6 +12,7 @@ import cyworkbench.cli
 import cyworkbench.pipeline
 from cyworkbench.anomaly import MAX_PRECISION_BITS, AnomalyGrid
 from cyworkbench.cli import main
+from cyworkbench.picard_fuchs import MAX_OPERATOR_DEGREE
 from cyworkbench.pipeline import (MAX_HODGE_ORDER, MAX_SAMPLE_COUNT,
                                   MAX_TRUNCATION_ORDER, WorkbenchConfig,
                                   config_hash)
@@ -262,6 +263,25 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")]) == 1
         assert time.perf_counter() - start < 1
         assert capsys.readouterr().err == f"error (ConfigError): {message}\n"
+        for name in ("periods.json", "instantons.json", "hodge.json"):
+            assert not (tmp_path / "o" / name).exists()
+
+    @pytest.mark.parametrize("command", ["run", "hodge-report"])
+    def test_operator_degree_above_cap_refused_before_solving(
+            self, tmp_path, capsys, command):
+        """An a_4 of degree 200 would take the radius check half a minute:
+        refused with the config, before any solve."""
+        doc = json.loads(REPO_CONFIG.read_text())
+        doc["family"]["operator"]["coefficients"][4] = \
+            ["1"] + ["0"] * 199 + ["-1"]
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main([command, str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err == (
+            "error (ConfigError): operator z-degree 200 exceeds the cap "
+            f"MAX_OPERATOR_DEGREE = {MAX_OPERATOR_DEGREE}\n")
         for name in ("periods.json", "instantons.json", "hodge.json"):
             assert not (tmp_path / "o" / name).exists()
 

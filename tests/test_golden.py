@@ -7,8 +7,9 @@ recorded for the shipped quintic and sextic families at truncation order
 12, two Hodge samples, Hodge order 48 and 128 bits, and ``SHIPPED`` pins
 the shipped configs as they are (order 83 at 256 bits), and
 ``RADIUS_08_HODGE`` their ``hodge-report --radius-fraction 0.8``, which
-solves to order 223.  A change that moves one of them changes the
-program's output and has to say so.
+solves to order 223, and ``HODGE_AT_PRECISION`` their ``hodge-report
+--precision-bits`` 64 and 2048.  A change that moves one of them
+changes the program's output and has to say so.
 
 One ``hodge.json`` key is rounding residue, not a value: Q is
 antisymmetric, so i Q(Omega, Omega) vanishes identically and
@@ -121,6 +122,30 @@ def test_radius_08_hodge_digest(tmp_path, capsys, family):
     capsys.readouterr()
     written = (tmp_path / "hodge.json").read_bytes()
     assert hashlib.sha256(written).hexdigest() == RADIUS_08_HODGE[family]
+
+
+# hodge-report --precision-bits P on the shipped configs, so the kernel's
+# roundings are pinned below and far above the shipped 256 bits
+HODGE_AT_PRECISION = {
+    ("quintic", 64): "baf1720844e8e261ba7c0c1ba88f7fa9"
+                     "a5a785a9290af4e2bbe5000e63e63887",
+    ("quintic", 2048): "2dd18d8e40f98800e572a902a2ca244c"
+                       "13031a502ab00bce719dce76b5234006",
+    ("sextic", 64): "957181ad50a1a8321f7405475f3464f1"
+                    "79cc3583d4b744694ec81f52ca70e822",
+    ("sextic", 2048): "f17e2c3956733b6a17ab6a25ef6a03c2"
+                      "d8f17e68505347f1aca1ccef569ed2f0",
+}
+
+
+@pytest.mark.parametrize("family, bits", sorted(HODGE_AT_PRECISION))
+def test_hodge_digest_at_precision(tmp_path, capsys, family, bits):
+    assert main(["hodge-report", str(CONFIGS / f"{family}.json"),
+                 "--precision-bits", str(bits), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "hodge.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() \
+        == HODGE_AT_PRECISION[family, bits]
 
 
 GENUS2_SHA256 = ("97675b65c2fa0e3575e2bb188a966acc"

@@ -4,11 +4,13 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 from operator import add, lshift, mul
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpc_mul, mpc_one, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, mpc_mul, mpc_one,
+                          mpf_div, round_nearest)
 
 import cyworkbench as cw
 from cyworkbench import hodge
@@ -109,6 +111,27 @@ def dot_towers(vecs, z0, log_z, rows=4):
                      for m in range(min(d, k) + 1)
                      for p in range(k - m + 1))
              for k in range(4)] for d in range(rows)]
+
+
+def reference_series_grid(f, prec):
+    """(exponents, rows, bit lengths, column tops) of the rows n^e f[n],
+    each entry rounded by libmp's from_int and mpf_div: the evaluator's
+    former grid."""
+    exps, rows = [], [[], [], [], []]
+    for n, c in enumerate(f):
+        col = [mpf_div(from_int(n ** e * c.numerator, prec, round_nearest),
+                       from_int(c.denominator), prec, round_nearest)
+               for e in range(4)]
+        low = [x[2] for x in col if x[1]]
+        exps.append(min(low) if low else exps[-1] if exps else 0)
+        for row, (s, m, e, _) in zip(rows, col):
+            m = m << e - exps[-1] if m else 0
+            row.append(-m if s else m)
+    bits = [[m.bit_length() if m else -math.inf for m in row]
+            for row in rows]
+    tops = [x + max(map(int.bit_length, col))
+            for x, col in zip(exps, zip(*rows))]
+    return exps, rows, bits, tops
 
 
 def raw(towers):
@@ -410,16 +433,38 @@ class TestExactRoute:
                 # the second term nearly cancels the first
                 row[1], pmans[1], shifts[1] = -row[0], pmans[0], shifts[0]
                 pmans[1] += rng.randint(-3, 3)
-            bits = [m.bit_length() if m else -math.inf for m in row]
-            tops = [s + m.bit_length() for s, m in zip(shifts, row)]
             sums.clear()
-            got, = hodge._dots((shifts, [row], [bits], tops),
+            got, = hodge._dots((shifts, [row]),
                                (pmans, [0] * n), 1, prec)
             assert got == _dot(row, shifts, pmans, [0] * n, prec)
             # one sum over a window, or a window and then the whole row
             outcomes.add("whole" if sums == [n] else
                          "window" if len(sums) == 1 else "fallback")
         assert {"window", "fallback"} <= outcomes
+
+    @pytest.mark.parametrize("prec", [88, 280, 2072])
+    def test_grid_matches_mpf_div(self, prec):
+        """The kernel-rounded grid against the libmp route it replaced, on
+        zeros, negatives, power-of-two denominators and entries whose
+        rounding carries to 2^prec."""
+        rng = random.Random(prec)
+        for _ in range(20):
+            f = []
+            for n in range(rng.randint(1, 24)):
+                num = rng.choice([0, 1, -1]) * rng.getrandbits(
+                    rng.randint(1, 3 * prec))
+                den = rng.choice([1 << rng.randint(0, 200),
+                                  rng.getrandbits(rng.randint(1, 2 * prec))
+                                  | 1])
+                if rng.random() < 0.2:
+                    # just below a power of two past prec bits: the
+                    # numerator's rounding carries to 2^prec
+                    den = rng.choice([1, 3])
+                    num = rng.choice([1, -1]) * (
+                        den << rng.randint(prec, 2 * prec)) - 1
+                f.append(Fraction(num, den))
+            assert hodge._series_grid(f, prec) \
+                == reference_series_grid(f, prec)[:2]
 
     @pytest.mark.parametrize("prec", [8, 12, 53, 280])
     def test_power_ladder_is_mpc_mul(self, prec):

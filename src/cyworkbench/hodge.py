@@ -20,17 +20,24 @@ terms and checks the rounding against a bound on the rest (Ziv's test,
 ACM TOMS 17(3), 1991), so tiny z0 cost no more than others.  The
 coefficient grid, the powers z0^n and Ziv's test round on the integer
 kernel of ``anomaly`` (``_round``, ``_div``).
+
+Rational coefficients give omega(conj z) = conj omega(z) (Schwarz
+reflection), and ``point`` keeps it bit for bit: each step (an exact
+integer sum, a rounding to nearest-even of a sign-magnitude number,
+mpmath's sign-symmetric log/atan2, a product with the real antidiagonal
+Gram matrix or the twists (2 pi i)^k) commutes with conjugation, so the
+report at conj z0 on branch -b is the conjugate() of the one at z0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import add, lshift, mul
 
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, mpc_mul, mpc_mul_int, mpf_sum,
-                          round_nearest)
+from mpmath.libmp import (from_man_exp, mpc_mul, mpc_mul_int, mpf_neg,
+                          mpf_sum, round_nearest)
 
 from .anomaly import _GUARD_BITS, _div, _format_complex, _round
 from .errors import (DomainError, NormalizationMissing, OutsideDisk,
@@ -157,6 +164,15 @@ class HodgePointReport:
     chern_form_positive: bool
     tail_bound_rel: object
     sign_adjust: int
+
+    def conjugate(self) -> "HodgePointReport":
+        """The report at conj z0 on branch -branch, bit for bit (module
+        docstring): imaginary signs flipped unrounded, real fields kept."""
+        def conj(x):
+            return mp.make_mpc((x._mpc_[0], mpf_neg(x._mpc_[1])))
+        rows = ("period_vector", "theta1", "theta2", "theta3")
+        return replace(self, z0=conj(self.z0), branch=-self.branch,
+                       **{k: tuple(map(conj, getattr(self, k))) for k in rows})
 
 
 @dataclass(frozen=True)
@@ -388,7 +404,8 @@ def sample_points(radius, fraction: float, count: int):
     for the exact rational radius of the operator.
 
     Points sit on concentric circles at arguments bounded away from the
-    branch cut along the negative real axis.
+    branch cut along the negative real axis; those at -0.9 and -1.8 are
+    the exact conjugates of those at 0.9 and 1.8.
     """
     if not 0 < fraction < 1:
         raise ValueError("radius fraction must lie in (0, 1)")
@@ -398,13 +415,9 @@ def sample_points(radius, fraction: float, count: int):
     with mp.workprec(_SAMPLE_PREC):
         rad = mp.mpf(radius.numerator) / radius.denominator
         levels = math.ceil(count / len(angles))
-        pts = []
-        for level in range(levels):
-            scale = rad * mp.mpf(fraction) * mp.mpf(level + 1) / levels
-            for ang in angles:
-                pts.append(scale * mp.exp(mp.mpc(0, 1) * mp.mpf(ang)))
-                if len(pts) == count:
-                    return pts
+        return [rad * mp.mpf(fraction) * mp.mpf(level + 1) / levels
+                * mp.exp(mp.mpc(0, 1) * mp.mpf(ang))
+                for level in range(levels) for ang in angles][:count]
 
 
 def hodge_report_json(reports, config_hash: str) -> dict:
@@ -414,25 +427,23 @@ def hodge_report_json(reports, config_hash: str) -> dict:
     def f(x):
         return mp.nstr(x, 40)
 
-    points = []
-    for r in reports:
-        points.append({
-            "z0": c(r.z0),
-            "prec_bits": r.prec_bits,
-            "branch": r.branch,
-            "periods": [c(x) for x in r.period_vector],
-            "theta1": [c(x) for x in r.theta1],
-            "theta2": [c(x) for x in r.theta2],
-            "theta3": [c(x) for x in r.theta3],
-            "pairing": f(r.pairing_value),
-            "self_pairing_abs": f(r.self_pairing_abs),
-            "K": f(r.kahler_potential),
-            "dd_pairing": f(r.dd_pairing),
-            "G_wp": f(r.weil_petersson),
-            "G_wp_ratio": f(r.weil_petersson_ratio),
-            "curvature": f(r.weil_petersson),
-            "chern_form_positive": r.chern_form_positive,
-            "tail_bound_rel": f(r.tail_bound_rel),
-            "sign_adjust": r.sign_adjust,
-        })
+    points = [{
+        "z0": c(r.z0),
+        "prec_bits": r.prec_bits,
+        "branch": r.branch,
+        "periods": [c(x) for x in r.period_vector],
+        "theta1": [c(x) for x in r.theta1],
+        "theta2": [c(x) for x in r.theta2],
+        "theta3": [c(x) for x in r.theta3],
+        "pairing": f(r.pairing_value),
+        "self_pairing_abs": f(r.self_pairing_abs),
+        "K": f(r.kahler_potential),
+        "dd_pairing": f(r.dd_pairing),
+        "G_wp": f(r.weil_petersson),
+        "G_wp_ratio": f(r.weil_petersson_ratio),
+        "curvature": f(r.weil_petersson),
+        "chern_form_positive": r.chern_form_positive,
+        "tail_bound_rel": f(r.tail_bound_rel),
+        "sign_adjust": r.sign_adjust,
+    } for r in reports]
     return {"points": points, "config_hash": config_hash}

@@ -7,9 +7,11 @@ recorded for the shipped quintic and sextic families at truncation order
 12, two Hodge samples, Hodge order 48 and 128 bits, and ``SHIPPED`` pins
 the shipped configs as they are (order 83 at 256 bits), and
 ``RADIUS_08_HODGE`` their ``hodge-report --radius-fraction 0.8``, which
-solves to order 223, and ``HODGE_AT_PRECISION`` their ``hodge-report
---precision-bits`` 64 and 2048.  A change that moves one of them
-changes the program's output and has to say so.
+solves to order 223, ``HODGE_AT_PRECISION`` their ``hodge-report
+--precision-bits`` 64 and 2048, and ``PARTIAL_LAYOUTS`` ``hodge-report
+--samples K`` on counts that leave a circle or a conjugate pair partial.
+A change that moves one of them changes the program's output and has to
+say so.
 
 One ``hodge.json`` key is rounding residue, not a value: Q is
 antisymmetric, so i Q(Omega, Omega) vanishes identically and
@@ -146,6 +148,29 @@ def test_hodge_digest_at_precision(tmp_path, capsys, family, bits):
     written = (tmp_path / "hodge.json").read_bytes()
     assert hashlib.sha256(written).hexdigest() \
         == HODGE_AT_PRECISION[family, bits]
+
+
+# hodge-report --samples K on partial layouts: the quintic's four samples
+# leave the 1.8 one without its -1.8 partner, and the sextic's 11 (second
+# circle) and x10's 5 (one circle) stop short of the 2.6 sample
+PARTIAL_LAYOUTS = {
+    ("quintic", 4): "380ddefb171cb7d41c499baa24d2ac43"
+                    "f4abc589e5d5a24a60db0e50e164589b",
+    ("sextic", 11): "59b8893af82c72b0f7b20f60d6bd3e76"
+                    "b58f22f0c80a0e1db13921dc26a90149",
+    ("x10", 5): "f96ac6cbcc327720d210e4d205bdda35"
+                "cc867d3367e4ef01d86c319fd012c61e",
+}
+
+
+@pytest.mark.parametrize("family, samples", sorted(PARTIAL_LAYOUTS))
+def test_partial_layout_hodge_digest(tmp_path, capsys, family, samples):
+    assert main(["hodge-report", str(CONFIGS / f"{family}.json"),
+                 "--samples", str(samples), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "hodge.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() \
+        == PARTIAL_LAYOUTS[family, samples]
 
 
 GENUS2_SHA256 = ("97675b65c2fa0e3575e2bb188a966acc"

@@ -1,5 +1,6 @@
 """Point reports, sign laws, and finite-difference curvature."""
 
+import dataclasses
 import json
 import math
 import random
@@ -10,14 +11,15 @@ from operator import add, lshift, mul
 import pytest
 from mpmath import mp
 from mpmath.libmp import (from_int, from_man_exp, mpc_mul, mpc_one,
-                          mpf_div, round_nearest)
+                          mpf_div, mpf_neg, round_nearest)
 
 import cyworkbench as cw
 from cyworkbench import hodge
+from cyworkbench.anomaly import _format_complex
 from cyworkbench.errors import (DomainError, NormalizationMissing,
                                OutsideDisk, PrecisionLoss, SignViolation)
 from cyworkbench.frames import SymplecticFrame
-from cyworkbench.pipeline import solve_periods
+from cyworkbench.pipeline import coupling_and_frame, hodge_stage, solve_periods
 
 from conftest import CONFIGS, constant_coupling_family, shipped_family
 
@@ -633,3 +635,89 @@ class TestReportSerialization:
                     "chern_form_positive", "tail_bound_rel"):
             assert key in point
         assert point["chern_form_positive"] is True
+
+
+def raw_bits(x):
+    """The raw mpmath tuples of a report field, nested as the field is."""
+    if isinstance(x, tuple):
+        return tuple(map(raw_bits, x))
+    return getattr(x, "_mpc_", getattr(x, "_mpf_", x))
+
+
+def report_bits(rep):
+    return {f.name: raw_bits(getattr(rep, f.name))
+            for f in dataclasses.fields(rep)}
+
+
+def exact_conj(z):
+    return mp.make_mpc((z._mpc_[0], mpf_neg(z._mpc_[1])))
+
+
+def shipped_config(family, **samples):
+    doc = json.loads((CONFIGS / f"{family}.json").read_text())
+    doc.setdefault("samples", {}).update(samples)
+    return cw.WorkbenchConfig.from_json(doc)
+
+
+class TestConjugateReports:
+    """point(conj z0, -b) is point(z0, b).conjugate() bit for bit."""
+
+    @pytest.mark.parametrize("family", ["quintic", "sextic", "x10"])
+    def test_reflection_is_bitwise(self, family):
+        cfg = shipped_config(family)
+        basis, hodge_basis = solve_periods(cfg)
+        _, frame = coupling_and_frame(cfg, basis)
+        radius = cfg.family.pf.singular_radius
+        shipped = [z for z in cw.sample_points(radius, 0.5, 24) if z.imag]
+        assert len(shipped) == 20
+        rng = random.Random(f"reflection-{family}")
+        with mp.workprec(64):
+            rad = mp.mpf(radius.numerator) / radius.denominator
+            # the window path, arguments near the cut, two generic points
+            seeded = [mp.mpc(rad * mp.mpf(ratio) * mp.expj(mp.mpf(arg)))
+                      for ratio, arg in [
+                          (1e-30 * rng.uniform(0.5, 2), rng.uniform(-3, 3)),
+                          (rng.uniform(0.05, 0.5), rng.uniform(3.1, 3.14)),
+                          (rng.uniform(0.05, 0.5), -rng.uniform(3.1, 3.14)),
+                          (rng.uniform(0.01, 0.6), rng.uniform(-3, 3))]]
+        branches = (-1, 0, 2)
+        for bits in (64, 256, 2048):
+            ev = cw.HodgeEvaluator(hodge_basis, frame, bits)
+            # every branch at 64 and 256 bits; one per point, in turn, at
+            # 2048, which keeps the test near 5 s
+            for n, z0 in enumerate(shipped + seeded):
+                for b in branches if bits < 2048 else branches[n % 3:][:1]:
+                    rep = ev.point(z0, b)
+                    mirror = rep.conjugate()
+                    assert mirror.branch == -b
+                    assert report_bits(mirror) == \
+                        report_bits(ev.point(exact_conj(z0), -b))
+                    assert report_bits(mirror.conjugate()) == \
+                        report_bits(rep)
+
+    @pytest.mark.parametrize("samples, calls", [
+        ({}, 16), ({"radius_fraction": 0.8}, 16), ({"count": 4}, 3)],
+        ids=["shipped", "radius-0.8", "count-4"])
+    def test_stage_mirrors_conjugate_samples(self, monkeypatch, samples,
+                                             calls):
+        cfg = shipped_config("quintic", **samples)
+        basis, hodge_basis = solve_periods(cfg)
+        _, frame = coupling_and_frame(cfg, basis)
+        seen = []
+        point = cw.HodgeEvaluator.point
+
+        def counting_point(self, z0, branch=0):
+            seen.append(z0)
+            return point(self, z0, branch)
+        monkeypatch.setattr(cw.HodgeEvaluator, "point", counting_point)
+        doc = hodge_stage(cfg, hodge_basis, frame, "abc")
+        assert len(seen) == calls
+        points = cw.sample_points(cfg.family.pf.singular_radius,
+                                  cfg.radius_fraction, cfg.sample_count)
+        assert [p["z0"] for p in doc["points"]] == \
+            [_format_complex(z) for z in points]
+        # the direct calls are the samples no earlier one conjugates
+        earlier = [{w._mpc_ for w in points[:n]} for n in range(len(points))]
+        assert [z._mpc_ for z in seen] == [
+            z._mpc_ for z, before in zip(points, earlier)
+            if exact_conj(z)._mpc_ not in before]

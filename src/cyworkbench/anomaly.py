@@ -29,31 +29,29 @@ field and drops them all when it replaces G or K.  The public
 ``covariant_derivative`` of an arbitrary field is not memoised; it
 reads the cached connection.
 
-The residual path runs on integers (_Z), rounding bit for bit as mpmath
-does; entries with an inf, nan, real or far-out part take libmp's route.
-Grid decimals are read and written on raw ``_mpf_`` tuples.
+The residual path runs on the integer kernel (``kernel._Z``), rounding
+bit for bit as mpmath does; entries with an inf, nan, real or far-out
+part take libmp's route.  Grid decimals are read and written by
+``kernel``'s reader and writer.  A residual or a dbar S - C with no valid
+entry is refused, since a check that compares nothing shows nothing.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import add, mul, sub
 
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, normalize, round_nearest,
-                          to_str)
 
 from .errors import (BoundaryPoint, ConfigError, DomainError, MissingField,
                      NonUniformGrid, PropagatorMismatch, UnstableRange,
                      ResidualToleranceError, config_int, malformed_input)
+from .kernel import (_GUARD_BITS, _Z, _div, _format_complex, _kernel,
+                     _mpmath, _parse_complex, _round)
 
-_GUARD_BITS = 24
-# the residual kernel leaves parts with |exponent| >= this to libmp
-_KERNEL_EXPONENT = 1 << 15
 # The largest binary precision any input may ask for.  A Hodge point costs
 # about 0.085 s at 8192 bits, and past about 14300 bits a value near
 # 2^-prec cannot be printed to 40 digits (Python's int-string limit).
@@ -104,121 +102,6 @@ def constant_map_contribution(g: int, euler) -> Fraction:
 
 # ----------------------------------------------------------------------
 # grids and fields
-
-def _round(u, x, v, y, prec, down=False):
-    """u 2^x + v 2^y rounded as libmp.mpf_add rounds it at prec bits, to
-    nearest or (down) toward zero, with its shortcut for a far smaller
-    term; a signed mantissa and exponent (a carry may leave 2^prec)."""
-    if x > y:
-        u, x, v, y = v, y, u, x
-    t = u + (v << y - x)
-    n = t.bit_length() - prec
-    if n > 4 and u and v:
-        gap = v.bit_length() + y - u.bit_length() - x
-        if abs(gap) > prec + 4:
-            s, xs, b, xb = (u, x, v, y) if gap > 0 else (v, y, u, x)
-            zs, zb = (s & -s).bit_length() - 1, (b & -b).bit_length() - 1
-            if xb + zb - xs - zs > 100:
-                t = ((b >> zb) << prec + 4) + (1 if s > 0 else -1)
-                x, n = xb + zb - prec - 4, t.bit_length() - prec
-    if n <= 0:
-        return t, x
-    if down:
-        return (t >> n if t > 0 else -(-t >> n)), x + n
-    return (t + (1 << n - 1) - 1 + (t >> n & 1)) >> n, x + n
-
-
-def _div(n, x, m, f, prec):
-    """n 2^x / (m 2^f), m > 0, rounded to nearest at prec bits."""
-    k = max(prec + 2 + m.bit_length() - n.bit_length(), 0)
-    q, r = divmod(abs(n) << k, m)
-    q = q << 1 | (r > 0)
-    return _round(-q if n < 0 else q, x - f - k - 1, 0, x - f - k - 1, prec)
-
-
-class _Z(tuple):
-    """a 2^ea + i b 2^eb as (a, ea, b, eb), rounded as mpc operators do."""
-
-    __slots__ = ()
-
-    def __add__(z, w, sign=1):
-        (a, ea, b, eb), (c, ec, d, ed), p = z, w, mp._prec_rounding[0]
-        return _Z(_round(a, ea, sign * c, ec, p)
-                  + _round(b, eb, sign * d, ed, p))
-
-    def __sub__(z, w):
-        return z.__add__(w, -1)
-
-    def __mul__(z, w):
-        (a, ea, b, eb), (c, ec, d, ed), p = z, w, mp._prec_rounding[0]
-        return _Z(_round(a * c, ea + ec, -b * d, eb + ed, p)
-                  + _round(a * d, ea + ed, b * c, eb + ec, p))
-
-    def __rmul__(z, n, e=0):
-        (a, ea, b, eb), p = z, mp._prec_rounding[0]
-        return _Z(_round(n * a, ea + e, 0, ea + e, p)
-                  + _round(n * b, eb + e, 0, eb + e, p))
-
-    def __truediv__(z, two):
-        return z.__rmul__(1, -1) if two == 2 else NotImplemented
-
-
-def _kernel(x):
-    """x as a _Z if an mpc with finite parts within the exponent bound."""
-    if type(x) is not mp.mpc:
-        return x
-    (s, a, ea, na), (t, b, eb, nb) = x._mpc_
-    if na >= 0 and nb >= 0 and abs(ea) | abs(eb) < _KERNEL_EXPONENT:
-        return _Z((-a if s else a, ea if a else eb, -b if t else b,
-                   eb if b else ea))
-    return x
-
-
-def _mpmath(x):
-    return mp.make_mpc((from_man_exp(x[0], x[1]), from_man_exp(
-        x[2], x[3]))) if type(x) is _Z else x
-
-
-# a decimal as nstr writes it; any other spelling goes through mp.mpf
-_DECIMAL = re.compile(r"(-?[0-9]+)(?:\.([0-9]*))?(?:e([-+]?[0-9]+))?")
-
-
-def _parse_real(s):
-    """mp.mpf(s)._mpf_: a decimal m 10^e with |e| <= 400 is rounded once
-    to nearest, the same operation libmp.from_str applies to it."""
-    match = _DECIMAL.fullmatch(s) if type(s) is str else None
-    if match:
-        whole, frac, e = match.groups()
-        frac = (frac or "").rstrip("0")
-        man, exp = int(whole + frac), int(e or 0) - len(frac)
-        if 0 <= exp <= 400:
-            return from_int(man * 10 ** exp, *mp._prec_rounding)
-        if -400 <= exp < 0:  # one division, rounded by its remainder
-            prec, den = mp.prec, 10 ** -exp
-            k = max(prec + 2 + den.bit_length() - man.bit_length(), 0)
-            q, r = divmod(abs(man) << k, den)
-            return normalize(int(man < 0), q << 1 | (r > 0), -k - 1,
-                             q.bit_length() + 1, prec, round_nearest)
-    return mp.mpf(s)._mpf_
-
-
-def _parse_complex(pair):
-    if pair is None:
-        return None
-    return mp.make_mpc((_parse_real(pair[0]), _parse_real(pair[1])))
-
-
-def _format_complex(x):
-    if x is None:
-        return None
-    # to_str, nstr's own call, does not re-round; nstr(mp.zero) is "0.0"
-    if hasattr(x, "_mpc_"):
-        return [to_str(x._mpc_[0], 40), to_str(x._mpc_[1], 40)]
-    if hasattr(x, "_mpf_"):
-        return [to_str(x._mpf_, 40), "0.0"]
-    return [mp.nstr(getattr(x, "real", x), 40),
-            mp.nstr(getattr(x, "imag", 0), 40)]
-
 
 def _uniform_step(nodes, axis: str):
     """The node spacing, uniform up to 1e-30 of it or, where larger, up
@@ -544,6 +427,8 @@ def ehae_residual(grid: AnomalyGrid, g: int, h: int) -> ResidualReport:
         if h >= 1:
             residual = _pointwise(lambda r, a, d: r + a * d, residual,
                                   grid.field("Delta"), _dfield(grid, g, h - 1))
+    if not residual.valid_count():
+        raise BoundaryPoint(f"no valid residual entry at (g, h) = ({g}, {h})")
     return ResidualReport.of(residual)
 
 
@@ -573,8 +458,10 @@ class PropagatorSpec:
         _check_shape(self.values, grid.z_nodes, grid.zbar_nodes,
                      "propagator S")
         target = grid.field("C")
-        mismatch = _pointwise(sub, _central(grid, self.as_field(), "zbar"),
-                              target).max_abs()
+        diff = _pointwise(sub, _central(grid, self.as_field(), "zbar"), target)
+        if not diff.valid_count():
+            raise PropagatorMismatch("dbar S - C has no valid entry")
+        mismatch = diff.max_abs()
         scale = max(mp.mpf(1), target.max_abs())
         if not mismatch <= tolerance * scale:  # NaN fails
             raise PropagatorMismatch(

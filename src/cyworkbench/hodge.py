@@ -19,7 +19,7 @@ rounded once; where the exponents spread wide a row keeps its top
 terms and checks the rounding against a bound on the rest (Ziv's test,
 ACM TOMS 17(3), 1991), so tiny z0 cost no more than others.  The
 coefficient grid, the powers z0^n and Ziv's test round on the integer
-kernel of ``anomaly`` (``_round``, ``_div``).
+kernel in ``kernel`` (``_round``, ``_div``, ``_Z``).
 
 Rational coefficients give omega(conj z) = conj omega(z) (Schwarz
 reflection), and ``point`` keeps it bit for bit: each step (an exact
@@ -33,16 +33,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
 from operator import add, lshift, mul
 
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, mpc_mul, mpc_mul_int, mpf_neg,
-                          mpf_sum, round_nearest)
+from mpmath.libmp import (from_man_exp, mpc_mul, mpc_mul_int, mpf_sum,
+                          round_nearest)
 
-from .anomaly import _GUARD_BITS, _div, _format_complex, _round
 from .errors import (DomainError, NormalizationMissing, OutsideDisk,
                      PrecisionLoss, SignViolation)
 from .frames import SymplecticFrame
+from .kernel import (_DIGITS, _GUARD_BITS, _Z, _conj, _div, _format_complex,
+                     _kernel, _round)
 from .picard_fuchs import PeriodBasis
 
 # binary precision of the sample grid
@@ -58,21 +60,14 @@ FD_TOLERANCE = 1e-6
 _RADIUS_MARGIN = 2 ** -20
 
 
-def _powers(z, count, prec):
-    """Real and imaginary (mantissas, exponents) of z^0..z^(count-1), each
-    the rounded mpc_mul of the one before by z.  An exact zero part takes
-    the other part's exponent, so it does not stretch a row's offsets."""
-    (cs, c, ce, _), (ds, d, de, _) = z
-    c, d, ce, de = -c if cs else c, -d if ds else d, ce if c else de, \
-        de if d else ce
-    a, ea, b, eb = 1, 0, 0, 0
-    out = [(a, ea, b, eb)]
-    for _ in range(1, count):
-        (a, ea), (b, eb) = (_round(a * c, ea + ce, -b * d, eb + de, prec),
-                            _round(a * d, ea + de, b * c, eb + ce, prec))
-        ea, eb = ea if a else eb, eb if b else ea
-        out.append((a, ea, b, eb))
-    a, ea, b, eb = zip(*out)
+def _powers(z, count):
+    """Real and imaginary (mantissas, exponents) of z^0..z^(count-1) for an
+    mpc z, each the _Z product (mpc_mul at the working precision) of the
+    one before by z, on plain tuples; an exact zero part keeps an exponent
+    near the other part's (_kernel, _round), so rows do not stretch."""
+    z = tuple(_kernel(z, math.inf))
+    a, ea, b, eb = zip(*accumulate(repeat(z, count - 1), _Z.__mul__,
+                                   initial=(1, 0, 0, 0)))
     return (a, ea), (b, eb)
 
 
@@ -168,11 +163,10 @@ class HodgePointReport:
     def conjugate(self) -> "HodgePointReport":
         """The report at conj z0 on branch -branch, bit for bit (module
         docstring): imaginary signs flipped unrounded, real fields kept."""
-        def conj(x):
-            return mp.make_mpc((x._mpc_[0], mpf_neg(x._mpc_[1])))
         rows = ("period_vector", "theta1", "theta2", "theta3")
-        return replace(self, z0=conj(self.z0), branch=-self.branch,
-                       **{k: tuple(map(conj, getattr(self, k))) for k in rows})
+        return replace(self, z0=_conj(self.z0), branch=-self.branch,
+                       **{k: tuple(map(_conj, getattr(self, k)))
+                          for k in rows})
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,7 @@ class HodgeEvaluator:
     def _towers(self, z0, log_z, rows: int = 4):
         """theta^der w_i for der < rows and i in 0..3 at z0; log_z is L."""
         prec, rnd = mp.prec, round_nearest
-        halves = _powers(z0._mpc_, self._n_terms, prec)
+        halves = _powers(z0, self._n_terms)
         dots = [[_dots(g, half, rows, prec) for half in halves]
                 for g in self._grids]
         jet = [[(re[e], im[e]) for re, im in dots] for e in range(rows)]
@@ -425,7 +419,7 @@ def hodge_report_json(reports, config_hash: str) -> dict:
     c = _format_complex
 
     def f(x):
-        return mp.nstr(x, 40)
+        return mp.nstr(x, _DIGITS)
 
     points = [{
         "z0": c(r.z0),

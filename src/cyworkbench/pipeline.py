@@ -21,8 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from mpmath.libmp import mpf_neg
-
 from . import __version__
 from .anomaly import (MAX_PRECISION_BITS, RESIDUAL_TOLERANCE,
                       constant_map_contribution)
@@ -34,6 +32,7 @@ from .genus0 import (CYFamilyConfig, assemble_genus0, build_mirror_map,
                      genus0_export, yukawa_theta)
 from .hodge import (FD_TOLERANCE, HodgeEvaluator, hodge_report_json,
                     sample_points)
+from .kernel import _conj
 from .picard_fuchs import PeriodBasis, frobenius_solve
 from .series import format_rational
 
@@ -179,7 +178,7 @@ def hodge_stage(config: WorkbenchConfig, basis, frame, chash: str) -> dict:
                            config.radius_fraction, config.sample_count)
     done, reports = {}, []
     for z0 in points:
-        mirror = done.get((z0._mpc_[0], mpf_neg(z0._mpc_[1])))
+        mirror = done.get(_conj(z0)._mpc_)
         reports.append(mirror.conjugate() if mirror else evaluator.point(z0))
         done[z0._mpc_] = reports[-1]
     return hodge_report_json(reports, chash)

@@ -14,9 +14,11 @@ import cyworkbench as cw
 from cyworkbench import anomaly
 from cyworkbench.anomaly import (_central, AnomalyGrid, GridField,
                                  PropagatorSpec)
-from cyworkbench.errors import (BoundaryPoint, DomainError, MissingField,
-                                NonUniformGrid, PropagatorMismatch,
-                                UnstableRange)
+from cyworkbench.errors import (BoundaryPoint, ConfigError, DomainError,
+                                MissingField, NonUniformGrid,
+                                PropagatorMismatch, UnstableRange)
+from cyworkbench.kernel import (_KERNEL_EXPONENT, _Z, _format_complex,
+                                _parse_complex)
 from cyworkbench.series import LogSeries
 
 from conftest import series_value
@@ -217,7 +219,7 @@ def seeded_grid(seed, nz, nw, names, nodes="mpc", values="mpc", prec=256):
                     part = rng.choice([
                         mp.zero, mp.inf, -mp.inf, mp.nan, long(),
                         mp.ldexp(rng.uniform(0.5, 1),
-                                 -2 * anomaly._KERNEL_EXPONENT)])
+                                 -2 * _KERNEL_EXPONENT)])
                     if type(x) is mp.mpf:
                         return part
                     return (mp.mpc(part, x.imag) if rng.random() < 0.5
@@ -245,11 +247,11 @@ def fallback_kinds(monkeypatch):
 
     def counting(x):
         z = kernel(x)
-        if x is not None and type(z) is not anomaly._Z:
+        if x is not None and type(z) is not _Z:
             parts = getattr(x, "_mpc_", None) or (x._mpf_,)
             kinds["real" if type(x) is mp.mpf else
                   "special" if any(bc < 0 for _, _, _, bc in parts) else
-                  "wide" if any(abs(e) >= anomaly._KERNEL_EXPONENT
+                  "wide" if any(abs(e) >= _KERNEL_EXPONENT
                                 for _, _, e, _ in parts) else "other"] += 1
         return z
     monkeypatch.setattr(anomaly, "_kernel", counting)
@@ -336,7 +338,7 @@ class TestGridText:
         with mp.workprec(prec):
             texts = self.decimals(rng) + self.EDGE
             for a, b in zip(texts, texts[1:] + texts[:1]):
-                got = anomaly._parse_complex([a, b])
+                got = _parse_complex([a, b])
                 assert type(got) is mp.mpc
                 assert got._mpc_ == (mp.mpf(a)._mpf_, mp.mpf(b)._mpf_), (a, b)
                 assert got._mpc_ == mp.mpc(mp.mpf(a), mp.mpf(b))._mpc_
@@ -347,7 +349,22 @@ class TestGridText:
         with pytest.raises(ValueError):
             mp.mpf(text)
         with pytest.raises(ValueError):
-            anomaly._parse_complex([text, "0"])
+            _parse_complex([text, "0"])
+
+    @pytest.mark.parametrize("value", ["12", ["0", "0", "9"], ["1"],
+                                       ("1", "2"), {"re": "1", "im": "2"},
+                                       0.5])
+    def test_parse_takes_only_pairs(self, value):
+        """A string is not split into characters, a third part is not
+        dropped: anything but a two-element list or null is refused."""
+        with pytest.raises(ValueError, match=r"is not a pair \[re, im\]$"):
+            _parse_complex(value)
+        assert _parse_complex(None) is None
+
+    def test_propagator_reader_refuses_non_pairs(self):
+        with pytest.raises(ConfigError, match=r"^malformed propagator JSON: "
+                           r"\['0', '0', '9'\] is not a pair"):
+            PropagatorSpec.from_json({"S": [[["0", "0", "9"]]]})
 
     def test_format_matches_nstr(self):
         rng = random.Random(5)
@@ -362,7 +379,7 @@ class TestGridText:
                               for _ in range(2))
                     values += [re, mp.mpc(re, im), mp.mpc(0, im)]
         for x in values:
-            assert anomaly._format_complex(x) == format_reference(x), x
+            assert _format_complex(x) == format_reference(x), x
 
 
 class TestGridBasics:
@@ -911,6 +928,38 @@ class TestDerivedFieldMemo:
         cw.genus2_integrate(grid, prop)
         assert counts == {"central": 10,
                           "log": grid.field("G").valid_count()}
+
+
+class TestNoValidEntry:
+    """A check with nothing to compare is refused, not passed as max 0."""
+
+    def test_residual_of_nulls(self):
+        grid, _ = workload_grid()
+        nulls = ((None,) * len(grid.zbar_nodes),) * len(grid.z_nodes)
+        for name in grid.fields:
+            grid = grid.with_field(name, nulls)
+        for residual in (lambda: cw.hae_residual(grid, 2),
+                         lambda: cw.ehae_residual(grid, 1, 1)):
+            with pytest.raises(BoundaryPoint, match="^no valid residual"):
+                residual()
+
+    def test_grid_too_short_for_the_bracket(self):
+        """Four z rows hold a first central difference but no second."""
+        _, _, exprs, _ = genus2_exprs()
+        grid = build_grid(exprs, nz=4)
+        with pytest.raises(BoundaryPoint, match=r"\(g, h\) = \(2, 0\)$"):
+            cw.hae_residual(grid, 2)
+
+    def test_propagator_of_nulls(self):
+        _, _, exprs, _ = genus2_exprs()
+        del exprs["F2"]
+        grid = build_grid(exprs)
+        nulls = PropagatorSpec(((None,) * len(grid.zbar_nodes),)
+                               * len(grid.z_nodes))
+        with pytest.raises(PropagatorMismatch, match="has no valid entry"):
+            nulls.verify(grid)
+        with pytest.raises(PropagatorMismatch, match="has no valid entry"):
+            cw.genus2_integrate(grid, nulls)
 
 
 class TestPropagatorShape:

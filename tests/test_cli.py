@@ -402,10 +402,17 @@ class TestMalformedInput:
          "error (ConfigError): grid frame_weight "),
         (lambda d: d.update(limit_convention=None),
          "error (ConfigError): grid limit_convention "),
+        # a string is not split into parts, nor a third part dropped
+        (lambda d: d["grid"].update(z=[f"{k}0" for k in range(7)]),
+         "error (ConfigError): malformed grid JSON: '00' is not a pair "),
+        (lambda d: d["fields"]["F2"][3][3].append("9"),
+         "error (ConfigError): malformed grid JSON: ["),
     ], ids=["nan-z", "inf-zbar", "prec-0", "prec-neg", "prec-true",
-            "prec-fraction", "prec-above-cap", "frame-weight", "limit-null"])
+            "prec-fraction", "prec-above-cap", "frame-weight", "limit-null",
+            "string-nodes", "three-parts"])
     def test_grid_values_rejected(self, tmp_path, capsys, edit, start):
-        """Nodes, precision and conventions the program cannot honour."""
+        """Nodes, values, precision and conventions the program cannot
+        honour."""
         doc, _ = synthetic_grid_doc()
         edit(doc)
         path = tmp_path / "grid.json"
@@ -492,6 +499,20 @@ class TestGridCommands:
         assert main(["hae-check", str(path), "--genus", "2",
                      "--tolerance", "1e-8"]) == 3
         assert "max nan" in capsys.readouterr().out
+
+    def test_all_null_fields_refused(self, tmp_path, capsys):
+        """A residual with no valid entry is refused, not read as max 0."""
+        grid_doc, _ = synthetic_grid_doc()
+        grid_doc["fields"] = {name: [[None for _ in row] for row in rows]
+                              for name, rows in grid_doc["fields"].items()}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid_doc))
+        assert main(["hae-check", str(path), "--genus", "2",
+                     "--tolerance", "1e-8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error (BoundaryPoint): no valid residual "
+                                "entry at (g, h) = (2, 0)\n")
+        assert "hae residual" not in captured.out
 
     def test_ehae_check_closed_reduction(self, tmp_path):
         grid_doc, _ = synthetic_grid_doc()
@@ -586,6 +607,23 @@ class TestGridCommands:
         ppath = tmp_path / "prop.json"
         ppath.write_text(json.dumps(prop_doc))
         assert main(["genus2", str(gpath), "--propagator", str(ppath)]) == 3
+
+    def test_genus2_all_null_propagator(self, tmp_path, capsys):
+        """dbar S - C with no valid entry is refused, and no F2 of nulls
+        is written."""
+        grid_doc, prop_doc = synthetic_grid_doc()
+        grid_doc["fields"].pop("F2")
+        prop_doc["S"] = [[None for _ in row] for row in prop_doc["S"]]
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(grid_doc))
+        ppath = tmp_path / "prop.json"
+        ppath.write_text(json.dumps(prop_doc))
+        out = tmp_path / "g2"
+        assert main(["genus2", str(gpath), "--propagator", str(ppath),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error (PropagatorMismatch): dbar S - C has no valid entry\n")
+        assert not (out / "genus2.json").exists()
 
     def test_genus2_nan_propagator(self, tmp_path, capsys):
         grid_doc, prop_doc = synthetic_grid_doc()

@@ -1,5 +1,6 @@
-"""Runtime dependencies: the package imports with mpmath alone, and the
-exact layer does not import it at all."""
+"""Runtime dependencies: the package imports with mpmath alone, the exact
+layer does not import it at all, and the rounding kernel stands on its
+own."""
 
 import ast
 import subprocess
@@ -39,3 +40,19 @@ def test_exact_layer_is_float_free():
         # relative imports stay inside the exact layer, so none of them
         # pulls mpmath in either
         assert {m for level, m in imports if level} <= allowed, name
+
+
+def test_kernel_imports_stdlib_and_mpmath_only():
+    imports = list(_imports("kernel"))
+    assert not [m for level, m in imports if level]
+    assert {m.split(".")[0] for level, m in imports} \
+        <= set(sys.stdlib_module_names) | {"mpmath"}
+
+
+def test_hodge_does_not_import_anomaly():
+    assert "anomaly" not in {m for level, m in _imports("hodge") if level}
+
+
+def test_pipeline_imports_no_mpmath():
+    assert not [m for level, m in _imports("pipeline")
+                if level == 0 and m.split(".")[0] == "mpmath"]

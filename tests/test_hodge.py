@@ -15,10 +15,10 @@ from mpmath.libmp import (from_int, from_man_exp, mpc_mul, mpc_one,
 
 import cyworkbench as cw
 from cyworkbench import hodge
-from cyworkbench.anomaly import _format_complex
 from cyworkbench.errors import (DomainError, NormalizationMissing,
                                OutsideDisk, PrecisionLoss, SignViolation)
 from cyworkbench.frames import SymplecticFrame
+from cyworkbench.kernel import _format_complex
 from cyworkbench.pipeline import coupling_and_frame, hodge_stage, solve_periods
 
 from conftest import CONFIGS, constant_coupling_family, shipped_family
@@ -482,7 +482,9 @@ class TestExactRoute:
             powers = [mpc_one]
             for _ in range(39):
                 powers.append(mpc_mul(powers[-1], z, prec, round_nearest))
-            for k, (mans, exps) in enumerate(hodge._powers(z, 40, prec)):
+            with mp.workprec(prec):
+                ladder = hodge._powers(mp.make_mpc(z), 40)
+            for k, (mans, exps) in enumerate(ladder):
                 assert [from_man_exp(m, e) for m, e in zip(mans, exps)] \
                     == [p[k] for p in powers]
 

@@ -22,10 +22,10 @@ holomorphic volume form.
 
 Grids are immutable after construction, so each grid keeps a private
 memo of the fields derived from it, built once at the grid's working
-precision: the connection (Gamma and dK) and the first and second
-covariant derivatives of each named field, keyed by (name, weight,
-order).  ``with_field`` keeps the entries that do not read the replaced
-field and drops them all when it replaces G or K.  The public
+precision: the connection (Gamma and dK) and D F, D D F of each F_(g,h),
+keyed by (name, order), as the weight 2 - 2g - h follows from the name.
+``with_field`` keeps the entries that do not read the replaced field
+and drops them all when it replaces G or K.  The public
 ``covariant_derivative`` of an arbitrary field is not memoised; it
 reads the cached connection.
 
@@ -218,9 +218,7 @@ class AnomalyGrid:
     def with_field(self, name: str, values) -> "AnomalyGrid":
         if isinstance(values, GridField):
             values = values.values
-        new_fields = dict(self.fields)
-        new_fields[name] = tuple(tuple(row) for row in values)
-        out = replace(self, fields=new_fields)
+        out = replace(self, fields={**self.fields, name: values})
         # memo keys lead with the field they read; G and K enter everything
         if name not in ("G", "K"):
             out._memo.update((key, value) for key, value in self._memo.items()
@@ -319,16 +317,6 @@ def _dk(grid: AnomalyGrid) -> GridField:
                      lambda: _central(grid, grid.field("K"), "z"))
 
 
-def _named_derivative(grid: AnomalyGrid, name: str, weight: int,
-                      order: int) -> GridField:
-    """D (order 1) or D D (order 2) of the named field of this weight."""
-    def build():
-        inner = (grid.field(name) if order == 1 else
-                 _named_derivative(grid, name, weight, order - 1))
-        return covariant_derivative(grid, inner, weight, order - 1)
-    return _memoised(grid, (name, weight, order), build)
-
-
 def covariant_derivative(grid: AnomalyGrid, f: GridField, weight: int,
                          tensor_degree: int = 0) -> GridField:
     """Holomorphic covariant derivative of a tensor-valued section.
@@ -368,10 +356,6 @@ class ResidualReport:
         return cls(f, f.max_abs(), mp.prec)
 
 
-def _open_weight(g: int, h: int) -> int:
-    return 2 - 2 * g - h
-
-
 def _open_name(g: int, h: int) -> str:
     return f"F{g}" if h == 0 else f"F{g}_{h}"
 
@@ -387,11 +371,12 @@ def hae_residual(grid: AnomalyGrid, g: int) -> ResidualReport:
     return ehae_residual(grid, g, 0)
 
 
-_UNSTABLE = ((0, 0), (0, 1))
-
-
-def _dfield(grid, g, h, order=1):
-    return _named_derivative(grid, _open_name(g, h), _open_weight(g, h), order)
+def _dfield(grid: AnomalyGrid, g: int, h: int, order: int = 1) -> GridField:
+    """D (order 1) or D D (order 2) of F_(g,h), of weight 2 - 2g - h."""
+    name = _open_name(g, h)
+    return _memoised(grid, (name, order), lambda: covariant_derivative(
+        grid, grid.field(name) if order == 1 else _dfield(grid, g, h),
+        2 - 2 * g - h, order - 1))
 
 
 def _bracket(grid: AnomalyGrid, g: int, h: int):
@@ -400,7 +385,7 @@ def _bracket(grid: AnomalyGrid, g: int, h: int):
     bracket = _dfield(grid, g - 1, h, 2) if g >= 1 else None
     for g1 in range(0, g + 1):
         for h1 in range(0, h + 1):
-            if {(g1, h1), (g - g1, h - h1)}.isdisjoint(_UNSTABLE):
+            if {(g1, h1), (g - g1, h - h1)}.isdisjoint({(0, 0), (0, 1)}):
                 x, y = _dfield(grid, g1, h1), _dfield(grid, g - g1, h - h1)
                 bracket = _pointwise(mul, x, y) if bracket is None else \
                     _pointwise(lambda b, x, y: b + x * y, bracket, x, y)

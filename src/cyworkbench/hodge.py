@@ -15,11 +15,11 @@ the orientation is -sign(S_03), which is +1 for every validated frame
 (S_03 = -kappa).
 
 The period towers are exact integer dot products against z0^n, each
-rounded once; where the exponents spread wide a row keeps its top
-terms and checks the rounding against a bound on the rest (Ziv's test,
-ACM TOMS 17(3), 1991), so tiny z0 cost no more than others.  The
-coefficient grid, the powers z0^n and Ziv's test round on the integer
-kernel in ``kernel`` (``_round``, ``_div``, ``_Z``).
+rounded once.  A row spread over more than max(3 prec, _ZIV_SPREAD) bits
+keeps its top terms and checks the rounding against a bound on the rest
+(Ziv's test, ACM TOMS 17(3), 1991), so tiny z0 cost no more than others;
+narrower rows measured faster summed whole.  The coefficient grid, the
+powers z0^n and Ziv's test round on ``kernel``'s ``_round``, ``_div``, ``_Z``.
 
 Rational coefficients give omega(conj z) = conj omega(z) (Schwarz
 reflection), and ``point`` keeps it bit for bit: each step (an exact
@@ -58,6 +58,10 @@ FD_TOLERANCE = 1e-6
 # counts as on its circle: polyroots at _SAMPLE_PREC bits places a simple
 # zero to about 2^-60 and a double one to about 2^-30
 _RADIUS_MARGIN = 2 ** -20
+# spread (bits) past which _dots windows a row; timed per quintic row at 256
+# bits, the whole sum was 15% faster at 1560 bits and the window 12-22% at
+# 2174-2475, 3 times at 8311, and 140 times at z0 = 1e-3000
+_ZIV_SPREAD = 2048
 
 
 def _powers(z, count):
@@ -124,15 +128,15 @@ def _dots(grid, half, rows, prec):
     """theta^e f(z0) for e < rows from one real half (mantissas,
     exponents) of the powers.  Each row is one exact integer sum,
     _exact(row, pmans, offsets) on the lowest exponent, rounded once to
-    nearest.  Where the exponents spread over more than 3 prec bits, each
-    row is first windowed (_windowed) and summed whole only when the
-    window drops nothing or Ziv's test fails."""
+    nearest.  Where the exponents spread over more than max(3 prec,
+    _ZIV_SPREAD) bits, where the window pays, a row is first windowed
+    (_windowed) and summed whole if it drops nothing or Ziv's test fails."""
     exps, srows = grid
     pmans = half[0]
     shifts = list(map(add, exps, half[1]))
     low = min(shifts)
     offsets = [s - low for s in shifts]
-    wide = max(offsets) > 3 * prec
+    wide = max(offsets) > max(3 * prec, _ZIV_SPREAD)
     return [wide and _windowed(row, pmans, shifts, prec)
             or from_man_exp(_exact(row, pmans, offsets), low, prec,
                             round_nearest)
@@ -234,10 +238,8 @@ class HodgeEvaluator:
             self._S = [(i, j, mp.mpf(x.numerator) / x.denominator)
                        for i, row in enumerate(frame.gram_frobenius)
                        for j, x in enumerate(row) if x]
-            two_pi_i = 2 * mp.pi * mp.mpc(0, 1)
-            self._twist = [mp.mpc(1)]
-            for _ in range(3):
-                self._twist.append(self._twist[-1] * two_pi_i)
+            self._twist = list(accumulate(
+                repeat(2 * mp.pi * mp.mpc(0, 1), 3), mul, initial=mp.mpc(1)))
             # top retained coefficient of omega_3 over its log powers
             top = (jets[3 - j][-1] / math.factorial(j) for j in range(4))
             self._top = max(abs(mp.mpf(c.numerator) / c.denominator)

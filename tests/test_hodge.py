@@ -723,3 +723,37 @@ class TestConjugateReports:
         assert [z._mpc_ for z in seen] == [
             z._mpc_ for z, before in zip(points, earlier)
             if exact_conj(z)._mpc_ not in before]
+
+
+class TestWindowSelection:
+    """_dots opens Ziv's window only past max(3 prec, _ZIV_SPREAD) bits."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """One entry per _windowed call."""
+        calls, windowed = [], hodge._windowed
+        monkeypatch.setattr(hodge, "_windowed",
+                            lambda *args: calls.append(1) or windowed(*args))
+        return calls
+
+    def test_shipped_rows_are_summed_whole(self, calls):
+        """The shipped quintic's rows spread over at most 813 bits."""
+        cfg = shipped_config("quintic")
+        basis, hodge_basis = solve_periods(cfg)
+        _, frame = coupling_and_frame(cfg, basis)
+        hodge_stage(cfg, hodge_basis, frame, "abc")
+        assert calls == []
+
+    @pytest.mark.parametrize("prec", [64, 256, 2048])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_window_opens_past_the_spread(self, calls, prec, past):
+        """A row spread over exactly the threshold is summed whole; one
+        bit more and it is windowed, with the exact sum's rounding."""
+        spread = max(3 * prec, hodge._ZIV_SPREAD) + past
+        rng = random.Random(prec)
+        row = [rng.getrandbits(prec) | 1 for _ in range(3)]
+        pmans = [rng.getrandbits(prec) | 1 for _ in range(3)]
+        shifts = [-7, spread // 2 - 7, spread - 7]
+        got, = hodge._dots((shifts, [row]), (pmans, [0] * 3), 1, prec)
+        assert got == _dot(row, shifts, pmans, [0] * 3, prec)
+        assert len(calls) == past

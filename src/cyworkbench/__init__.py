@@ -10,13 +10,13 @@ recursion (closed and open-string extended).
 __version__ = "0.1.0"
 
 from .anomaly import (AnomalyGrid, GridField, PropagatorSpec, ResidualReport,
-                      bernoulli, constant_map_contribution,
                       covariant_derivative, ehae_residual, genus2_integrate,
                       hae_residual)
 from .errors import WorkbenchError
 from .frames import SymplecticFrame, solve_symplectic_frame
 from .genus0 import (CYFamilyConfig, InstantonResult, MirrorMap,
-                     YukawaCoupling, assemble_genus0, build_mirror_map,
+                     YukawaCoupling, assemble_genus0, bernoulli,
+                     build_mirror_map, constant_map_contribution,
                      coupling_from_potential, extract_instantons, flat_yukawa,
                      genus0_export, yukawa_theta)
 from .hodge import (HodgeEvaluator, HodgePointReport, fd_curvature_check,

@@ -1,11 +1,9 @@
-"""Constant-map contributions and anomaly-equation residuals on grids.
+"""Anomaly-equation residuals on grids.
 
-The genus-g constant-map term is exact rational arithmetic built on
-Bernoulli numbers.  Everything else operates on sampled non-holomorphic
-data: fields F_g(z, zbar) tabulated on a rectangular grid whose two
-axes are independent holomorphic and antiholomorphic samples.  The
-verifier differentiates by central finite differences, assembles the
-recursion residual
+The checks operate on sampled non-holomorphic data: fields F_g(z, zbar)
+tabulated on a rectangular grid whose two axes are independent
+holomorphic and antiholomorphic samples.  The verifier differentiates
+by central finite differences, assembles the recursion residual
 
     dbar F_g - (1/2) C (D D F_{g-1} + sum_{g1+g2=g} D F_{g1} D F_{g2}),
 
@@ -39,9 +37,7 @@ entry is refused, since a check that compares nothing shows nothing.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from operator import add, mul, sub
 
 from mpmath import mp
@@ -49,55 +45,15 @@ from mpmath import mp
 from .errors import (BoundaryPoint, ConfigError, DomainError, MissingField,
                      NonUniformGrid, PropagatorMismatch, UnstableRange,
                      ResidualToleranceError, config_int, malformed_input)
-from .kernel import (_GUARD_BITS, _Z, _div, _format_complex, _kernel,
-                     _mpmath, _parse_complex, _round)
+from .kernel import (MAX_PRECISION_BITS, RESIDUAL_TOLERANCE, _GUARD_BITS, _Z,
+                     _div, _format_complex, _kernel, _mpmath, _parse_complex,
+                     _round)
 
-# The largest binary precision any input may ask for.  A Hodge point costs
-# about 0.085 s at 8192 bits, and past about 14300 bits a value near
-# 2^-prec cannot be printed to 40 digits (Python's int-string limit).
-MAX_PRECISION_BITS = 8192
-# bound on a recursion residual, and on dbar S - C relative to max |C|
-RESIDUAL_TOLERANCE = 1e-8
 # the conventions every grid is computed in; a document may restate them
 GRID_CONVENTIONS = {
     "frame_weight": "power of the canonical line = 2 - 2g - h",
     "limit_convention": "zbar index increases toward the large-radius regime",
 }
-
-
-# ----------------------------------------------------------------------
-# Bernoulli numbers and constant maps
-
-_BERNOULLI = [Fraction(1)]
-
-
-def bernoulli(n: int) -> Fraction:
-    """Exact Bernoulli number B_n (B_1 = -1/2 convention).
-
-    From sum_{k=0}^{n} binom(n+1, k) B_k = 0 for n >= 1 with B_0 = 1;
-    computed values are kept in a module-level list.
-    """
-    if n < 0:
-        raise DomainError("Bernoulli index must be nonnegative")
-    for m in range(len(_BERNOULLI), n + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * _BERNOULLI[k]
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[n]
-
-
-def constant_map_contribution(g: int, euler) -> Fraction:
-    """Degree-zero genus-g invariant for a threefold with chi = euler.
-
-    (-1)^g |B_{2g}| |B_{2g-2}| / (4 g (2g-2) (2g-2)!) * chi, for g >= 2.
-    """
-    if g < 2:
-        raise DomainError("constant-map contribution needs genus >= 2")
-    chi = Fraction(euler)
-    num = abs(bernoulli(2 * g)) * abs(bernoulli(2 * g - 2))
-    den = 4 * g * (2 * g - 2) * math.factorial(2 * g - 2)
-    return (-1) ** g * num / den * chi
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,10 @@ from pathlib import Path
 
 from mpmath import mp
 
-from .anomaly import (RESIDUAL_TOLERANCE, AnomalyGrid, PropagatorSpec,
-                      ehae_residual, genus2_integrate, hae_residual)
+from .anomaly import (AnomalyGrid, PropagatorSpec, ehae_residual,
+                      genus2_integrate, hae_residual)
 from .errors import ConfigError, WorkbenchError
+from .kernel import RESIDUAL_TOLERANCE
 from .pipeline import (WorkbenchConfig, config_hash, coupling_and_frame,
                        hodge_stage, load_manifest, report, run_pipeline,
                        solve_periods, write_json)

@@ -80,7 +80,8 @@ def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
     head = basis.truncate(min(basis.order, 8))
     a = [LogSeries.from_coefficients(p, order=3 * op.z_degree + 1)
          for p in op.coefficients]
-    b1, b2, b3 = (a_k * a[4].invert() for a_k in a[1:4])
+    inv = a[4].invert()
+    b1, b2, b3 = (a_k * inv for a_k in a[1:4])
     t3 = b3.theta()
     identity = a[4] ** 3 * (8 * b1 - 4 * b2 * b3 + b3 ** 3 - 8 * b2.theta()
                             + 6 * b3 * t3 + 4 * t3.theta())

@@ -1,4 +1,4 @@
-"""Family data, flat coordinates, triple coupling, genus-zero invariants.
+"""Family data, mirror map, triple coupling, genus-0 and constant-map terms.
 
 Pipeline, all in exact rational arithmetic:
 
@@ -73,6 +73,38 @@ class CYFamilyConfig:
                 c2_H=config_int(obj, "c2_H"),
                 euler=config_int(obj, "euler"),
             )
+
+
+_BERNOULLI = [Fraction(1)]
+
+
+def bernoulli(n: int) -> Fraction:
+    """Exact Bernoulli number B_n (B_1 = -1/2 convention).
+
+    From sum_{k=0}^{n} binom(n+1, k) B_k = 0 for n >= 1 with B_0 = 1;
+    computed values are kept in a module-level list.
+    """
+    if n < 0:
+        raise DomainError("Bernoulli index must be nonnegative")
+    for m in range(len(_BERNOULLI), n + 1):
+        acc = Fraction(0)
+        for k in range(m):
+            acc += math.comb(m + 1, k) * _BERNOULLI[k]
+        _BERNOULLI.append(-acc / (m + 1))
+    return _BERNOULLI[n]
+
+
+def constant_map_contribution(g: int, euler) -> Fraction:
+    """Degree-zero genus-g invariant for a threefold with chi = euler.
+
+    (-1)^g |B_{2g}| |B_{2g-2}| / (4 g (2g-2) (2g-2)!) * chi, for g >= 2.
+    """
+    if g < 2:
+        raise DomainError("constant-map contribution needs genus >= 2")
+    chi = Fraction(euler)
+    num = abs(bernoulli(2 * g)) * abs(bernoulli(2 * g - 2))
+    den = 4 * g * (2 * g - 2) * math.factorial(2 * g - 2)
+    return (-1) ** g * num / den * chi
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from itertools import accumulate, repeat
 from operator import add, lshift, mul
 
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, mpc_mul, mpc_mul_int, mpf_sum,
-                          round_nearest)
+from mpmath.libmp import (from_man_exp, fzero, mpc_mul, mpc_mul_int,
+                          mpf_sum, round_nearest)
 
 from .errors import (DomainError, NormalizationMissing, OutsideDisk,
                      PrecisionLoss, SignViolation)
@@ -130,9 +130,12 @@ def _dots(grid, half, rows, prec):
     _exact(row, pmans, offsets) on the lowest exponent, rounded once to
     nearest.  Where the exponents spread over more than max(3 prec,
     _ZIV_SPREAD) bits, where the window pays, a row is first windowed
-    (_windowed) and summed whole if it drops nothing or Ziv's test fails."""
+    (_windowed) and summed whole if it drops nothing or Ziv's test fails.
+    An all-zero half (the imaginary one at a real z0) gives zero rows."""
     exps, srows = grid
     pmans = half[0]
+    if not any(pmans):
+        return [fzero] * rows
     shifts = list(map(add, exps, half[1]))
     low = min(shifts)
     offsets = [s - low for s in shifts]

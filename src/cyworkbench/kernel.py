@@ -1,4 +1,4 @@
-"""Bit-exact rounding on integer mantissas, and the decimal text format.
+"""Bit-exact rounding, the decimal text format, and the shared bounds.
 
 ``hodge`` and ``anomaly`` both round on signed integer mantissas and
 binary exponents instead of mpmath objects, bit for bit as mpmath does:
@@ -28,6 +28,12 @@ _GUARD_BITS = 24
 _KERNEL_EXPONENT = 1 << 15
 # significant digits of every decimal written (grid values, hodge.json)
 _DIGITS = 40
+# The largest binary precision any input may ask for.  A Hodge point costs
+# about 0.085 s at 8192 bits, and past about 14300 bits a value near
+# 2^-prec cannot be printed to 40 digits (Python's int-string limit).
+MAX_PRECISION_BITS = 8192
+# bound on a recursion residual, and on dbar S - C relative to max |C|
+RESIDUAL_TOLERANCE = 1e-8
 
 
 def _round(u, x, v, y, prec, down=False):

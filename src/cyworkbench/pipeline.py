@@ -22,17 +22,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .anomaly import (MAX_PRECISION_BITS, RESIDUAL_TOLERANCE,
-                      constant_map_contribution)
 from .errors import (ConfigError, MissingArtifact, WorkbenchError,
                      config_int, malformed_input)
 from .frames import solve_symplectic_frame
 from .genus0 import (CYFamilyConfig, assemble_genus0, build_mirror_map,
-                     coupling_from_potential, extract_instantons, flat_yukawa,
-                     genus0_export, yukawa_theta)
+                     constant_map_contribution, coupling_from_potential,
+                     extract_instantons, flat_yukawa, genus0_export,
+                     yukawa_theta)
 from .hodge import (FD_TOLERANCE, HodgeEvaluator, hodge_report_json,
                     sample_points)
-from .kernel import _conj
+from .kernel import MAX_PRECISION_BITS, RESIDUAL_TOLERANCE, _conj
 from .picard_fuchs import PeriodBasis, frobenius_solve
 from .series import format_rational
 

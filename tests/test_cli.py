@@ -10,8 +10,9 @@ from mpmath import mp
 
 import cyworkbench.cli
 import cyworkbench.pipeline
-from cyworkbench.anomaly import MAX_PRECISION_BITS, AnomalyGrid
+from cyworkbench.anomaly import AnomalyGrid
 from cyworkbench.cli import main
+from cyworkbench.kernel import MAX_PRECISION_BITS
 from cyworkbench.picard_fuchs import MAX_OPERATOR_DEGREE
 from cyworkbench.pipeline import (MAX_HODGE_ORDER, MAX_SAMPLE_COUNT,
                                   MAX_TRUNCATION_ORDER, WorkbenchConfig,

@@ -1,11 +1,13 @@
 """Runtime dependencies: the package imports with mpmath alone, the exact
-layer does not import it at all, and the rounding kernel stands on its
-own."""
+layer does not import it at all, the rounding kernel stands on its own,
+and the run path does not import the grid checker."""
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -49,8 +51,16 @@ def test_kernel_imports_stdlib_and_mpmath_only():
         <= set(sys.stdlib_module_names) | {"mpmath"}
 
 
-def test_hodge_does_not_import_anomaly():
-    assert "anomaly" not in {m for level, m in _imports("hodge") if level}
+@pytest.mark.parametrize("name", ["hodge", "pipeline"])
+def test_does_not_import_anomaly(name):
+    """The run path (periods to hodge.json) has no import of its own
+    from the grid checker."""
+    assert "anomaly" not in {m for level, m in _imports(name) if level}
+
+
+def test_anomaly_imports_kernel_and_errors_only():
+    assert {m for level, m in _imports("anomaly") if level} \
+        <= {"kernel", "errors"}
 
 
 def test_pipeline_imports_no_mpmath():

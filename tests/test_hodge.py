@@ -10,7 +10,7 @@ from operator import add, lshift, mul
 
 import pytest
 from mpmath import mp
-from mpmath.libmp import (from_int, from_man_exp, mpc_mul, mpc_one,
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpc_mul, mpc_one,
                           mpf_div, mpf_neg, round_nearest)
 
 import cyworkbench as cw
@@ -757,3 +757,17 @@ class TestWindowSelection:
         got, = hodge._dots((shifts, [row]), (pmans, [0] * 3), 1, prec)
         assert got == _dot(row, shifts, pmans, [0] * 3, prec)
         assert len(calls) == past
+
+    @pytest.mark.parametrize("prec", [64, 256, 2048])
+    def test_zero_half_skips_the_window(self, calls, prec):
+        """An all-zero half (the imaginary one at a real z0) spread past
+        the threshold gives the zero rows, with no window opened."""
+        spread = max(3 * prec, hodge._ZIV_SPREAD) + 1
+        rng = random.Random(prec)
+        rows = [[rng.getrandbits(prec) | 1 for _ in range(3)]
+                for _ in range(4)]
+        shifts = [-7, spread // 2 - 7, spread - 7]
+        got = hodge._dots((shifts, rows), ([0] * 3, [0] * 3), 4, prec)
+        assert got == [_dot(row, shifts, [0] * 3, [0] * 3, prec)
+                       for row in rows] == [fzero] * 4
+        assert calls == []

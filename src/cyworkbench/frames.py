@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NormalizationMissing
-from .picard_fuchs import PeriodBasis
+from .picard_fuchs import PeriodBasis, frobenius_solve
 from .series import LogSeries
 
 _PAIRS = tuple(itertools.combinations(range(4), 2))
@@ -68,10 +68,10 @@ def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
                            triple_intersection) -> SymplecticFrame:
     """Fix the constant pairing from the operator of the basis.
 
-    Sets S_03 = -S_12 = s = -kappa, then checks exactly the Calabi-Yau
-    identity, Q(Omega, theta Omega) = 0 on the first eight terms of the
-    basis, and that yukawa_series starts at kappa and solves
-    (2 a_4 theta + a_3) Y = 0 to the truncation order of the basis.
+    Sets S_03 = -S_12 = s = -kappa, the pairing of frobenius_solve's
+    normalized basis; checks exactly that the basis has its first eight
+    terms, the Calabi-Yau identity, and that yukawa_series starts at
+    kappa and solves (2 a_4 theta + a_3) Y = 0 to the basis order.
     """
     s, zero, op = -Fraction(triple_intersection), Fraction(0), basis.operator
     frame = SymplecticFrame(gram_frobenius=(
@@ -85,7 +85,7 @@ def solve_symplectic_frame(basis: PeriodBasis, yukawa_series: LogSeries,
     t3 = b3.theta()
     identity = a[4] ** 3 * (8 * b1 - 4 * b2 * b3 + b3 ** 3 - 8 * b2.theta()
                             + 6 * b3 * t3 + 4 * t3.theta())
-    if not (frame.pairing_series(head, 1).is_zero and identity.is_zero):
+    if not (head == frobenius_solve(op, head.order) and identity.is_zero):
         raise NormalizationMissing(
             "Q(Omega, theta Omega) residual is nonzero; "
             "the operator does not carry a symplectic structure")

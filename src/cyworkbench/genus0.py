@@ -24,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (DomainError, IntegralityViolation, NonMeromorphic,
                      config_int, malformed_input)
-from .picard_fuchs import PeriodBasis, PFOperator, Poly
+from .picard_fuchs import PeriodBasis, PFOperator, Poly, _poly
 from .series import LogSeries, _mul_trunc, format_rational
 
 # The largest tr h^2 (the sum of the squared residues of d log Y) that
@@ -167,12 +168,7 @@ def _poly_mul(a, b):
 
 
 def _poly_sub(a, b):
-    out = [Fraction(x) for x in a] + [Fraction(0)] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return list(_poly(x - y for x, y in zip_longest(a, b, fillvalue=0)))
 
 
 def _poly_deriv(a):

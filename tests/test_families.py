@@ -1,17 +1,24 @@
 """The shipped families: the pipeline is not quintic-specific.
 
 The sextic is loaded from the shipped ``configs/sextic.json``; the
-catalogue test covers every hypergeometric family under ``configs/``.
+catalogue test covers every hypergeometric family under ``configs/``,
+and four Hadamard-product operators with two conifold points, guessed
+from their fundamental periods, run the exact path as test families.
 """
 
+import functools
+import json
 import math
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from mpmath import mp
 
 import cyworkbench as cw
+from cyworkbench.cli import main
+from cyworkbench.errors import DomainError
 from cyworkbench.pipeline import default_hodge_order
 
 from conftest import CONFIGS, shipped_family
@@ -189,3 +196,136 @@ def test_hodge_periods_within_tail_bound_of_oracle(name):
             for printed, exact in zip(rep.period_vector, oracle):
                 assert abs(printed - exact) <= \
                     rep.tail_bound_rel * abs(exact) + mp.ldexp(1, -256)
+
+
+def guess_operator(terms, max_shift=2):
+    """L = sum_j z^j Q_j(theta) from the terms c_n of its holomorphic
+    solution: the smallest recurrence sum_{j<=J} Q_j(n-j) c_{n-j} = 0
+    (c_n = 0 for n < 0), deg Q_j <= 4 and J <= max_shift, whose exact
+    sympy nullspace is one-dimensional; Q_0 is normalized to theta^4,
+    and a_k = sum_j z^j [theta^k] Q_j."""
+    for shift in range(1, max_shift + 1):
+        rows = [[(n - j) ** k * terms[n - j] if n >= j else 0
+                 for j in range(shift + 1) for k in range(5)]
+                for n in range(len(terms))]
+        null = sympy.Matrix(rows).nullspace()
+        if len(null) == 1:
+            q = [F(int(x.p), int(x.q)) for x in null[0]]
+            assert q[:4] == [0] * 4              # Q_0 = q_4 theta^4: MUM
+            return tuple(tuple(q[5 * j + k] / q[4] for j in range(shift + 1))
+                         for k in range(5))
+    raise AssertionError("no recurrence within the search bounds")
+
+
+def central(n):
+    return math.comb(2 * n, n)
+
+
+# the factor sequences of the Hadamard products (Almkvist-Zudilin; AESZ):
+# A_n = C(2n,n)^2 and B_n = C(2n,n) C(3n,n) against the Apery-like a_n,
+# the Franel b_n and c_n = sum C(n,k)^2 C(2k,k)
+HADAMARD_FACTORS = {
+    "A": lambda n: central(n) ** 2,
+    "B": lambda n: central(n) * math.comb(3 * n, n),
+    "a": lambda n: sum(math.comb(n, k) ** 2 * math.comb(n + k, k)
+                       for k in range(n + 1)),
+    "b": lambda n: sum(math.comb(n, k) ** 3 for k in range(n + 1)),
+    "c": lambda n: sum(math.comb(n, k) ** 2 * central(k)
+                       for k in range(n + 1)),
+}
+
+# a_4, the smallest kappa with integral n_d, a radius at or below the
+# nearest zero of a_4, and n_1..n_3.  c2.H and chi of these operators
+# are not known here, so the families carry c2_H = euler = 0 and stay
+# out of configs/; no genus-one, constant-map or Hodge value is pinned
+# on them, since a real structure with the Gamma-class term needs chi.
+HADAMARD = {
+    "A*a": ((1, -176, -256), 1, F(1, 178), (20, 277, 8220)),
+    "A*b": ((1, -112, -2048), 1, F(1, 128), (12, 163, 3204)),
+    "B*a": ((1, -297, -729), 1, F(1, 300), (36, 837, 41421)),
+    "A*c": ((1, -160, 2304), 3, F(1, 144), (48, 426, 11056)),
+}
+
+
+def hadamard_terms(name, count):
+    left, right = (HADAMARD_FACTORS[s] for s in name.split("*"))
+    return [left(n) * right(n) for n in range(count)]
+
+
+@functools.cache
+def hadamard_operator(name, radius=None):
+    coeffs = guess_operator(hadamard_terms(name, 60))
+    return cw.PFOperator(coeffs, radius or HADAMARD[name][2])
+
+
+def hadamard_family(name, kappa=None, radius=None):
+    return cw.CYFamilyConfig(
+        name=name, pf=hadamard_operator(name, radius),
+        triple_intersection=kappa or HADAMARD[name][1], c2_H=0, euler=0)
+
+
+def test_guess_reproduces_shipped_operator():
+    guessed = guess_operator([central(n) ** 4 for n in range(60)])
+    assert guessed == shipped_family("x2_2_2_2").pf.coefficients
+
+
+class TestHadamardProducts:
+    """Operators with two conifold points (a_4 of degree 2), guessed from
+    the closed form of omega_0.  Their couplings kappa/a_4 are the first
+    from geometric operators with a degree-2 denominator; no shipped
+    family takes yukawa_theta through the Euclid loop of _poly_inv_mod."""
+
+    @pytest.mark.parametrize("name", sorted(HADAMARD))
+    def test_exact_path(self, name):
+        a4, kappa, _, n_low = HADAMARD[name]
+        fam = hadamard_family(name)
+        assert fam.pf.coefficients[4] == a4
+        basis = cw.frobenius_solve(fam.pf, 20)
+        y = cw.yukawa_theta(fam)
+        assert y.numerator_denominator() == ((kappa,), a4)
+        cw.solve_symplectic_frame(basis, y.series(basis.order), kappa)
+        res = cw.extract_instantons(
+            cw.flat_yukawa(y, basis, cw.build_mirror_map(basis)), fam)
+        assert (res.n[1], res.n[2], res.n[3]) == n_low
+        assert all(v.denominator == 1 for v in res.n.values())
+
+    @pytest.mark.parametrize("name", sorted(HADAMARD))
+    def test_integral_periods_and_mirror_map(self, name):
+        basis = cw.frobenius_solve(hadamard_operator(name), 30)
+        assert [basis.omega0[n] for n in range(30)] == \
+            hadamard_terms(name, 30)
+        mm = cw.build_mirror_map(basis)
+        for s in (mm.q_of_z, mm.z_of_q):
+            assert s.order >= 30
+            assert all(c.denominator == 1 for _, c in s.items())
+
+    def test_kappa_one_is_not_integral_for_a_star_c(self, tmp_path, capsys):
+        """Integrality fixes A*c's kappa: at kappa = 1, n_3, n_9, n_12
+        and n_15 have denominator 3, and the run exits 2."""
+        doc = {"family": hadamard_family("A*c", kappa=1).to_json(),
+               "truncation_order": 20, "precision_bits": 128,
+               "samples": {"count": 4, "radius_fraction": 0.4},
+               "hodge_order": 40}
+        cfg = tmp_path / "a_star_c.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error (IntegralityViolation): non-integer instanton numbers: "
+            "n_3 = 11056/3, n_9 = ")
+
+    @pytest.mark.parametrize("name, radius, ok", [
+        ("A*b", F(1, 128), True), ("A*b", F(1, 127), False),
+        ("A*b", F(1, 20), False),
+        # A*a's nearest zero (-176 + sqrt(32000))/512 ~ 0.0056356
+        ("A*a", F(1, 178), True), ("A*a", F(1, 177), False)])
+    def test_radius_against_both_zeros(self, name, radius, ok):
+        fam = hadamard_family(name, radius=radius)
+        basis = cw.frobenius_solve(fam.pf, 12)
+        frame = cw.solve_symplectic_frame(
+            basis, cw.yukawa_theta(fam).series(basis.order),
+            fam.triple_intersection)
+        if ok:
+            cw.HodgeEvaluator(basis, frame, prec_bits=128)
+        else:
+            with pytest.raises(DomainError, match="lies beyond the zero"):
+                cw.HodgeEvaluator(basis, frame, prec_bits=128)

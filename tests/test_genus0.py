@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import random
 import time
@@ -18,9 +19,10 @@ from cyworkbench.errors import (DomainError, IntegralityViolation,
                                 NormalizationMissing, WorkbenchError)
 from cyworkbench.frames import SymplecticFrame
 from cyworkbench.picard_fuchs import PFOperator, PeriodBasis
+from cyworkbench.pipeline import WorkbenchConfig, run_pipeline
 from cyworkbench.series import LogSeries
 
-from conftest import (constant_coupling_family, degree_two_operator,
+from conftest import (CONFIGS, constant_coupling_family, degree_two_operator,
                       random_mum_operator, shipped_family)
 
 
@@ -238,6 +240,19 @@ def gap_family():
     """The quintic with z^25 added to a_1: its Calabi-Yau identity fails
     first at z^25, past the full-order checks at N = 20."""
     return with_a1_added(shipped_family("quintic"), (0,) * 25 + (1,))
+
+
+def count_pairings(monkeypatch):
+    """The orders of the bases SymplecticFrame.pairing_series is called on
+    from here on, in the list returned."""
+    orders, pairing = [], SymplecticFrame.pairing_series
+
+    def counted(frame, basis, derivative):
+        orders.append(basis.order)
+        return pairing(frame, basis, derivative)
+
+    monkeypatch.setattr(SymplecticFrame, "pairing_series", counted)
+    return orders
 
 
 def reference_wronskians(basis, derivative):
@@ -776,21 +791,30 @@ class TestSymplecticFrame:
 
     def test_bounded_work(self, quintic_family, monkeypatch):
         """The frame at N = 240 takes well under a second and builds no
-        Wronskian past eight terms."""
+        Wronskian."""
         basis = cw.frobenius_solve(quintic_family.pf, 240)
         y = cw.yukawa_theta(quintic_family).series(basis.order)
-        orders = []
-        pairing = SymplecticFrame.pairing_series
-
-        def counted(frame, basis, derivative):
-            orders.append(basis.order)
-            return pairing(frame, basis, derivative)
-
-        monkeypatch.setattr(SymplecticFrame, "pairing_series", counted)
+        orders = count_pairings(monkeypatch)
         start = time.perf_counter()
         cw.solve_symplectic_frame(basis, y, 5)
         assert time.perf_counter() - start < 0.25
-        assert orders and max(orders) <= 8
+        assert orders == []
+
+    def test_pipeline_builds_no_wronskian(self, tmp_path, monkeypatch):
+        doc = json.loads((CONFIGS / "quintic.json").read_text())
+        orders = count_pairings(monkeypatch)
+        run_pipeline(WorkbenchConfig.from_json(doc), tmp_path)
+        assert orders == []
+
+    def test_rescaled_basis_rejected(self, quintic_basis, quintic_yukawa):
+        """2 f_i solves the operator but is not its normalized basis, for
+        which S_03 = -S_12 = -kappa; Q(Omega, theta^3 Omega) would read
+        -4 Y."""
+        basis = PeriodBasis(tuple(2 * f for f in quintic_basis.frobenius),
+                            quintic_basis.operator, quintic_basis.order)
+        with pytest.raises(NormalizationMissing, match="theta Omega"):
+            cw.solve_symplectic_frame(
+                basis, quintic_yukawa.series(basis.order), 5)
 
     def test_ramified_basis_rejected(self, quintic_basis):
         """A ramified or log-carrying Frobenius series fails when the

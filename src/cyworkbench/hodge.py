@@ -80,13 +80,17 @@ def _series_grid(f, prec):
     n**e * num rounded to nearest at prec, divided by den and rounded
     again (mp.mpf(n**e * num) / den), on the integer kernel; a column is
     held as integers on its smallest exponent (an all-zero one takes its
-    left neighbour's, or 0)."""
+    left neighbour's, or 0).  A rounding that is exact (a numerator of at
+    most prec bits) and a division by den = 1 are skipped."""
     exps, rows = [], [[], [], [], []]
     for n, c in enumerate(f):
         col = []
         for e in range(4):
-            m, x = _div(*_round(n ** e * c.numerator, 0, 0, 0, prec),
-                        c.denominator, 0, prec)
+            m, x = n ** e * c.numerator, 0
+            if m.bit_length() > prec:
+                m, x = _round(m, 0, 0, 0, prec)
+            if c.denominator != 1:
+                m, x = _div(m, x, c.denominator, 0, prec)
             z = (m & -m).bit_length() - 1  # odd mantissa, as mpf holds it
             col.append((m >> z, x + z) if m else (0, 0))
         low = [x for m, x in col if m]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .errors import ConfigError, DomainError, NotMUM
 from .series import LogSeries, _mul_trunc, format_rational, parse_rational
@@ -158,23 +159,29 @@ def frobenius_solve(op: PFOperator, order: int) -> PeriodBasis:
     maxj = op.z_degree
     # c_n n^7 L = sum_j q_j c_{n-j}, L the lcm of the coefficient denominators
     # and q_j = -n^7 (lam+n)^-4 L P_j(lam+n-j) with -n^7 (lam+n)^-4 = sum_a
-    # w_a n^(3-a) lam^a: [lam^i] q_j sums c n^f (n-j)^e over the int triples
-    # (f, e, c) = (3 - a, k - i + a, w_a L a_k[j] C(k, i - a))
+    # w_a n^(3-a) lam^a: [lam^(a+b)] q_j gets w_a L a_k[j] C(k, b) n^(3-a)
+    # (n-j)^(k-b), held as the int coefficients of a polynomial in n of
+    # degree <= 7, highest first, for Horner's rule
     scale = math.lcm(*(c.denominator for p in op.coefficients for c in p))
-    q_terms = [[[(3 - a, k - i + a,
-                  w * int(scale * p[j]) * math.comb(k, i - a))
-                 for a, w in enumerate((-1, 4, -10, 20)[:i + 1])
-                 for k, p in enumerate(op.coefficients)
-                 if k >= i - a and j < len(p) and p[j]]
-                for i in range(_JET_LEN)] for j in range(maxj + 1)]
+    q_polys = [[[0] * 8 for _ in range(_JET_LEN)] for _ in range(maxj + 1)]
+    for k, p in enumerate(op.coefficients):
+        for j, x in enumerate(int(scale * c) for c in p):
+            for b in range(min(k, _JET_LEN - 1) + 1) if x else ():
+                # L a_k[j] C(k, b) (n-j)^(k-b), highest power of n first
+                r = [x * math.comb(k, b) * math.comb(k - b, t) * (-j) ** t
+                     for t in range(k - b + 1)]
+                for a, w in enumerate((-1, 4, -10, 20)[:_JET_LEN - b]):
+                    poly = q_polys[j][a + b]  # times w_a n^(3-a)
+                    for t, c in enumerate(r, 4 + a - k + b):
+                        poly[t] += w * c
     jets = [([1, 0, 0, 0], 1)]  # c_n(lam) as (int jet U_n, denominator D_n)
     for n in range(1, n_terms):
         prev = [(j, *jets[n - j]) for j in range(1, min(n, maxj) + 1)]
         den = math.lcm(*(dj for _, _, dj in prev))
         acc = [0] * _JET_LEN
         for j, u, dj in prev:  # c_{n-j} brought to the denominator den
-            qj = [den // dj * sum(c * n ** f * (n - j) ** e for f, e, c in col)
-                  for col in q_terms[j]]
+            qj = [den // dj * reduce(lambda v, c: v * n + c, col, 0)
+                  for col in q_polys[j]]
             acc = [x + y for x, y in zip(acc, _mul_trunc(qj, u, _JET_LEN))]
         d = den * scale * n ** 7
         g = math.gcd(d, *acc)

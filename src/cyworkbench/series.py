@@ -7,11 +7,13 @@ A :class:`LogSeries` represents
 with exact rational coefficients ``c_{i,k}``, a ramification index
 ``r``, and log degree ``k`` at most 3 (period solutions of a threefold
 at a maximally unipotent point have log degree <= 3, so the cap is
-structural, not a tuning knob).  The coefficients live in four dense
-rows, ``rows()[k][i] = c_{i,k}``, the only coefficient format: every
-operation works on the rows.  Other modules read series through
-``rows()`` and build them with ``from_rows`` or the named constructors
-(``zero``, ``constant``, ``from_coefficients``, a term map).
+structural, not a tuning knob).  The coefficients live in dense rows
+up to the top log degree with a nonzero entry (row 0 always), the only
+coefficient format: every operation works on the rows a series holds.
+Other modules read series through ``rows()``, padded to four rows,
+``rows()[k][i] = c_{i,k}``, and build them with ``from_rows`` or the
+named constructors (``zero``, ``constant``, ``from_coefficients``, a
+term map).
 
 Series are truncated: a series with ``order = N`` is known modulo z^N,
 and its rows are ceil(N r) long.  Every operation propagates the
@@ -116,14 +118,15 @@ class LogSeries:
         order = Fraction(order)
         if order <= 0:
             raise DomainError("truncation order must be positive")
-        rows = [[c if type(c) is Fraction else Fraction(c) for c in row]
-                for row in rows]
         n = math.ceil(order * ramification)
-        if any(any(row[:n]) for row in rows[MAX_LOG_DEGREE + 1:]):
+        rows = [row[:n] for row in rows] or [()]
+        if any(map(any, rows[MAX_LOG_DEGREE + 1:])):
             raise LogDegreeOverflow(f"log degree exceeds cap {MAX_LOG_DEGREE}")
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()  # held rows end at the top nonzero log degree
         object.__setattr__(self, "_rows", tuple(
-            tuple(row[:n]) + (_ZERO,) * (n - len(row))
-            for row in (rows + [[]] * 4)[:MAX_LOG_DEGREE + 1]))
+            tuple([c if type(c) is Fraction else Fraction(c) for c in row])
+            + (_ZERO,) * (n - len(row)) for row in rows))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "ramification", ramification)
 
@@ -162,7 +165,8 @@ class LogSeries:
 
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The four coefficient rows, rows[k][i] at z^(i/r) log^k z."""
-        return self._rows
+        held = self._rows  # padded with one shared zero row
+        return held + ((_ZERO,) * len(held[0]),) * (4 - len(held))
 
     def items(self) -> Iterator[tuple[tuple[Fraction, int], Fraction]]:
         """Nonzero terms ((exponent, log degree), coefficient), ascending."""
@@ -174,7 +178,7 @@ class LogSeries:
 
     def coefficient(self, exponent, log_degree: int = 0) -> Fraction:
         i = Fraction(exponent) * self.ramification
-        if i.denominator != 1 or not 0 <= log_degree <= MAX_LOG_DEGREE:
+        if i.denominator != 1 or not 0 <= log_degree < len(self._rows):
             return _ZERO
         row = self._rows[log_degree]
         return row[int(i)] if 0 <= i < len(row) else _ZERO
@@ -188,17 +192,16 @@ class LogSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not any(map(any, self._rows))
+        return self.is_log_free and not any(self._rows[0])
 
     @property
     def is_log_free(self) -> bool:
-        return not any(map(any, self._rows[1:]))
+        return len(self._rows) == 1
 
     @property
     def log_degree(self) -> int:
         """Largest log degree actually present."""
-        return max((k for k, row in enumerate(self._rows) if any(row)),
-                   default=0)
+        return len(self._rows) - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogSeries):
@@ -232,9 +235,11 @@ class LogSeries:
     # ------------------------------------------------------------------
     # ring structure, on rows over a common 1/r lattice
 
-    def _rows_on(self, r: int, n: int) -> list[list[Fraction]]:
-        """The rows spread onto the 1/r lattice, cut or padded to n."""
+    def _rows_on(self, r: int, n: int) -> tuple | list:
+        """The held rows spread onto the 1/r lattice, cut or padded to n."""
         step = r // self.ramification
+        if step == 1 and n == len(self._rows[0]):
+            return self._rows
         out = []
         for row in self._rows:
             wide = [_ZERO] * n
@@ -253,9 +258,9 @@ class LogSeries:
         if not isinstance(other, LogSeries):
             other = LogSeries.constant(other, self.order)
         r, order, n = self._join(other)
-        rows = [[x + y for x, y in zip(a, b)] for a, b in
-                zip(self._rows_on(r, n), other._rows_on(r, n))]
-        return LogSeries.from_rows(rows, order, r)
+        a, b = sorted((self._rows_on(r, n), other._rows_on(r, n)), key=len)
+        rows = [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)]
+        return LogSeries.from_rows(rows + list(b[len(a):]), order, r)
 
     def __radd__(self, other) -> "LogSeries":
         return self + other
@@ -275,20 +280,21 @@ class LogSeries:
             return LogSeries.from_rows([[c * x for x in row] for row in self._rows],
                                        self.order, self.ramification)
         r, order, n = self._join(other)
-        rows = [[0] * n for _ in range(MAX_LOG_DEGREE + 1)]
+        rows = [()] * (MAX_LOG_DEGREE + 1)
         right = other._rows_on(r, n)
         for k1, a in enumerate(self._rows_on(r, n)):
             for k2, b in enumerate(right):
                 if not (any(a) and any(b)):
                     continue
-                prod = _mul_trunc(a, b, n)
-                if k1 + k2 > MAX_LOG_DEGREE:
+                prod, k = _mul_trunc(a, b, n), k1 + k2
+                if k > MAX_LOG_DEGREE:
                     if any(prod):
                         raise LogDegreeOverflow(
-                            f"product term log(z)^{k1 + k2} exceeds cap "
+                            f"product term log(z)^{k} exceeds cap "
                             f"{MAX_LOG_DEGREE}")
                     continue
-                rows[k1 + k2] = [x + y for x, y in zip(rows[k1 + k2], prod)]
+                rows[k] = prod if not rows[k] else [
+                    x + y for x, y in zip(rows[k], prod)]
         return LogSeries.from_rows(rows, order, r)
 
     def __rmul__(self, other) -> "LogSeries":
@@ -317,7 +323,7 @@ class LogSeries:
         r = math.lcm(self.ramification, delta.denominator)
         pad = [_ZERO] * int(delta * r)
         rows = self._rows_on(r, math.ceil(self.order * r))
-        return LogSeries.from_rows([pad + row for row in rows],
+        return LogSeries.from_rows([pad + list(row) for row in rows],
                                    self.order + delta, r)
 
     # ------------------------------------------------------------------
@@ -332,13 +338,9 @@ class LogSeries:
         r, rows = self.ramification, self._rows
         n = len(rows[0])
         weights = range(n) if r == 1 else [Fraction(i, r) for i in range(n)]
-        out = []
-        for k, row in enumerate(rows):
-            new = [w * c for w, c in zip(weights, row)] if any(row) else row
-            up = rows[k + 1] if k < MAX_LOG_DEGREE else ()
-            if any(up):
-                new = [x + (k + 1) * u for x, u in zip(new, up)]
-            out.append(new)
+        out = [[w * c for w, c in zip(weights, row)] for row in rows]
+        for k, up in enumerate(rows[1:], 1):
+            out[k - 1] = [x + k * u for x, u in zip(out[k - 1], up)]
         return LogSeries.from_rows(out, self.order, r)
 
     def invert(self) -> "LogSeries":
@@ -453,16 +455,10 @@ class LogSeries:
 
     def to_json(self) -> dict:
         """JSON object with all integers as decimal strings."""
-        terms = []
-        for (e, k), c in self.items():
-            terms.append({
-                "exp": format_rational(e),
-                "log": k,
-                "num": str(c.numerator),
-                "den": str(c.denominator),
-            })
-        return {
-            "ramification": self.ramification,
-            "order": format_rational(self.order),
-            "terms": terms,
-        }
+        r = self.ramification  # the held rows column by column, as items()
+        terms = [{"exp": str(i) if r == 1 else format_rational(Fraction(i, r)),
+                  "log": k, "num": str(c.numerator), "den": str(c.denominator)}
+                 for i, column in enumerate(zip(*self._rows))
+                 for k, c in enumerate(column) if c]
+        return {"ramification": r, "order": format_rational(self.order),
+                "terms": terms}

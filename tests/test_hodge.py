@@ -18,7 +18,7 @@ from cyworkbench import hodge
 from cyworkbench.errors import (DomainError, NormalizationMissing,
                                OutsideDisk, PrecisionLoss, SignViolation)
 from cyworkbench.frames import SymplecticFrame
-from cyworkbench.kernel import _format_complex
+from cyworkbench.kernel import _div, _format_complex, _round
 from cyworkbench.pipeline import coupling_and_frame, hodge_stage, solve_periods
 
 from conftest import CONFIGS, constant_coupling_family, shipped_family
@@ -467,6 +467,44 @@ class TestExactRoute:
                 f.append(Fraction(num, den))
             assert hodge._series_grid(f, prec) \
                 == reference_series_grid(f, prec)[:2]
+
+    @pytest.mark.parametrize("prec", [88, 280, 2072])
+    def test_grid_skips_match_kernel_route(self, prec):
+        """The grid, which skips an exact rounding and a division by 1,
+        against the route that rounds and divides every entry, on the
+        order-83 bases of the shipped families and on hand cases: den = 1,
+        a numerator of exactly prec bits, and two of prec + 1 bits, one a
+        tie kept even and one carrying to 2^prec."""
+        def kernel_route(f):
+            exps, rows = [], [[], [], [], []]
+            for n, c in enumerate(f):
+                col = []
+                for e in range(4):
+                    m, x = _div(*_round(n ** e * c.numerator, 0, 0, 0, prec),
+                                c.denominator, 0, prec)
+                    z = (m & -m).bit_length() - 1
+                    col.append((m >> z, x + z) if m else (0, 0))
+                low = [x for m, x in col if m]
+                exps.append(min(low) if low else exps[-1] if exps else 0)
+                for row, (m, x) in zip(rows, col):
+                    row.append(m << x - exps[-1] if m else 0)
+            return exps, rows
+
+        for config in sorted(CONFIGS.glob("*.json")):
+            basis = cw.frobenius_solve(shipped_family(config.stem).pf, 83)
+            for f in basis.frobenius:
+                row = f.rows()[0]
+                assert hodge._series_grid(row, prec) == kernel_route(row)
+        top = 1 << prec
+        tie_even, tie_odd, carry = top + 1, top + 3, 2 * top - 1
+        assert _round(tie_even, 0, 0, 0, prec) == (top >> 1, 1)
+        assert _round(carry, 0, 0, 0, prec) == (top, 1)
+        for den in (1, 3, 1 << 40):
+            f = [Fraction(num, den) for num in (
+                7, top - 1, -(top - 1), top >> 1, tie_even, -tie_odd, carry)]
+            for cut in range(len(f)):  # each case also at n = 0
+                assert hodge._series_grid(f[cut:], prec) \
+                    == kernel_route(f[cut:])
 
     @pytest.mark.parametrize("prec", [8, 12, 53, 280])
     def test_power_ladder_is_mpc_mul(self, prec):

@@ -93,6 +93,18 @@ def theta_reference(a):
     return LogSeries(terms, order=a.order, ramification=a.ramification)
 
 
+def neg_reference(a):
+    """Dict-keyed negation."""
+    return LogSeries({key: -c for key, c in a.items()}, order=a.order,
+                     ramification=a.ramification)
+
+
+def to_json_terms_reference(a):
+    """The term list of to_json, built by the items() loop it replaced."""
+    return [{"exp": format_rational(e), "log": k, "num": str(c.numerator),
+             "den": str(c.denominator)} for (e, k), c in a.items()]
+
+
 def lattice_series(rng):
     """Sparse series on the 1/r lattice, r in 1..3, log degree up to 3,
     truncated at an integer or fractional order."""
@@ -461,6 +473,64 @@ class TestRowsMatchDictReference:
         for _ in range(300):
             a = lattice_series(rng)
             assert_same(a.theta(), theta_reference(a))
+
+    def test_cancelling_top_rows(self):
+        """Results whose top log rows cancel: x y - y x, and (x + y) - y
+        with y carrying log^3 z, on ramification 1-3.  Each equals the dict
+        reference, holds no zero row above its log degree, and still shows
+        four window-length rows."""
+        rng = random.Random(53)
+        dropped = [0, 0]  # the top log degrees each kind of result lost
+        for _ in range(200):
+            x, y = lattice_series(rng), lattice_series(rng)
+            y = y + LogSeries({(F(rng.randrange(0, 2)), 3): F(
+                rng.choice([-2, 1, 3]))}, y.order, y.ramification)
+            ref = outcome(mul_reference, x, y)
+            got = [outcome(lambda: x * y - y * x)]
+            if ref is not LogDegreeOverflow:
+                dropped[0] += ref.log_degree
+                ref = add_reference(ref, neg_reference(mul_reference(y, x)))
+            got.append((x + y) - y)
+            dropped[1] += (x + y).log_degree - got[1].log_degree
+            for result, want in zip(got, (ref, add_reference(
+                    add_reference(x, y), neg_reference(y)))):
+                assert_same(result, want)
+                if result is LogDegreeOverflow:
+                    continue
+                assert result.log_degree == max(
+                    (k for (_, k), _ in result.items()), default=0)
+                assert len(result.rows()) == 4
+                window = math.ceil(result.order * result.ramification)
+                assert all(len(row) == window for row in result.rows())
+                assert result.to_json()["terms"] == to_json_terms_reference(
+                    result)
+            assert (x * 0).is_zero and len((x * 0).rows()) == 4
+        assert min(dropped) > 30
+
+    def test_trailing_zero_rows(self):
+        """Explicit trailing zero rows, or rows nonzero only past the
+        window, make the same series as leaving them out."""
+        rng = random.Random(59)
+        for _ in range(100):
+            a = lattice_series(rng)
+            order, r = a.order, a.ramification
+            held = [row for row in a.rows()]
+            while len(held) > 1 and not any(held[-1]):
+                held.pop()
+            window = math.ceil(order * r)
+            for extra in ([], [[0] * window], [[0] * window] * 3,
+                          [[0] * window + [F(1, 3)]]):
+                padded = LogSeries.from_rows(held + extra, order, r)
+                assert padded == LogSeries.from_rows(held, order, r) == a
+                assert padded.rows() == a.rows()
+                assert padded.log_degree == a.log_degree
+                assert padded.to_json() == a.to_json()
+
+    def test_to_json_terms(self):
+        rng = random.Random(61)
+        for _ in range(300):
+            a = lattice_series(rng)
+            assert a.to_json()["terms"] == to_json_terms_reference(a)
 
     def test_log_degree_overflow_cases(self):
         lz2 = LogSeries({(F(1), 2): F(1)}, order=3)
